@@ -103,34 +103,36 @@ crash-soak:
 	$(GO) test -race -timeout 15m -count=1 -run 'CrashRecovery|Recover' -v ./internal/server/ ./cmd/hyperearservd/
 
 # Real measurement run of the performance-critical benchmarks (see
-# DESIGN.md "Performance architecture"). FFTForward pairs the complex
-# and packed-real transforms; Detect/Stream cover the batch and
-# overlap-save detection hot paths; PipelineLocate2D{,Serial,Parallel}
-# track end-to-end latency and the serial/parallel split; ServerThroughput
-# measures locates/sec through the full HTTP service with batching on;
+# DESIGN.md "Performance architecture"). FFTReal times the packed-real
+# forward + inverse round trip at the 2^13-2^15 block sizes production
+# runs; Detect/Stream cover the batch and overlap-save detection hot
+# paths; PipelineLocate2D{,Serial,Parallel} track end-to-end latency and
+# the serial/parallel split; ServerThroughput measures locates/sec
+# through the full HTTP service;
 # SessionIngest compares the streaming-append path with and without the
 # session WAL underneath and WALAppend pins the raw durable append under
 # both fsync policies; DisabledSpan/EnabledSpan pin the per-hook
 # observability overhead (the disabled path must stay 0 B/op) and
 # PromExposition the /metrics scrape-render cost.
-BENCH_RE := CrossCorrelate|Correlator|Envelope|FFTForward|Detect|DetectSegmented|Stream|PipelineLocate2D|ServerThroughput|SessionIngest|WALAppend|DisabledSpan|EnabledSpan|PromExposition
+BENCH_RE := CrossCorrelate|Correlator|Envelope|FFTReal|Detect|DetectSegmented|Stream|PipelineLocate2D|ServerThroughput|SessionIngest|WALAppend|DisabledSpan|EnabledSpan|PromExposition
 BENCH_PKGS := ./ ./internal/dsp/ ./internal/chirp/ ./internal/obs/ ./internal/server/ ./internal/sessionstore/
 
 bench:
 	$(GO) test -run NONE -bench '$(BENCH_RE)' -benchmem $(BENCH_PKGS)
 
 # Same measurement run, archived as a dated JSON snapshot (name, ns/op,
-# B/op, allocs/op per benchmark) for cross-commit comparison. A second
-# pass re-runs the block-parallel hot paths at GOMAXPROCS=4 so the
-# snapshot records the single-core vs multi-core separation side by side
-# (the -4 suffixed entries; benchjson -compare strips the suffix and
-# never fails on entries present in only one report).
+# B/op, allocs/op per benchmark, plus the machine's core count) for
+# cross-commit comparison. A second pass re-runs the block-parallel hot
+# paths at GOMAXPROCS=1 and 2 — the cores a 2-core box actually has — so
+# the snapshot records the single-core vs multi-core separation side by
+# side (the unsuffixed and -2 entries; benchjson -compare strips the
+# suffix and never fails on entries present in only one report).
 SCALING_RE := DetectSegmented|PipelineLocate2D$$|ServerThroughput
 SCALING_PKGS := ./ ./internal/chirp/ ./internal/server/
 
 bench-json:
 	{ $(GO) test -run NONE -bench '$(BENCH_RE)' -benchmem $(BENCH_PKGS); \
-	  $(GO) test -run NONE -bench '$(SCALING_RE)' -benchmem -cpu 4 $(SCALING_PKGS); } \
+	  $(GO) test -run NONE -bench '$(SCALING_RE)' -benchmem -cpu 1,2 $(SCALING_PKGS); } \
 		| $(GO) run ./cmd/benchjson -out BENCH_$$(date +%Y-%m-%d).json
 
 # CPU and heap profiles of the end-to-end pipeline benchmark, for

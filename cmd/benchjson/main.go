@@ -26,7 +26,8 @@
 // only one report are listed but never fail the run.
 //
 // Each result records the benchmark name, iteration count, ns/op, B/op,
-// allocs/op, and any custom go-bench metrics (MB/s etc.) under "extra".
+// allocs/op, and any custom go-bench metrics (MB/s etc.) under "extra";
+// the report also stamps the capturing machine's core count ("cores").
 // The Makefile's bench-json and bench-compare targets wrap both modes.
 package main
 
@@ -38,6 +39,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -55,10 +57,13 @@ type Result struct {
 
 // Report is the file written to -out.
 type Report struct {
-	GoOS    string   `json:"goos,omitempty"`
-	GoArch  string   `json:"goarch,omitempty"`
-	Pkg     string   `json:"pkg,omitempty"`
-	CPU     string   `json:"cpu,omitempty"`
+	GoOS   string `json:"goos,omitempty"`
+	GoArch string `json:"goarch,omitempty"`
+	Pkg    string `json:"pkg,omitempty"`
+	CPU    string `json:"cpu,omitempty"`
+	// Cores is runtime.NumCPU() of the capturing machine: the cores a
+	// -cpu N pass could actually run on.
+	Cores   int      `json:"cores,omitempty"`
 	Results []Result `json:"results"`
 }
 
@@ -95,7 +100,7 @@ func run(args []string, in io.Reader, out io.Writer) error {
 		return fmt.Errorf("-out is required")
 	}
 
-	var rep Report
+	rep := Report{Cores: runtime.NumCPU()}
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	for sc.Scan() {

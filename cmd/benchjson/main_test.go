@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -29,6 +30,30 @@ func TestParseBenchLineCustomMetric(t *testing.T) {
 	}
 	if r.Extra["MB/s"] != 812.5 {
 		t.Fatalf("extra = %v", r.Extra)
+	}
+}
+
+// TestCaptureStampsCores: a captured report records the machine's core
+// count, so -cpu passes can be read against the cores that existed.
+func TestCaptureStampsCores(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bench.json")
+	in := strings.NewReader("cpu: Test CPU\nBenchmarkDetect-2 \t 100\t 250000 ns/op\n")
+	if err := run([]string{"-out", path}, in, &bytes.Buffer{}); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep Report
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Cores != runtime.NumCPU() || rep.Cores < 1 {
+		t.Fatalf("cores = %d, want runtime.NumCPU() = %d", rep.Cores, runtime.NumCPU())
+	}
+	if !strings.Contains(string(raw), `"cores":`) {
+		t.Fatalf("report has no cores field:\n%s", raw)
 	}
 }
 

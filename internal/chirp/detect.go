@@ -6,7 +6,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"time"
 
 	"hyperear/internal/dsp"
 )
@@ -37,10 +36,6 @@ type Detector struct {
 	// transform size, so repeated Detect calls on same-length inputs
 	// (stream blocks, fixed recording windows) skip the template FFT.
 	corr *dsp.Correlator
-	// batch, when non-nil (EnableBatch), routes the matched-filter
-	// forward transforms of concurrent DetectInto calls through one
-	// strided shared-plan pass.
-	batch *dsp.BatchCorrelator
 	// delay is the timing offset in samples a prefiltered template
 	// (NewDetectorFiltered) shifts the correlation peak by — the taps'
 	// (N-1)/2 group delay. It is added back when converting peak indices
@@ -131,27 +126,6 @@ func NewDetectorFiltered(p Params, fs float64, gain func(freqHz float64) float64
 	return d, nil
 }
 
-// EnableBatch routes the detector's matched-filter forward transforms
-// through a dsp.BatchCorrelator: concurrent DetectInto calls whose
-// inputs share a transform size coalesce into one strided shared-plan
-// pass (see the dsp package). window bounds how long a lone call waits
-// for companions; maxBatch caps the group. Call before the detector is
-// shared across goroutines; results are bit-identical to the unbatched
-// path.
-func (d *Detector) EnableBatch(window time.Duration, maxBatch int) {
-	d.batch = dsp.NewBatchCorrelator(d.corr, window, maxBatch)
-}
-
-// BatchStats reports the batch passes run and lanes carried when
-// batching is enabled (zeros otherwise) — the coalescing factor the
-// server's metrics expose.
-func (d *Detector) BatchStats() (batches, lanes uint64) {
-	if d.batch == nil {
-		return 0, 0
-	}
-	return d.batch.Batches()
-}
-
 // Reference exposes the matched-filter template (for tests and plots).
 func (d *Detector) Reference() []float64 {
 	out := make([]float64, len(d.ref))
@@ -236,11 +210,7 @@ func (d *Detector) DetectIntoCtx(ctx context.Context, dst []Detection, x []float
 		s = &DetectScratch{}
 	}
 	var err error
-	if d.batch != nil {
-		s.corr, err = d.batch.CrossCorrelateSegmentedCtx(ctx, s.corr, x, &s.seg, workers)
-	} else {
-		s.corr, err = d.corr.CrossCorrelateSegmentedCtx(ctx, s.corr, x, &s.seg, workers)
-	}
+	s.corr, err = d.corr.CrossCorrelateSegmentedCtx(ctx, s.corr, x, &s.seg, workers)
 	if err != nil {
 		return dst, err
 	}

@@ -2,12 +2,9 @@ package chirp
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
-	"time"
 
 	"hyperear/internal/dsp"
 )
@@ -330,56 +327,6 @@ func TestDetectorFilteredRejectsAsymmetricTaps(t *testing.T) {
 	}
 }
 
-// TestDetectorBatchMatchesUnbatched runs the same detector with and
-// without EnableBatch from concurrent goroutines and requires identical
-// detections — the chirp-level face of the dsp bit-identity contract.
-func TestDetectorBatchMatchesUnbatched(t *testing.T) {
-	p := Default()
-	fs := 44100.0
-	plain, err := NewDetector(p, fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batched, err := NewDetector(p, fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batched.EnableBatch(5*time.Millisecond, 4)
-
-	const k = 4
-	xs := make([][]float64, k)
-	want := make([][]Detection, k)
-	for j := range xs {
-		xs[j] = synth(p, fs, int(fs)+17*j, 0.01+0.003*float64(j), 0.3, int64(j)+1)
-		want[j] = plain.Detect(xs[j])
-	}
-	got := make([][]Detection, k)
-	var wg sync.WaitGroup
-	for j := 0; j < k; j++ {
-		wg.Add(1)
-		go func(j int) {
-			defer wg.Done()
-			var s DetectScratch
-			got[j] = batched.DetectInto(nil, xs[j], &s)
-		}(j)
-	}
-	wg.Wait()
-	for j := 0; j < k; j++ {
-		if len(got[j]) != len(want[j]) {
-			t.Fatalf("lane %d: batched %d detections, unbatched %d", j, len(got[j]), len(want[j]))
-		}
-		for i := range want[j] {
-			if math.Float64bits(got[j][i].Time) != math.Float64bits(want[j][i].Time) ||
-				got[j][i].Index != want[j][i].Index {
-				t.Fatalf("lane %d detection %d: batched %+v != unbatched %+v", j, i, got[j][i], want[j][i])
-			}
-		}
-	}
-	if batches, lanes := batched.BatchStats(); lanes == 0 || batches == 0 {
-		t.Fatalf("batch-enabled detector never batched (batches=%d lanes=%d)", batches, lanes)
-	}
-}
-
 // TestDetectSegmentedMatchesMonolithic is the chirp-level differential
 // check for the overlap-save refactor: DetectIntoCtx (segmented matched
 // filter + blocked envelope, any worker count) must report the same
@@ -465,11 +412,31 @@ func BenchmarkDetectSegmented(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	// filtered is the detector the ASP stage builds: the 301-tap band-pass
+	// with its 200 Hz margins (core.DefaultASPConfig) folded into the
+	// template, which makes it 2064 samples at 44.1 kHz and the
+	// correlation blocks 2^14 points instead of the flat template's 2^13.
+	bp, err := dsp.NewBandPass(p.Low-200, p.High+200, fs, 301)
+	if err != nil {
+		b.Fatal(err)
+	}
+	filtered, err := NewDetectorFiltered(p, fs, nil, bp.Taps())
+	if err != nil {
+		b.Fatal(err)
+	}
 	ctx := context.Background()
-	for _, w := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers%d", w), func(b *testing.B) {
+	for _, tc := range []struct {
+		name    string
+		d       *Detector
+		workers int
+	}{
+		{"workers1", d, 1},
+		{"workers4", d, 4},
+		{"filtered", filtered, 1},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
 			var scratch DetectScratch
-			dst, err := d.DetectIntoCtx(ctx, nil, x, &scratch, w)
+			dst, err := tc.d.DetectIntoCtx(ctx, nil, x, &scratch, tc.workers)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -479,7 +446,7 @@ func BenchmarkDetectSegmented(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				dst, _ = d.DetectIntoCtx(ctx, dst, x, &scratch, w)
+				dst, _ = tc.d.DetectIntoCtx(ctx, dst, x, &scratch, tc.workers)
 			}
 		})
 	}

@@ -40,15 +40,12 @@ type ASPConfig struct {
 	// Parallelism bounds the workers for the per-channel filter+detect
 	// fan-out: 0 uses GOMAXPROCS, 1 runs the two channels serially.
 	Parallelism int
-	// BatchWindow, when positive with MaxBatch >= 2, coalesces concurrent
-	// matched-filter correlations (across channels and across sessions
-	// sharing this stage) into strided shared-plan FFT batches: a caller
-	// waits up to BatchWindow for companions at the same transform size
-	// (see dsp.BatchCorrelator). Zero or negative disables batching.
+	// BatchWindow and MaxBatch are ignored: every correlation runs the
+	// plain segmented kernel (DESIGN.md §8, "Retired: batched
+	// execution"). They remain so configurations that set them keep
+	// compiling.
 	BatchWindow time.Duration
-	// MaxBatch caps the lanes fused into one batch; a filling batch
-	// flushes immediately without waiting out the window.
-	MaxBatch int
+	MaxBatch    int
 	// Obs receives the "asp" stage span and detection/pairing counters;
 	// nil disables. NewLocalizer propagates Config.Obs here.
 	Obs *obs.Obs
@@ -154,18 +151,10 @@ func NewASP(source chirp.Params, fs float64, cfg ASPConfig) (*ASP, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: ASP detector: %w", err)
 	}
-	if cfg.BatchWindow > 0 && cfg.MaxBatch >= 2 {
-		det.EnableBatch(cfg.BatchWindow, cfg.MaxBatch)
-	}
 	a := &ASP{cfg: cfg, source: source, fs: fs, det: det}
 	a.scratch.New = func() any { return new(chirp.DetectScratch) }
 	return a, nil
 }
-
-// BatchStats reports how many strided FFT batches the stage's detector
-// has run and how many correlation lanes they carried (zeros when
-// batching is disabled).
-func (a *ASP) BatchStats() (batches, lanes uint64) { return a.det.BatchStats() }
 
 // Process filters both channels, detects and pairs beacons, and estimates
 // the received beacon period from the calibration window.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"hyperear/internal/sim"
@@ -79,14 +80,16 @@ func TestASPProcessContextCanceled(t *testing.T) {
 // countdownCtx is a context whose Err flips to context.Canceled after a
 // fixed number of Err calls, so cancellation deterministically lands in
 // the middle of a detection pass rather than before it starts.
+// The counter is atomic because ASP's channel fan-out calls Err from
+// several goroutines at once, as the Context contract allows.
 type countdownCtx struct {
 	context.Context
-	calls, after int64
+	calls atomic.Int64
+	after int64
 }
 
 func (c *countdownCtx) Err() error {
-	c.calls++
-	if c.calls > c.after {
+	if c.calls.Add(1) > c.after {
 		return context.Canceled
 	}
 	return nil
@@ -107,8 +110,8 @@ func TestASPProcessContextCancelMidRecording(t *testing.T) {
 	if _, err := loc.asp.ProcessContext(counting, s.Recording); err != nil {
 		t.Fatal(err)
 	}
-	if counting.calls < 8 {
-		t.Fatalf("ProcessContext consulted ctx.Err only %d times; want per-block checks", counting.calls)
+	if n := counting.calls.Load(); n < 8 {
+		t.Fatalf("ProcessContext consulted ctx.Err only %d times; want per-block checks", n)
 	}
 
 	// Cancel mid-pass: the entry checks pass, then the countdown expires
@@ -117,8 +120,8 @@ func TestASPProcessContextCancelMidRecording(t *testing.T) {
 	if _, err := loc.asp.ProcessContext(mid, s.Recording); !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-recording cancel: got %v, want context.Canceled", err)
 	}
-	if mid.calls <= mid.after {
-		t.Fatalf("countdown never expired (%d calls); cancel did not land mid-pass", mid.calls)
+	if n := mid.calls.Load(); n <= mid.after {
+		t.Fatalf("countdown never expired (%d calls); cancel did not land mid-pass", n)
 	}
 }
 

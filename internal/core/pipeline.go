@@ -127,10 +127,8 @@ func NewLocalizer(cfg Config) (*Localizer, error) {
 		// Replace a zero stage config with the defaults, but carry over
 		// the fields callers set independently of the filter design.
 		gain := cfg.ASP.TemplateGain
-		bw, mb := cfg.ASP.BatchWindow, cfg.ASP.MaxBatch
 		cfg.ASP = DefaultASPConfig()
 		cfg.ASP.TemplateGain = gain
-		cfg.ASP.BatchWindow, cfg.ASP.MaxBatch = bw, mb
 	}
 	if cfg.ASP.Parallelism == 0 {
 		cfg.ASP.Parallelism = cfg.Parallelism
@@ -211,11 +209,6 @@ func (l *Localizer) MicSeparation() float64 { return l.cfg.MicSeparation }
 
 // SpeedOfSound returns the configured sound speed.
 func (l *Localizer) SpeedOfSound() float64 { return l.cfg.SpeedOfSound }
-
-// BatchStats reports the acoustic stage's strided-FFT batch counters:
-// batches run and correlation lanes carried (zeros when
-// ASPConfig.BatchWindow batching is disabled).
-func (l *Localizer) BatchStats() (batches, lanes uint64) { return l.asp.BatchStats() }
 
 // analyzeSession runs ASP, MSP, and PDE over one session, working through
 // the borrowed Scratch s (the MSPResult it returns aliases s and must not

@@ -23,8 +23,8 @@ func CrossCorrelate(x, ref []float64) []float64 {
 }
 
 // Envelope returns the magnitude of the analytic signal of x (Hilbert
-// envelope), computed by zeroing the negative-frequency half of the
-// spectrum. Matched-filter outputs for band-pass signals oscillate at the
+// envelope), sqrt(x² + H(x)²) with the Hilbert transform H(x) computed
+// by rotating the positive-frequency half spectrum by -90°. Matched-filter outputs for band-pass signals oscillate at the
 // carrier frequency under a smooth envelope; peak-picking the envelope
 // avoids locking onto the wrong carrier cycle — essential for
 // near-ultrasonic chirps, whose carrier period (≈50 µs at 20 kHz) is far

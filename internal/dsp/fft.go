@@ -1,5 +1,5 @@
 // Package dsp implements the signal-processing primitives HyperEar builds
-// on: an iterative radix-2 FFT, FFT-based cross-correlation, windowed-sinc
+// on: an iterative radix-4 FFT, FFT-based cross-correlation, windowed-sinc
 // FIR filter design, moving-average smoothing, window functions, sub-sample
 // peak interpolation, and assorted level/energy utilities. Everything is
 // written against the Go standard library only.
@@ -27,7 +27,7 @@ func NextPow2(n int) int {
 func IsPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
 // FFT computes the in-place forward discrete Fourier transform of x using
-// an iterative radix-2 Cooley-Tukey algorithm over a cached plan (see
+// an iterative radix-4 Cooley-Tukey algorithm over a cached plan (see
 // PlanFor). len(x) must be a power of two; otherwise an error is returned
 // and x is unchanged.
 func FFT(x []complex128) error {

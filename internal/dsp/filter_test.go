@@ -210,6 +210,28 @@ func TestMovingAverageSmoothsNoise(t *testing.T) {
 	}
 }
 
+// TestMovingAverageInto pins the Into variant against the allocating one
+// and checks warm-destination reuse.
+func TestMovingAverageInto(t *testing.T) {
+	x := make([]float64, 257)
+	for i := range x {
+		fi := float64(i)
+		x[i] = math.Sin(fi*0.137+3) + 0.25*math.Cos(fi*2.193+1)
+	}
+	want := MovingAverage(x, 4)
+	dst := MovingAverageInto(nil, x, 4)
+	for i := range want {
+		if math.Float64bits(dst[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("sample %d: %v != %v", i, dst[i], want[i])
+		}
+	}
+	p := &dst[0]
+	dst = MovingAverageInto(dst, x, 4)
+	if &dst[0] != p {
+		t.Fatal("MovingAverageInto reallocated a warm destination")
+	}
+}
+
 func TestGroupDelay(t *testing.T) {
 	lp, err := NewLowPass(1000, 44100, 101)
 	if err != nil {

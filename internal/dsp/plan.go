@@ -3,23 +3,49 @@ package dsp
 import (
 	"fmt"
 	"math"
-	"math/cmplx"
 	"sync"
 )
 
-// Plan holds the precomputed tables for one radix-2 FFT size: the
-// bit-reversal permutation and the twiddle factors for both transform
-// directions. Sharing a Plan across calls removes the per-call sin/cos
-// recurrence of the naive kernel (better accuracy and speed) and, combined
-// with the package's scratch pools, makes the FFT hot path allocation-free
-// in steady state. Plans are immutable after construction and safe for
-// concurrent use.
+// Plan holds the precomputed tables of one power-of-two FFT size for the
+// package's radix-4 kernel: the bit-reversal permutation and one
+// contiguous twiddle table per radix-4 stage. Sharing a Plan across calls
+// removes the per-call sin/cos recurrence of a naive kernel (better
+// accuracy and speed) and, combined with the package's scratch pools,
+// makes the FFT hot path allocation-free in steady state. Plans are
+// immutable after construction and safe for concurrent use.
+//
+// The kernel comes in two matched forms over the same tables. The
+// forward form is decimation in time: it takes its input in bit-reversed
+// order and leaves the spectrum in natural order. The inverse form is
+// decimation in frequency: it takes a natural-order spectrum and leaves
+// the unscaled inverse in bit-reversed order. Callers that can place or
+// read samples through rev as they copy them — the packed real path,
+// RealPlan — run either direction with no separate permutation pass;
+// Forward and Inverse add one in-place swap pass to keep the
+// natural-order contract.
+//
+// Stages run over blocks of length L = first·4^s. The forward form's
+// first stage and the inverse form's last are twiddle-free: radix-4 at
+// L = 4 (dit4/dif4 over blocks of four) when log2 n is even, a single
+// radix-2 pass at L = 2 (radix2) when it is odd. The radix-4 stages in
+// between (ditStages, difStages) combine the four bit-reversed quarters
+// of each block — sub-transforms of the residues 0, 2, 1, 3 mod 4 — with
+// the twiddles w^k, w^2k, w^3k, w = exp(-2πi/L), read from tw[s][k]; the
+// inverse applies their conjugates in the mirrored order.
 type Plan struct {
-	n    int
-	rev  []int32      // bit-reversal permutation: rev[i] = bit-reverse of i
-	wFwd []complex128 // wFwd[k] = exp(-2πik/n), k in [0, n/2)
-	wInv []complex128 // wInv[k] = exp(+2πik/n), k in [0, n/2)
+	n   int
+	rev []int32 // bit-reversal permutation: rev[i] = bit-reverse of i
+	// odd reports an odd log2 n: the first stage is radix-2, not radix-4.
+	odd bool
+	// tw[s] holds the twiddles of the s-th radix-4 stage after the
+	// twiddle-free first one (block length 16·4^s for even log2 n,
+	// 8·4^s for odd), L/4 butterflies each.
+	tw [][]twiddle3
 }
+
+// twiddle3 is one radix-4 butterfly's twiddles w^k, w^2k, w^3k, stored
+// together so a butterfly reads one contiguous 48-byte record.
+type twiddle3 struct{ w1, w2, w3 complex128 }
 
 // planCache maps transform size -> *Plan. Sizes repeat heavily in a
 // localization service (one per template/recording length), so the cache
@@ -56,27 +82,32 @@ func planFor(n int) *Plan {
 }
 
 func newPlan(n int) *Plan {
-	p := &Plan{n: n}
-	if n <= 1 {
-		return p
-	}
-	p.rev = make([]int32, n)
 	bits := 0
 	for 1<<bits < n {
 		bits++
 	}
+	p := &Plan{n: n, rev: make([]int32, n), odd: bits%2 == 1}
 	for i := 1; i < n; i++ {
 		p.rev[i] = p.rev[i>>1]>>1 | int32(i&1)<<(bits-1)
 	}
-	half := n / 2
-	p.wFwd = make([]complex128, half)
-	p.wInv = make([]complex128, half)
-	for k := 0; k < half; k++ {
-		w := cmplx.Rect(1, -2*math.Pi*float64(k)/float64(n))
-		p.wFwd[k] = w
-		p.wInv[k] = complex(real(w), -imag(w))
+	l := 16
+	if p.odd {
+		l = 8
+	}
+	for ; l <= n; l *= 4 {
+		tw := make([]twiddle3, l/4)
+		for k := range tw {
+			tw[k] = twiddle3{twiddle(k, l), twiddle(2*k, l), twiddle(3*k, l)}
+		}
+		p.tw = append(p.tw, tw)
 	}
 	return p
+}
+
+// twiddle returns exp(-2πij/l).
+func twiddle(j, l int) complex128 {
+	s, c := math.Sincos(-2 * math.Pi * float64(j) / float64(l))
+	return complex(c, s)
 }
 
 // Size returns the transform length the plan was built for.
@@ -88,51 +119,149 @@ func (p *Plan) Size() int { return p.n }
 // p.Size().
 //
 //hyperearvet:zeroalloc
-func (p *Plan) Forward(x []complex128) { p.transform(x, p.wFwd) }
-
-// Inverse computes the in-place inverse DFT of x, including the 1/N
-// scaling. len(x) must equal p.Size().
-//
-//hyperearvet:zeroalloc
-func (p *Plan) Inverse(x []complex128) {
-	p.transform(x, p.wInv)
-	scale := complex(1/float64(p.n), 0)
-	for i := range x {
-		x[i] *= scale
-	}
-}
-
-// transform is the iterative radix-2 kernel over precomputed tables. The
-// twiddle for butterfly k at stage size is w[k·(n/size)].
-//
-//hyperearvet:zeroalloc
-func (p *Plan) transform(x []complex128, w []complex128) {
-	n := p.n
-	if len(x) != n {
-		panic(fmt.Sprintf("dsp: plan size %d applied to %d samples", n, len(x)))
-	}
-	if n <= 1 {
-		return
-	}
+func (p *Plan) Forward(x []complex128) {
+	p.checkLen(x)
 	for i, j := range p.rev {
 		if int(j) > i {
 			x[i], x[j] = x[j], x[i]
 		}
 	}
-	for size := 2; size <= n; size <<= 1 {
-		half := size >> 1
-		stride := n / size
-		for start := 0; start < n; start += size {
-			wi := 0
-			for k := start; k < start+half; k++ {
-				a := x[k]
-				b := x[k+half] * w[wi]
-				x[k] = a + b
-				x[k+half] = a - b
-				wi += stride
+	if p.odd {
+		radix2(x)
+	} else {
+		for i := 0; i+3 < len(x); i += 4 {
+			b := x[i : i+4 : i+4]
+			b[0], b[1], b[2], b[3] = dit4(b[0], b[2], b[1], b[3])
+		}
+	}
+	p.ditStages(x)
+}
+
+// Inverse computes the in-place inverse DFT of x, including the 1/N
+// scaling. len(x) must equal p.Size(). The scaling rides along in the
+// swap pass that restores natural order.
+//
+//hyperearvet:zeroalloc
+func (p *Plan) Inverse(x []complex128) {
+	p.checkLen(x)
+	p.difStages(x)
+	if p.odd {
+		radix2(x)
+	} else {
+		for i := 0; i+3 < len(x); i += 4 {
+			b := x[i : i+4 : i+4]
+			b[0], b[1], b[2], b[3] = dif4(b[0], b[1], b[2], b[3])
+		}
+	}
+	s := 1 / float64(p.n)
+	for i, j := range p.rev {
+		if int(j) < i {
+			continue
+		}
+		a, b := x[i], x[j]
+		x[i] = complex(real(b)*s, imag(b)*s)
+		x[j] = complex(real(a)*s, imag(a)*s)
+	}
+}
+
+//hyperearvet:zeroalloc
+func (p *Plan) checkLen(x []complex128) {
+	if len(x) != p.n {
+		panic(fmt.Sprintf("dsp: plan size %d applied to %d samples", p.n, len(x)))
+	}
+}
+
+// ditStages runs the twiddled radix-4 stages of the forward
+// decimation-in-time kernel. x holds the bit-reversed input after the
+// twiddle-free first stage (radix2, or dit4 over blocks of four) and
+// ends as the natural-order spectrum.
+//
+//hyperearvet:zeroalloc
+func (p *Plan) ditStages(x []complex128) {
+	for _, tw := range p.tw {
+		q := len(tw)
+		for s := 0; s < len(x); s += 4 * q {
+			q0 := x[s : s+q]
+			q1 := x[s+q : s+2*q][:len(q0)]
+			q2 := x[s+2*q : s+3*q][:len(q0)]
+			q3 := x[s+3*q : s+4*q][:len(q0)]
+			tw := tw[:len(q0)]
+			for k := range tw {
+				// Quarters hold the residues 0, 2, 1, 3 mod 4.
+				w := &tw[k]
+				q0[k], q1[k], q2[k], q3[k] = dit4(q0[k], q2[k]*w.w1, q1[k]*w.w2, q3[k]*w.w3)
 			}
 		}
 	}
+}
+
+// difStages runs the twiddled radix-4 stages of the inverse
+// decimation-in-frequency kernel, ditStages' mirror: x holds a
+// natural-order spectrum, and after these stages plus the twiddle-free
+// last one (radix2, or dif4 over blocks of four) it holds the unscaled
+// inverse in bit-reversed order (output i at x[rev[i]]).
+//
+//hyperearvet:zeroalloc
+func (p *Plan) difStages(x []complex128) {
+	for s := len(p.tw) - 1; s >= 0; s-- {
+		tw := p.tw[s]
+		q := len(tw)
+		for b := 0; b < len(x); b += 4 * q {
+			q0 := x[b : b+q]
+			q1 := x[b+q : b+2*q][:len(q0)]
+			q2 := x[b+2*q : b+3*q][:len(q0)]
+			q3 := x[b+3*q : b+4*q][:len(q0)]
+			tw := tw[:len(q0)]
+			for k := range tw {
+				w := &tw[k]
+				y0, y2, y1, y3 := dif4(q0[k], q1[k], q2[k], q3[k])
+				q0[k] = y0
+				q1[k] = mulConj(y2, w.w2)
+				q2[k] = mulConj(y1, w.w1)
+				q3[k] = mulConj(y3, w.w3)
+			}
+		}
+	}
+}
+
+// radix2 is the twiddle-free radix-2 pass over adjacent pairs: the first
+// forward stage and the last inverse stage when log2 n is odd.
+//
+//hyperearvet:zeroalloc
+func radix2(x []complex128) {
+	for i := 0; i+1 < len(x); i += 2 {
+		b := x[i : i+2 : i+2]
+		b[0], b[1] = b[0]+b[1], b[0]-b[1]
+	}
+}
+
+// dit4 is the forward radix-4 butterfly on the (already twiddled)
+// sub-transform values of residues 0..3, returning outputs k, k+L/4,
+// k+L/2, k+3L/4.
+//
+//hyperearvet:zeroalloc
+func dit4(b0, b1, b2, b3 complex128) (complex128, complex128, complex128, complex128) {
+	t0, t1, t2, d := b0+b2, b0-b2, b1+b3, b1-b3
+	t3 := complex(imag(d), -real(d)) // -i·(b1-b3)
+	return t0 + t2, t1 + t3, t0 - t2, t1 - t3
+}
+
+// dif4 is the inverse radix-4 butterfly on inputs k, k+L/4, k+L/2,
+// k+3L/4, returning the (not yet twiddled) values of residues 0, 2, 1, 3
+// — the bit-reversed quarter order.
+//
+//hyperearvet:zeroalloc
+func dif4(a0, a1, a2, a3 complex128) (complex128, complex128, complex128, complex128) {
+	t0, t1, t2, d := a0+a2, a0-a2, a1+a3, a1-a3
+	t3 := complex(-imag(d), real(d)) // +i·(a1-a3)
+	return t0 + t2, t0 - t2, t1 + t3, t1 - t3
+}
+
+// mulConj returns a·conj(w).
+//
+//hyperearvet:zeroalloc
+func mulConj(a, w complex128) complex128 {
+	return complex(real(a)*real(w)+imag(a)*imag(w), imag(a)*real(w)-real(a)*imag(w))
 }
 
 // Scratch pools. Buffers are handed out at the requested length (grown as
@@ -285,41 +414,22 @@ func GCCPhatInto(dst, x, ref []float64) []float64 {
 }
 
 // EnvelopeInto is Envelope writing its result into dst (grown/reused as
-// needed) and returning it.
+// needed) and returning it. dst must not overlap x: it doubles as the
+// Hilbert-transform staging buffer, so the steady state borrows only one
+// pooled half spectrum. The transform is envelopeWindow over the whole
+// input at NextPow2(len(x)) points.
 //
 //hyperearvet:zeroalloc
 func EnvelopeInto(dst, x []float64) []float64 {
 	if len(x) == 0 {
 		return dst[:0]
 	}
-	if len(x) == 1 {
-		dst = resizeF64(dst, 1)
-		dst[0] = math.Abs(x[0])
-		return dst
-	}
-	n := NextPow2(len(x))
-	// The forward transform runs on the packed real path (half the work);
-	// the inverse must stay full-size complex because the analytic signal
-	// itself is complex. The half spectrum is computed directly into the
-	// low bins of the full-size buffer, then expanded in place.
-	rp := realPlanFor(n)
+	rp := realPlanFor(max(2, NextPow2(len(x))))
 	h := rp.SpectrumLen()
-	c := getComplexPrefix(n, n)
-	rp.ForwardReal((*c)[:h], x)
-	// Analytic signal: keep DC and Nyquist, double positive frequencies,
-	// zero negatives.
-	for i := 1; i < n/2; i++ {
-		(*c)[i] *= 2
-	}
-	for i := n/2 + 1; i < n; i++ {
-		(*c)[i] = 0
-	}
-	planFor(n).Inverse(*c)
+	spec := getComplexPrefix(h, h)
 	dst = resizeF64(dst, len(x))
-	for i := range dst {
-		dst[i] = math.Hypot(real((*c)[i]), imag((*c)[i]))
-	}
-	putComplex(c)
+	envelopeWindow(dst, x, 0, rp, *spec, dst)
+	putComplex(spec)
 	return dst
 }
 

@@ -1,6 +1,7 @@
 package dsp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -54,29 +55,132 @@ func TestPlanRoundTripAllSizes(t *testing.T) {
 	}
 }
 
-// TestPlanMatchesNaiveDFT pins the plan kernel against a direct O(N²) DFT.
+// dftOracle evaluates single bins of a direct DFT of size n from an exact
+// twiddle table (index j·k reduced mod n before the lookup), so it shares
+// no code or factorization with the FFT kernels it checks.
+type dftOracle struct {
+	n int
+	w []complex128 // w[t] = exp(-2πit/n)
+}
+
+func newDFTOracle(n int) *dftOracle {
+	o := &dftOracle{n: n, w: make([]complex128, n)}
+	for t := range o.w {
+		s, c := math.Sincos(-2 * math.Pi * float64(t) / float64(n))
+		o.w[t] = complex(c, s)
+	}
+	return o
+}
+
+// bin returns Σ_j x[j]·exp(∓2πijk/n) (the minus sign for forward),
+// treating x as zero-padded to n.
+func (o *dftOracle) bin(x []complex128, k int, forward bool) complex128 {
+	var s complex128
+	for j, v := range x {
+		w := o.w[j*k%o.n]
+		if !forward {
+			w = complex(real(w), -imag(w))
+		}
+		s += v * w
+	}
+	return s
+}
+
+// oracleBins returns the indices checked at size n: all of them up to
+// 2^10, and above that the edges, the quarter points, and a seeded
+// sample.
+func oracleBins(n int, rng *rand.Rand) []int {
+	if n <= 1<<10 {
+		bins := make([]int, n)
+		for i := range bins {
+			bins[i] = i
+		}
+		return bins
+	}
+	bins := []int{0, 1, n/4 - 1, n / 4, n/2 - 1, n / 2, n/2 + 1, 3 * n / 4, n - 1}
+	for i := 0; i < 48; i++ {
+		bins = append(bins, rng.Intn(n))
+	}
+	return bins
+}
+
+// TestPlanMatchesNaiveDFT is the kernel-independent oracle for every FFT
+// entry point — Plan.Forward, Plan.Inverse, RealPlan.ForwardReal (full and
+// zero-padded input) and RealPlan.InverseReal (full and truncated
+// output) — at every power of two from 2 to 2^16. Odd and even log2 n
+// exercise both kernel shapes (a leading radix-2 stage or none), and the
+// range covers the production block sizes 2^13–2^15.
 func TestPlanMatchesNaiveDFT(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	n := 64
-	x := make([]complex128, n)
-	for i := range x {
-		x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-	}
-	want := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		var s complex128
-		for j := 0; j < n; j++ {
-			ang := -2 * math.Pi * float64(k) * float64(j) / float64(n)
-			s += x[j] * complex(math.Cos(ang), math.Sin(ang))
+	for n := 2; n <= 1<<16; n <<= 1 {
+		o := newDFTOracle(n)
+		bins := oracleBins(n, rng)
+		// Bins are O(√n) for unit-variance input; rounding in both the
+		// kernel and the oracle grows like √n·log n ulps of that.
+		tol := 1e-14 * float64(n)
+		check := func(what string, k int, got, want complex128) {
+			t.Helper()
+			if d := cAbs(got - want); d > tol {
+				t.Fatalf("n=%d %s bin %d: kernel %v vs DFT %v (Δ %.3g > %.3g)", n, what, k, got, want, d, tol)
+			}
 		}
-		want[k] = s
-	}
-	got := make([]complex128, n)
-	copy(got, x)
-	planFor(n).Forward(got)
-	for k := range got {
-		if d := cAbs(got[k] - want[k]); d > 1e-9 {
-			t.Fatalf("bin %d: plan %v vs DFT %v", k, got[k], want[k])
+		x := make([]complex128, n)
+		for i := range x {
+			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+		}
+		p := planFor(n)
+		fwd := append([]complex128(nil), x...)
+		p.Forward(fwd)
+		inv := append([]complex128(nil), x...)
+		p.Inverse(inv)
+		for _, k := range bins {
+			check("Forward", k, fwd[k], o.bin(x, k, true))
+			check("Inverse", k, inv[k], o.bin(x, k, false)/complex(float64(n), 0))
+		}
+
+		// Real forward: full-length input, then one sample short (the
+		// straddling pair and the implicit zero padding).
+		rp := realPlanFor(n)
+		xr := make([]float64, n)
+		xc := make([]complex128, n)
+		for i := range xr {
+			xr[i] = rng.NormFloat64()
+			xc[i] = complex(xr[i], 0)
+		}
+		spec := make([]complex128, rp.SpectrumLen())
+		for _, in := range []int{n, n - 1} {
+			rp.ForwardReal(spec, xr[:in])
+			for _, k := range bins {
+				if k <= n/2 {
+					check(fmt.Sprintf("ForwardReal(len %d)", in), k, spec[k], o.bin(xc[:in], k, true))
+				}
+			}
+		}
+
+		// Real inverse: a random Hermitian half spectrum (real DC and
+		// Nyquist), expanded to the full spectrum for the oracle, with
+		// the whole output and a truncated odd-length prefix.
+		half := make([]complex128, n/2+1)
+		full := make([]complex128, n)
+		for k := range half {
+			half[k] = complex(rng.NormFloat64(), rng.NormFloat64())
+			if k == 0 || k == n/2 {
+				half[k] = complex(real(half[k]), 0)
+			}
+			full[k] = half[k]
+			if k > 0 && k < n/2 {
+				full[n-k] = complex(real(half[k]), -imag(half[k]))
+			}
+		}
+		for _, out := range []int{n, n - 1} {
+			got := make([]float64, out)
+			rp.InverseReal(got, append([]complex128(nil), half...))
+			for _, k := range bins {
+				if k < out {
+					want := o.bin(full, k, false) / complex(float64(n), 0)
+					check(fmt.Sprintf("InverseReal(len %d)", out), k, complex(got[k], 0), want)
+				}
+			}
 		}
 	}
 }

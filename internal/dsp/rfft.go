@@ -96,22 +96,34 @@ func (p *RealPlan) ForwardReal(spec []complex128, x []float64) {
 	if len(x) > p.n {
 		panic(fmt.Sprintf("dsp: real plan size %d applied to %d samples", p.n, len(x)))
 	}
-	// Pack x[2k] + i·x[2k+1] into spec[0:m]. Full pairs first, then the
-	// straddling pair and the zero tail, so every element is written and
-	// the buffer needs no pre-clearing.
-	full := len(x) / 2
-	for k := 0; k < full; k++ {
-		spec[k] = complex(x[2*k], x[2*k+1])
+	// Pack z[k] = x[2k] + i·x[2k+1] and run the twiddle-free first stage
+	// in the same loop: each first-stage block reads its inputs r + t·m/2
+	// (radix-2) or r + t·m/4 (radix-4) straight from x, r = rev[block
+	// start], and writes its outputs to the block in order. The
+	// decimation-in-time kernel's bit-reversed input order is never
+	// materialized, so there is no permutation pass, and every slot is
+	// written, so the buffer needs no pre-clearing.
+	z := spec[:m]
+	rev := p.half.rev
+	switch {
+	case m == 1:
+		z[0] = packed(x, 0)
+	case p.half.odd:
+		h := m / 2
+		for i := 0; i+1 < m; i += 2 {
+			r := int(rev[i])
+			a, b := packed(x, r), packed(x, r+h)
+			z[i], z[i+1] = a+b, a-b
+		}
+	default:
+		q := m / 4
+		for i := 0; i+3 < m; i += 4 {
+			r := int(rev[i])
+			blk := z[i : i+4 : i+4]
+			blk[0], blk[1], blk[2], blk[3] = dit4(packed(x, r), packed(x, r+q), packed(x, r+2*q), packed(x, r+3*q))
+		}
 	}
-	tail := full
-	if len(x)%2 == 1 {
-		spec[full] = complex(x[len(x)-1], 0)
-		tail++
-	}
-	for k := tail; k < m; k++ {
-		spec[k] = 0
-	}
-	p.half.Forward(spec[:m])
+	p.half.ditStages(z)
 
 	// Split Z[k] = FFT(z) into the even/odd-sample spectra and merge:
 	//   E[k] = (Z[k] + conj(Z[m-k]))/2
@@ -155,15 +167,19 @@ func (p *RealPlan) InverseReal(dst []float64, spec []complex128) {
 	// (the exact inverse of the ForwardReal split):
 	//   E[k]     = (X[k] + conj(X[m-k]))/2
 	//   W^k·O[k] = (X[k] - conj(X[m-k]))/2
+	// The inverse's 1/m scale is folded into the merge's halving: scale
+	// is a power of two, so scaling here rounds exactly like scaling the
+	// output, and no separate pass runs.
+	scale := 0.5 / float64(m)
 	x0, xm := real(spec[0]), real(spec[m])
-	spec[0] = complex(0.5*(x0+xm), 0.5*(x0-xm))
+	spec[0] = complex(scale*(x0+xm), scale*(x0-xm))
 	for k := 1; k <= m/2; k++ {
 		j := m - k
 		a, b := spec[k], spec[j]
-		er := 0.5 * (real(a) + real(b))
-		ei := 0.5 * (imag(a) - imag(b))
-		tr := 0.5 * (real(a) - real(b))
-		ti := 0.5 * (imag(a) + imag(b))
+		er := scale * (real(a) + real(b))
+		ei := scale * (imag(a) - imag(b))
+		tr := scale * (real(a) - real(b))
+		ti := scale * (imag(a) + imag(b))
 		// O[k] = conj(W^k)·(W^k·O[k])
 		wr, wi := real(p.w[k]), imag(p.w[k])
 		or := wr*tr + wi*ti
@@ -172,11 +188,60 @@ func (p *RealPlan) InverseReal(dst []float64, spec []complex128) {
 		spec[k] = complex(er-oi, ei+or)
 		spec[j] = complex(er+oi, or-ei)
 	}
-	p.half.Inverse(spec[:m])
-	for k := 0; 2*k < len(dst); k++ {
-		dst[2*k] = real(spec[k])
-		if 2*k+1 < len(dst) {
-			dst[2*k+1] = imag(spec[k])
+	// Run the decimation-in-frequency stages, then the twiddle-free last
+	// stage fused with the unpack: block outputs land at bit-reversed
+	// slots rev[i+j] = r + (0, m/2, m/4, 3m/4)[j], r = rev[i], and are
+	// stored straight to those samples of dst, so neither a permutation
+	// nor a scaling pass runs.
+	z := spec[:m]
+	p.half.difStages(z)
+	rev := p.half.rev
+	switch {
+	case m == 1:
+		unpack(dst, 0, z[0])
+	case p.half.odd:
+		h := m / 2
+		for i := 0; i+1 < m; i += 2 {
+			r := int(rev[i])
+			a, b := z[i], z[i+1]
+			unpack(dst, r, a+b)
+			unpack(dst, r+h, a-b)
 		}
+	default:
+		q := m / 4
+		for i := 0; i+3 < m; i += 4 {
+			r := int(rev[i])
+			blk := z[i : i+4 : i+4]
+			y0, y2, y1, y3 := dif4(blk[0], blk[1], blk[2], blk[3])
+			unpack(dst, r, y0)
+			unpack(dst, r+q, y1)
+			unpack(dst, r+2*q, y2)
+			unpack(dst, r+3*q, y3)
+		}
+	}
+}
+
+// packed returns the packed sample pair z[k] = x[2k] + i·x[2k+1] of a
+// real signal implicitly zero-padded past len(x).
+//
+//hyperearvet:zeroalloc
+func packed(x []float64, k int) complex128 {
+	if i := 2 * k; i+1 < len(x) {
+		return complex(x[i], x[i+1])
+	} else if i < len(x) {
+		return complex(x[i], 0)
+	}
+	return 0
+}
+
+// unpack stores the packed pair v = z[k] into dst[2k] and dst[2k+1],
+// dropping samples past len(dst).
+//
+//hyperearvet:zeroalloc
+func unpack(dst []float64, k int, v complex128) {
+	if i := 2 * k; i+1 < len(dst) {
+		dst[i], dst[i+1] = real(v), imag(v)
+	} else if i < len(dst) {
+		dst[i] = real(v)
 	}
 }

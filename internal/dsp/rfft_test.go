@@ -1,6 +1,7 @@
 package dsp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -318,41 +319,27 @@ func TestRealKernelsZeroAllocs(t *testing.T) {
 	}
 }
 
-// rfftBenchSize is the detector-sized transform: NextPow2(44100+1764-1),
-// one second of 44.1 kHz audio against the 40 ms template.
-const rfftBenchSize = 65536
-
-// BenchmarkFFTForwardComplex is the complex-path baseline for
-// BenchmarkFFTForwardReal: one full-size transform of widened real audio.
-func BenchmarkFFTForwardComplex(b *testing.B) {
-	x := make([]float64, rfftBenchSize)
-	for i := range x {
-		x[i] = math.Sin(float64(i) * 0.127)
-	}
-	c := make([]complex128, rfftBenchSize)
-	p := planFor(rfftBenchSize)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j, v := range x {
-			c[j] = complex(v, 0)
-		}
-		p.Forward(c)
-	}
-}
-
-// BenchmarkFFTForwardReal is the packed real path on the same workload:
-// one half-size complex transform plus the split pass.
-func BenchmarkFFTForwardReal(b *testing.B) {
-	x := make([]float64, rfftBenchSize)
-	for i := range x {
-		x[i] = math.Sin(float64(i) * 0.127)
-	}
-	rp := realPlanFor(rfftBenchSize)
-	spec := make([]complex128, rp.SpectrumLen())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rp.ForwardReal(spec, x)
+// BenchmarkFFTReal times one ForwardReal + InverseReal round trip at the
+// transform sizes production runs: 2^13 is the stream's correlation
+// block for the flat 40 ms template, 2^14 the batch path's block for the
+// band-pass-folded ASP template (2064 samples), and 2^15 the envelope
+// block.
+func BenchmarkFFTReal(b *testing.B) {
+	for _, n := range []int{1 << 13, 1 << 14, 1 << 15} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			x := make([]float64, n)
+			for i := range x {
+				x[i] = math.Sin(float64(i) * 0.127)
+			}
+			rp := realPlanFor(n)
+			spec := make([]complex128, rp.SpectrumLen())
+			out := make([]float64, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rp.ForwardReal(spec, x)
+				rp.InverseReal(out, spec)
+			}
+		})
 	}
 }

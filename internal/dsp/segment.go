@@ -63,17 +63,13 @@ func (c *Correlator) SegmentStep() int { return c.SegmentSize() - len(c.ref) + 1
 // concurrent calls (workers within one call index disjoint buffers).
 type SegScratch struct {
 	spec [][]complex128
-	// lane-fusion working set (strided batch groups): per-worker slice
-	// headers for the group's inputs and outputs.
-	xs [][][]float64
-	ds [][][]float64
 	// f holds per-worker real staging buffers (envelope Hilbert output).
 	f [][]float64
 }
 
 // grow pre-sizes the per-worker slots to the pool width. The parallel
 // paths call it before fanning out: growing the outer slices from
-// inside concurrent buf/fbuf/lanes calls would race on the slice
+// inside concurrent buf/fbuf calls would race on the slice
 // headers, whereas after grow each worker only ever touches its own
 // index.
 //
@@ -84,10 +80,6 @@ func (s *SegScratch) grow(workers int) {
 	}
 	for len(s.f) < workers {
 		s.f = append(s.f, nil)
-	}
-	for len(s.xs) < workers {
-		s.xs = append(s.xs, nil)
-		s.ds = append(s.ds, nil)
 	}
 }
 
@@ -116,21 +108,6 @@ func (s *SegScratch) fbuf(w, n int) []float64 {
 		s.f[w] = make([]float64, n)
 	}
 	return s.f[w][:n]
-}
-
-// lanes returns worker w's lane-header slices grown to length k.
-//
-//hyperearvet:zeroalloc
-func (s *SegScratch) lanes(w, k int) (xs, ds [][]float64) {
-	for len(s.xs) <= w {
-		s.xs = append(s.xs, nil)
-		s.ds = append(s.ds, nil)
-	}
-	if cap(s.xs[w]) < k {
-		s.xs[w] = make([][]float64, k)
-		s.ds[w] = make([][]float64, k)
-	}
-	return s.xs[w][:k], s.ds[w][:k]
 }
 
 // segWorkers resolves a requested worker count against the block count
@@ -316,103 +293,6 @@ func (c *Correlator) segmentedRange(ctx context.Context, dst, x []float64, from 
 	})
 }
 
-// CorrelateCircularBatchInto is CorrelateCircularInto over k lanes at one
-// fixed transform size n, run as a single strided shared-plan pass (see
-// batch.go for the layout and the bit-identity contract). Each lane obeys
-// the circular constraints independently: len(xs[j]) ≤ n and len(dsts[j])
-// ≤ n-RefLen()+1. The segmented lane-fusion path groups consecutive
-// overlap-save blocks of one recording into such batches.
-//
-//hyperearvet:zeroalloc
-func (c *Correlator) CorrelateCircularBatchInto(dsts, xs [][]float64, n int) {
-	k := len(xs)
-	if len(dsts) != k {
-		panic(fmt.Sprintf("dsp: circular batch got %d destinations for %d lanes", len(dsts), k))
-	}
-	if k == 0 || len(c.ref) == 0 {
-		return
-	}
-	if !IsPow2(n) || n < 2 {
-		panic(fmt.Sprintf("dsp: circular correlation size %d is not a power of two ≥ 2", n))
-	}
-	step := n - len(c.ref) + 1
-	for j, x := range xs {
-		if len(x) > n {
-			panic(fmt.Sprintf("dsp: circular correlation input %d exceeds transform size %d", len(x), n))
-		}
-		if len(dsts[j]) > step {
-			panic(fmt.Sprintf("dsp: circular correlation output %d exceeds alias-free step %d (n=%d, ref=%d)",
-				len(dsts[j]), step, n, len(c.ref)))
-		}
-	}
-	if k == 1 {
-		// A batch of one gains nothing from striding; the plain path is
-		// bit-identical (see batch.go) and slightly faster.
-		c.correlateAt(dsts[0], xs[0], n)
-		return
-	}
-	p := realPlanFor(n)
-	spec := c.spectrum(n)
-	h := p.SpectrumLen()
-	buf := getComplexPrefix(h*k, h*k)
-	p.forwardRealStrided(*buf, xs, k)
-	for i, sv := range spec {
-		row := (*buf)[i*k : i*k+k]
-		for t := range row {
-			row[t] *= sv
-		}
-	}
-	p.inverseRealStrided(dsts, *buf, k)
-	putComplex(buf)
-}
-
-// segmentedGroups is the lane-fused segmented correlation: consecutive
-// overlap-save blocks of one recording run as strided groups of up to
-// maxLanes lanes (CorrelateCircularBatchInto), groups fanned across
-// workers. It reports how many strided passes ran and how many block
-// lanes they carried — the BatchCorrelator's coalescing counters.
-//
-//hyperearvet:zeroalloc
-func (c *Correlator) segmentedGroups(ctx context.Context, dst, x []float64, s *SegScratch, workers, maxLanes int) (groups, lanesRun uint64, err error) {
-	if len(dst) == 0 || len(c.ref) == 0 {
-		return 0, 0, ctx.Err()
-	}
-	n := c.SegmentSize()
-	step := n - len(c.ref) + 1
-	if s == nil {
-		//hyperearvet:allow zeroalloc nil scratch is the caller opting out of reuse; the batcher passes a warm SegScratch
-		s = &SegScratch{}
-	}
-	sc := s
-	blocks := (len(dst) + step - 1) / step
-	ngroups := (blocks + maxLanes - 1) / maxLanes
-	sc.grow(segWorkers(ngroups, workers))
-	//hyperearvet:allow zeroalloc parallel fan-out heap-allocates its group closure once per call, amortized across the whole recording
-	err = segParallel(ctx, ngroups, workers, func(worker, g int) {
-		first := g * maxLanes
-		k := maxLanes
-		if first+k > blocks {
-			k = blocks - first
-		}
-		xs, ds := sc.lanes(worker, k)
-		for j := 0; j < k; j++ {
-			at := (first + j) * step
-			end := at + step
-			if end > len(dst) {
-				end = len(dst)
-			}
-			in := at + n
-			if in > len(x) {
-				in = len(x)
-			}
-			xs[j] = x[at:in]
-			ds[j] = dst[at:end]
-		}
-		c.CorrelateCircularBatchInto(ds, xs, n)
-	})
-	return uint64(ngroups), uint64(blocks), err
-}
-
 // Envelope segmentation. The analytic signal is global (the Hilbert
 // kernel has infinite support), so unlike correlation the blocked
 // envelope is an approximation: each block is computed from a window with
@@ -486,15 +366,9 @@ func EnvelopeSegmentedCtx(ctx context.Context, dst, x []float64, s *SegScratch, 
 
 // envSegBlock computes one envelope output block [start, start+outB) of x
 // from a window with envSegMargin samples of real context on each side.
-// Unlike EnvelopeInto's full complex analytic-signal inverse, the block
-// runs entirely on the packed real path: the Hilbert transform H(x) has
-// spectrum -i·sign(f)·X(f), which is Hermitian (H(x) is real), so
-// InverseReal reconstructs it with half the butterflies — and the
-// in-phase component is just x itself. env = sqrt(x² + H(x)²).
 //
 //hyperearvet:zeroalloc
 func envSegBlock(dst, x []float64, start, outB int, rp *RealPlan, spec []complex128, hil []float64) {
-	m := rp.Size() / 2
 	stop := start + outB
 	if stop > len(x) {
 		stop = len(x)
@@ -507,8 +381,25 @@ func envSegBlock(dst, x []float64, start, outB int, rp *RealPlan, spec []complex
 	if hi > len(x) {
 		hi = len(x)
 	}
-	rp.ForwardReal(spec, x[lo:hi])
-	// Quadrature rotation: X[k] -> -i·X[k] on positive frequencies; DC
+	envelopeWindow(dst[start:stop], x[lo:hi], start-lo, rp, spec, hil)
+}
+
+// envelopeWindow writes the Hilbert envelope of window w, for the window
+// samples [from, from+len(dst)), into dst. It runs entirely on the packed
+// real path: the Hilbert transform H(w) has spectrum -i·sign(f)·W(f),
+// which is Hermitian (H(w) is real), so InverseReal reconstructs it with
+// half the butterflies of a complex analytic-signal inverse — and the
+// in-phase component is just w itself. env = sqrt(w² + H(w)²). rp must
+// span len(w) samples, spec is its SpectrumLen() scratch, and hil
+// (length ≥ from+len(dst)) stages H(w); hil may be dst itself when from
+// is 0, since each sample of H(w) is read just before its slot is
+// overwritten.
+//
+//hyperearvet:zeroalloc
+func envelopeWindow(dst, w []float64, from int, rp *RealPlan, spec []complex128, hil []float64) {
+	m := rp.Size() / 2
+	rp.ForwardReal(spec, w)
+	// Quadrature rotation: W[k] -> -i·W[k] on positive frequencies; DC
 	// and Nyquist carry no quadrature component.
 	spec[0] = 0
 	spec[m] = 0
@@ -516,13 +407,16 @@ func envSegBlock(dst, x []float64, start, outB int, rp *RealPlan, spec []complex
 		v := spec[k]
 		spec[k] = complex(imag(v), -real(v))
 	}
-	rp.InverseReal(hil[:stop-lo], spec)
+	hil = hil[:from+len(dst)]
+	rp.InverseReal(hil, spec)
 	// sqrt(re²+im²) rather than math.Hypot: the samples are bounded by
 	// the input's dynamic range (no overflow/underflow regime), and
 	// Hypot's scaling branches cost ~5× per sample on this hot loop. The
 	// ≤1-ulp difference is far inside the seam-truncation error bound.
-	for i := start; i < stop; i++ {
-		re, im := x[i], hil[i-lo]
+	w = w[from : from+len(dst)]
+	hil = hil[from:]
+	for i, re := range w {
+		im := hil[i]
 		dst[i] = math.Sqrt(re*re + im*im)
 	}
 }

@@ -108,48 +108,6 @@ func TestEnvelopeSegmentedMatchesMonolithic(t *testing.T) {
 	}
 }
 
-// TestCircularBatchMatchesCircular pins the strided circular batch
-// against per-lane CorrelateCircularInto: bit-identical, per the strided
-// kernel contract in batch.go.
-func TestCircularBatchMatchesCircular(t *testing.T) {
-	rng := rand.New(rand.NewSource(73))
-	ref := make([]float64, 257)
-	for i := range ref {
-		ref[i] = rng.NormFloat64()
-	}
-	c := NewCorrelator(ref)
-	n := c.SegmentSize()
-	step := c.SegmentStep()
-	for _, k := range []int{1, 2, 3, 4} {
-		xs := make([][]float64, k)
-		dsts := make([][]float64, k)
-		want := make([][]float64, k)
-		for j := 0; j < k; j++ {
-			ln := n - rng.Intn(n/2) // include short (zero-padded) lanes
-			xs[j] = make([]float64, ln)
-			for i := range xs[j] {
-				xs[j][i] = rng.NormFloat64()
-			}
-			out := step
-			if out > ln {
-				out = ln
-			}
-			dsts[j] = make([]float64, out)
-			want[j] = make([]float64, out)
-			c.CorrelateCircularInto(want[j], xs[j], n)
-		}
-		c.CorrelateCircularBatchInto(dsts, xs, n)
-		for j := 0; j < k; j++ {
-			for i := range dsts[j] {
-				if math.Float64bits(dsts[j][i]) != math.Float64bits(want[j][i]) {
-					t.Fatalf("k=%d lane %d lag %d: batch %v != circular %v",
-						k, j, i, dsts[j][i], want[j][i])
-				}
-			}
-		}
-	}
-}
-
 // countdownCtx is a deterministic cancellation source: Err() becomes
 // non-nil after the given number of calls. It lets tests assert that the
 // segmented loops consult ctx per block and stop mid-pass, without timing

@@ -28,9 +28,6 @@ type Registry struct {
 	counters map[string]*atomic.Uint64
 	hists    map[string]*Histogram
 	gauges   map[string]*Gauge
-
-	hookMu sync.Mutex
-	hooks  []func()
 }
 
 // NewRegistry returns an empty registry.
@@ -350,29 +347,8 @@ type Snapshot struct {
 	Gauges     map[string]GaugeSnapshot `json:"gauges,omitempty"`
 }
 
-// OnSnapshot registers f to run at the start of every Snapshot call —
-// the hook for metrics that are levels refreshed on read rather than
-// incremented per event (the server's batch-coalescing gauges). Hooks
-// run before the registry lock is taken, so they may Set gauges and
-// Add counters; they must not call Snapshot themselves. Every snapshot
-// consumer (HTTP /metrics, expvar, direct Snapshot callers) sees the
-// refreshed values, so all readers agree.
-func (r *Registry) OnSnapshot(f func()) {
-	r.hookMu.Lock()
-	r.hooks = append(r.hooks, f)
-	r.hookMu.Unlock()
-}
-
-// Snapshot copies every counter, histogram, and gauge, after running
-// the OnSnapshot refresh hooks.
+// Snapshot copies every counter, histogram, and gauge.
 func (r *Registry) Snapshot() Snapshot {
-	r.hookMu.Lock()
-	hooks := make([]func(), len(r.hooks))
-	copy(hooks, r.hooks)
-	r.hookMu.Unlock()
-	for _, f := range hooks {
-		f()
-	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	s := Snapshot{

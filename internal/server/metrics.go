@@ -29,12 +29,6 @@ const (
 	// GQueueDepth is the admitted-work level (running + queued); its Max
 	// must never exceed workers + queue bound.
 	GQueueDepth = "server.queue.depth"
-	// GBatchBatches / GBatchLanes mirror the localizer cache's strided-FFT
-	// batch counters at snapshot time (see core.ASPConfig.BatchWindow):
-	// lanes/batches is the achieved coalescing factor. They are levels
-	// refreshed by /metrics, not incremented per event.
-	GBatchBatches = "server.batch.batches"
-	GBatchLanes   = "server.batch.lanes"
 	// GSessionsActive is the live streaming-session count.
 	GSessionsActive = "server.sessions.active"
 

@@ -58,14 +58,6 @@ type Config struct {
 	SessionIdleTimeout time.Duration
 	// SweepInterval is how often the idle janitor runs.
 	SweepInterval time.Duration
-	// BatchWindow coalesces the matched-filter FFTs of concurrent
-	// localizations into strided shared-plan batches (see
-	// core.ASPConfig.BatchWindow): a correlation waits up to BatchWindow
-	// for a companion at the same transform size before running alone. 0
-	// selects the default (200µs when Workers > 1); negative disables
-	// batching. The window trades a bounded per-request latency bump for
-	// amortized transform work under concurrency.
-	BatchWindow time.Duration
 	// MetricsWindow is the nominal span of the rolling latency window
 	// behind /debug/slo and the hyperear_rolling_* Prometheus
 	// summaries. 0 selects 5 minutes; negative disables windowing. The
@@ -143,11 +135,6 @@ func (c Config) Normalize() Config {
 	if c.SweepInterval <= 0 {
 		c.SweepInterval = 15 * time.Second
 	}
-	if c.BatchWindow == 0 && c.Workers > 1 {
-		// Batching only ever helps when two localizations can overlap;
-		// a single-worker pool would pay the window for nothing.
-		c.BatchWindow = 200 * time.Microsecond
-	}
 	if c.MetricsWindow == 0 {
 		c.MetricsWindow = 5 * time.Minute
 	}
@@ -218,13 +205,6 @@ func New(cfg Config) *Server {
 	s.handler = s.withTrace(s.mux)
 	s.window = obs.NewWindow(cfg.Obs.Registry(), cfg.MetricsWindow, cfg.SweepInterval,
 		s.clock(), MReqDuration, "span.*")
-	if reg := cfg.Obs.Registry(); reg != nil {
-		// Refresh-on-read levels: registering at the registry (rather
-		// than inside one HTTP handler) keeps every snapshot consumer —
-		// /metrics in any format, the expvar export, direct Snapshot
-		// callers — seeing the same current values.
-		reg.OnSnapshot(s.refreshBatchGauges)
-	}
 	go s.janitor()
 	return s
 }
@@ -459,15 +439,6 @@ func (s *Server) localizerFor(meta sessionio.Meta) (*core.Localizer, error) {
 	}
 	if meta.ChirpPeriodS > 0 {
 		cfg.Source.Period = meta.ChirpPeriodS
-	}
-	if s.cfg.BatchWindow > 0 && s.cfg.Workers > 1 {
-		// Each cached Localizer batches within itself: concurrent requests
-		// sharing parameters share the Localizer (and with it the detector
-		// doing the batching), and all their channel correlations land at
-		// the same transform size. Lanes per batch is bounded by the two
-		// channels of every concurrently running localization.
-		cfg.ASP.BatchWindow = s.cfg.BatchWindow
-		cfg.ASP.MaxBatch = 2 * s.cfg.Workers
 	}
 	key := locKey{src: cfg.Source, fs: cfg.SampleRate, micSep: cfg.MicSeparation}
 	s.locMu.Lock()
@@ -850,24 +821,6 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 }
 
 // --- metrics ---
-
-// refreshBatchGauges mirrors the localizer cache's strided-FFT batch
-// counters into the batch gauges. Registered as an OnSnapshot hook, so
-// the levels are current in every snapshot regardless of which
-// consumer asked (HTTP /metrics, expvar, direct Snapshot callers) —
-// without per-correlation obs traffic.
-func (s *Server) refreshBatchGauges() {
-	var batches, lanes uint64
-	s.locMu.Lock()
-	for _, l := range s.locs {
-		b, ln := l.BatchStats()
-		batches += b
-		lanes += ln
-	}
-	s.locMu.Unlock()
-	s.o.Gauge(GBatchBatches).Set(int64(batches))
-	s.o.Gauge(GBatchLanes).Set(int64(lanes))
-}
 
 // metricsJSON is the default /metrics body: the registry snapshot plus
 // the rolling latency summaries the SLO window maintains.

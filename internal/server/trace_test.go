@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -497,61 +496,6 @@ func TestDebugSLO(t *testing.T) {
 		if _, ok := slo.Stages[stage]; !ok {
 			t.Errorf("stages missing %q (have %v)", stage, slo.Stages)
 		}
-	}
-}
-
-// TestBatchGaugesFreshEverywhere pins the OnSnapshot refresh: the
-// batch-coalescing gauges must be current in a *direct* registry
-// snapshot (as the expvar export takes), not only after an HTTP
-// /metrics render.
-func TestBatchGaugesFreshEverywhere(t *testing.T) {
-	srv, ts, _ := newTestServer(t, func(c *Config) {
-		c.Workers = 2
-		c.Queue = 8
-		c.BatchWindow = 20 * time.Millisecond
-	})
-	var wg sync.WaitGroup
-	errs := make(chan error, 4)
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, err := ts.Client().Do(bundleRequest(t, ts.URL+"/v1/locate"))
-			if err != nil {
-				errs <- err
-				return
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				errs <- fmt.Errorf("status %d", resp.StatusCode)
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-
-	var batches, lanes uint64
-	srv.locMu.Lock()
-	for _, l := range srv.locs {
-		b, ln := l.BatchStats()
-		batches += b
-		lanes += ln
-	}
-	srv.locMu.Unlock()
-	if lanes == 0 {
-		t.Fatal("no correlation lanes batched despite a 20ms window and 4 concurrent locates")
-	}
-
-	// Direct snapshot — not via the HTTP handler.
-	snap := srv.o.Registry().Snapshot()
-	if got := snap.Gauges[GBatchBatches].Value; uint64(got) != batches {
-		t.Errorf("direct snapshot batches gauge = %d, want %d", got, batches)
-	}
-	if got := snap.Gauges[GBatchLanes].Value; uint64(got) != lanes {
-		t.Errorf("direct snapshot lanes gauge = %d, want %d", got, lanes)
 	}
 }
 
