@@ -6,11 +6,11 @@
 
 GO ?= go
 
-.PHONY: all check vet lint lint-sarif lint-fix fmt-check build test race bench-smoke bench bench-json bench-compare bench-profile obs-check serve server-soak crash-soak
+.PHONY: all check vet lint lint-sarif lint-fix fmt-check build test race bench-smoke bench bench-json bench-compare bench-profile obs-check servbench-test fuzz-smoke serve server-soak crash-soak
 
 all: check
 
-check: vet lint fmt-check build race obs-check bench-smoke
+check: vet lint fmt-check build race obs-check servbench-test bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -81,6 +81,20 @@ obs-check:
 	$(GO) test -race -run 'Obs|Trace|Concurrent' ./internal/obs/ ./
 	$(GO) test -run NONE -bench 'Disabled|Locate2DObserved' -benchtime 1x -benchmem ./internal/obs/ ./
 
+# The service benchmark (servbench/, BENCHMARK.json) is its own module,
+# so the root `go test ./...` never compiles it: vet and test it here so
+# an internal/ change that breaks the benchmark or its bit-identity
+# oracle fails the gate (~3 s).
+servbench-test:
+	cd servbench && $(GO) vet ./... && $(GO) test ./...
+
+# Short native-fuzz budget for the stream detector's chunk invariance
+# (Push + Flush over any chunking == Detect). A failing input lands in
+# internal/chirp/testdata/fuzz/FuzzStreamChunking/; commit it as a
+# regression input. CI's bench-smoke job runs this.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzStreamChunking$$' -fuzztime 30s ./internal/chirp
+
 # Run the localization service locally (README "Service quick start").
 serve:
 	$(GO) run ./cmd/hyperearservd -addr :8787 -debug-addr :6060
@@ -105,8 +119,10 @@ crash-soak:
 # Real measurement run of the performance-critical benchmarks (see
 # DESIGN.md "Performance architecture"). FFTReal times the packed-real
 # forward + inverse round trip at the 2^13-2^15 block sizes production
-# runs; Detect/Stream cover the batch and overlap-save detection hot
-# paths; PipelineLocate2D{,Serial,Parallel} track end-to-end latency and
+# runs; MatchedFilter the segmented correlation + envelope kernel over a
+# session; Detect/Stream cover the batch and overlap-save detection hot
+# paths; ASP is the per-locate detection stage (both channels) on the
+# 5-slide bench session; PipelineLocate2D{,Serial,Parallel} track end-to-end latency and
 # the serial/parallel split; ServerThroughput measures locates/sec
 # through the full HTTP service;
 # SessionIngest compares the streaming-append path with and without the
@@ -114,7 +130,7 @@ crash-soak:
 # both fsync policies; DisabledSpan/EnabledSpan pin the per-hook
 # observability overhead (the disabled path must stay 0 B/op) and
 # PromExposition the /metrics scrape-render cost.
-BENCH_RE := CrossCorrelate|Correlator|Envelope|FFTReal|Detect|DetectSegmented|Stream|PipelineLocate2D|ServerThroughput|SessionIngest|WALAppend|DisabledSpan|EnabledSpan|PromExposition
+BENCH_RE := CrossCorrelate|Correlator|Envelope|FFTReal|MatchedFilter|Detect|DetectSegmented|Stream|ASP|PipelineLocate2D|ServerThroughput|SessionIngest|WALAppend|DisabledSpan|EnabledSpan|PromExposition
 BENCH_PKGS := ./ ./internal/dsp/ ./internal/chirp/ ./internal/obs/ ./internal/server/ ./internal/sessionstore/
 
 bench:

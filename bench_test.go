@@ -8,6 +8,7 @@
 package hyperear
 
 import (
+	"context"
 	"math"
 	"math/cmplx"
 	"strings"
@@ -249,6 +250,36 @@ func BenchmarkPipelineLocate2DSerial(b *testing.B) {
 // (GOMAXPROCS) on the same twelve-slide session as Serial.
 func BenchmarkPipelineLocate2DParallel(b *testing.B) {
 	benchLocate2DScenario(b, benchScenario12(), 0)
+}
+
+// BenchmarkASP times the acoustic preprocessing stage alone — matched
+// filter, envelope, NMS and pairing on both channels, plus the period fit
+// — on the same 5-slide session, at Parallelism 1 (one worker, serial
+// blocks), the stage row of BenchmarkPipelineLocate2D's per-locate cost.
+func BenchmarkASP(b *testing.B) {
+	sc := benchScenario()
+	session, err := Simulate(sc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := core.DefaultConfig(sc.Source, sc.Phone.SampleRate, sc.Phone.MicSeparation).ASP
+	cfg.Parallelism = 1
+	asp, err := core.NewASP(sc.Source, sc.Phone.SampleRate, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	// Untimed warm-up (plan caches, template spectrum, scratch pool).
+	if _, err := asp.ProcessContext(ctx, session.Recording); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := asp.ProcessContext(ctx, session.Recording); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkPipelineLocate2DObserved runs the same session with a live

@@ -153,9 +153,9 @@ type DetectScratch struct {
 	absSamp  []float64
 	cands    []envCand
 	accepted []envCand
-	// seg holds the segmented kernel's per-worker spectrum buffers; when
-	// DetectIntoCtx runs with block workers, each worker indexes its own
-	// buffer, so one scratch still serves the whole call.
+	// seg holds the matched-filter kernel's per-worker spectrum buffers;
+	// when DetectIntoCtx runs with block workers, each worker indexes its
+	// own buffer, so one scratch still serves the whole call.
 	seg dsp.SegScratch
 }
 
@@ -189,9 +189,9 @@ func (d *Detector) DetectInto(dst []Detection, x []float64, s *DetectScratch) []
 }
 
 // DetectIntoCtx is DetectInto with intra-recording block parallelism and
-// mid-recording cancellation. The matched filter and the envelope run as
-// fixed-size overlap-save blocks (dsp.Correlator.SegmentSize — the same
-// kernel the streaming detector extends incrementally) fanned across
+// mid-recording cancellation. The matched filter and its envelope run as
+// fixed-size overlap-save blocks (dsp.Correlator.MatchedFilterCtx — the
+// same kernel the streaming detector extends incrementally) fanned across
 // workers (≤ 0 selects GOMAXPROCS; 1 runs serial and allocation-free
 // once warm), and ctx is checked before every block, so a canceled
 // locate aborts between blocks instead of finishing a session-length
@@ -210,43 +210,20 @@ func (d *Detector) DetectIntoCtx(ctx context.Context, dst []Detection, x []float
 		s = &DetectScratch{}
 	}
 	var err error
-	s.corr, err = d.corr.CrossCorrelateSegmentedCtx(ctx, s.corr, x, &s.seg, workers)
+	s.corr, s.env, err = d.corr.MatchedFilterCtx(ctx, s.corr, s.env, x, &s.seg, workers)
 	if err != nil {
 		return dst, err
 	}
-	return d.detectCore(ctx, dst, s.corr, s, true, workers)
+	return d.detectCore(dst, s.corr, s.env, s), nil
 }
 
-// detectFromCorr runs the envelope/threshold/NMS/timing stages on a
-// precomputed matched-filter output r (r[k] is the correlation at lag k).
-// The streaming detector calls it directly with correlation it maintains
-// incrementally via overlap-save. The envelope stays monolithic here: the
-// stream's buffer is itself one sliding block, and blocked-envelope seams
-// whose positions depend on the chunk-dependent buffer origin would break
-// the stream's chunk-size invariance.
+// detectCore is the shared threshold/NMS/timing pass over a matched-filter
+// output r (r[k] is the correlation at lag k) and its Hilbert envelope
+// env. The batch path and the streaming detector — which maintains both
+// incrementally via overlap-save — each call it on their own buffers.
 //
 //hyperearvet:zeroalloc
-func (d *Detector) detectFromCorr(dst []Detection, r []float64, s *DetectScratch) []Detection {
-	dst, _ = d.detectCore(context.Background(), dst, r, s, false, 1)
-	return dst
-}
-
-// detectCore is the shared envelope/threshold/NMS/timing pass. segEnv
-// selects the blocked envelope (the batch path; per-block ctx checks and
-// worker fan-out) versus the monolithic one (the streaming path).
-//
-//hyperearvet:zeroalloc
-func (d *Detector) detectCore(ctx context.Context, dst []Detection, r []float64, s *DetectScratch, segEnv bool, workers int) ([]Detection, error) {
-	if segEnv {
-		var err error
-		s.env, err = dsp.EnvelopeSegmentedCtx(ctx, s.env, r, &s.seg, workers)
-		if err != nil {
-			return dst, err
-		}
-	} else {
-		s.env = dsp.EnvelopeInto(s.env, r)
-	}
-	env := s.env
+func (d *Detector) detectCore(dst []Detection, r, env []float64, s *DetectScratch) []Detection {
 	var floor float64
 	floor, s.absSamp = correlationFloor(env, s.absSamp)
 	if floor == 0 {
@@ -337,7 +314,7 @@ func (d *Detector) detectCore(ctx context.Context, dst []Detection, r []float64,
 			SNR:      env[c.idx] / floor,
 		})
 	}
-	return dst, nil
+	return dst
 }
 
 // floorQuantileNum/floorQuantileDen select the quantile of the sampled

@@ -27,11 +27,12 @@ const (
 //
 // The matched filter is overlap-save: correlation lags, once complete (the
 // full template fit inside the buffer), never change when more audio
-// arrives, so each pass extends the cached correlation only over the new
-// samples with fixed-size FFT blocks against a template spectrum computed
-// once for the whole stream. Only the envelope/peak-picking stages rerun
-// over the sliding window; the per-pass transform cost is proportional to
-// the new audio, not the buffer.
+// arrives, so each pass extends the cached correlation and its envelope
+// only over the new samples with fixed-size FFT blocks against a template
+// spectrum computed once for the whole stream — the batch detector's
+// kernel. Only the threshold/peak-picking stages rerun over the sliding
+// window; the per-pass transform cost is proportional to the new audio,
+// not the buffer.
 type StreamDetector struct {
 	det *Detector
 	fs  float64
@@ -56,17 +57,15 @@ type StreamDetector struct {
 	// a distinct later chirp must never be confused with a re-detection.
 	// Entries too old to ever match again are pruned.
 	emitted []float64
-	// fftSize is the fixed overlap-save transform length N; step is the
-	// alias-free lags each N-point block yields (N - template + 1).
-	fftSize int
-	step    int
-	// corr caches the matched-filter output aligned with buf: corr[k] is
-	// the correlation at lag buf[k]. The leading corrValid lags are
-	// complete (computed with the full template inside the buffer) and
-	// stay byte-identical forever; lags beyond that were computed against
-	// implicit zero padding — exactly what a batch run over the current
-	// buffer would produce — and are recomputed once more audio arrives.
+	// corr and env cache the matched-filter output and its Hilbert
+	// envelope aligned with buf: corr[k] is the correlation at lag buf[k].
+	// The leading corrValid lags are complete (computed with the full
+	// template inside the buffer) and stay byte-identical forever; lags
+	// beyond that were computed against implicit zero padding — exactly
+	// what a batch run over the current buffer would produce — and are
+	// recomputed once more audio arrives.
 	corr      []float64
+	env       []float64
 	corrValid int
 	// scratch and dets are the detection pass's reusable working set; out
 	// is the emission slice handed back from Push, reused across pushes
@@ -101,17 +100,12 @@ func NewStreamDetector(p Params, fs float64) (*StreamDetector, error) {
 		// grow the block so every pass still makes progress.
 		blockSize = 2 * tailKeep
 	}
-	// The transform size is the segmented kernel's (the batch path runs
-	// the same blocks), so the template spectrum is cached once for both.
-	fftSize := det.corr.SegmentSize()
 	return &StreamDetector{
 		det:           det,
 		fs:            fs,
 		blockSize:     blockSize,
 		tailKeep:      tailKeep,
 		minSepSamples: minSep,
-		fftSize:       fftSize,
-		step:          det.corr.SegmentStep(),
 	}, nil
 }
 
@@ -135,6 +129,7 @@ func (s *StreamDetector) Reset() {
 	s.absOffset = 0
 	s.emitted = s.emitted[:0]
 	s.corr = s.corr[:0]
+	s.env = s.env[:0]
 	s.corrValid = 0
 	s.dets = s.dets[:0]
 	s.out = s.out[:0]
@@ -207,27 +202,22 @@ func (s *StreamDetector) alreadyEmitted(abs float64) bool {
 	return false
 }
 
-// extendCorr brings the cached matched-filter output up to date with the
-// buffer via the shared segmented kernel: overlap-save blocks starting at
-// the first non-final lag, each one fixed fftSize transform yielding up
-// to step alias-free lags (dsp.Correlator.CorrelateSegmentedRange — the
-// same block core the batch detector fans out over a whole recording).
-// Input past the buffer end is implicit zero padding, which makes the
-// trailing template-length of lags equal what a batch correlation of
-// exactly this buffer would produce. Lags that were complete on a
-// previous pass are never touched.
+// extendCorr brings the cached matched-filter output and envelope up to
+// date with the buffer via the shared block kernel: overlap-save blocks
+// starting at the first non-final lag, each one fixed-size transform
+// yielding up to a step of alias-free lags
+// (dsp.Correlator.MatchedFilterRange — the same block core the batch
+// detector fans out over a whole recording). Input past the buffer end is
+// implicit zero padding, which makes the trailing template-length of lags
+// equal what a batch correlation of exactly this buffer would produce.
+// Lags that were complete on a previous pass are never touched.
 //
 //hyperearvet:zeroalloc
 func (s *StreamDetector) extendCorr() {
 	n := len(s.buf)
-	if cap(s.corr) < n {
-		grown := make([]float64, n)
-		copy(grown, s.corr[:s.corrValid])
-		s.corr = grown
-	} else {
-		s.corr = s.corr[:n]
-	}
-	s.det.corr.CorrelateSegmentedRange(s.corr, s.buf, s.corrValid, &s.scratch.seg, 1)
+	s.corr = growKeep(s.corr, s.corrValid, n)
+	s.env = growKeep(s.env, s.corrValid, n)
+	s.det.corr.MatchedFilterRange(s.corr, s.env, s.buf, s.corrValid, &s.scratch.seg)
 	// Everything with the full template inside the buffer is final.
 	s.corrValid = n - len(s.det.ref) + 1
 	if s.corrValid < 0 {
@@ -235,11 +225,23 @@ func (s *StreamDetector) extendCorr() {
 	}
 }
 
+// growKeep returns buf resized to n, keeping its first keep elements.
+//
+//hyperearvet:zeroalloc
+func growKeep(buf []float64, keep, n int) []float64 {
+	if cap(buf) < n {
+		grown := make([]float64, n)
+		copy(grown, buf[:keep])
+		return grown
+	}
+	return buf[:n]
+}
+
 // process runs one detection pass over the current buffer: the cached
-// overlap-save correlation is extended over the new samples, then the
-// envelope/threshold/NMS stages rerun over the window. Unless final,
-// detections too close to the buffer end are withheld and a tail is
-// carried over. The emission horizon leaves room for both the detection's
+// overlap-save correlation and envelope are extended over the new
+// samples, then the threshold/NMS stages rerun over the window. Unless
+// final, detections too close to the buffer end are withheld and a tail
+// is carried over. The emission horizon leaves room for both the detection's
 // own template and a full minimum-separation window after it, so that any
 // stronger competitor the batch detector's non-maximum suppression would
 // have preferred is already visible before the detection is committed.
@@ -247,7 +249,7 @@ func (s *StreamDetector) extendCorr() {
 //hyperearvet:zeroalloc
 func (s *StreamDetector) process(final bool, out []Detection) []Detection {
 	s.extendCorr()
-	s.dets = s.det.detectFromCorr(s.dets[:0], s.corr, &s.scratch)
+	s.dets = s.det.detectCore(s.dets[:0], s.corr, s.env, &s.scratch)
 	dets := s.dets
 	horizon := len(s.buf) - len(s.det.ref) - s.minSepSamples
 	if final {
@@ -274,6 +276,7 @@ func (s *StreamDetector) process(final bool, out []Detection) []Detection {
 	if final {
 		s.buf = nil
 		s.corr = nil
+		s.env = nil
 		s.corrValid = 0
 		return out
 	}
@@ -291,14 +294,16 @@ func (s *StreamDetector) process(final bool, out []Detection) []Detection {
 	remaining := len(s.buf) - keepFrom
 	copy(s.buf, s.buf[keepFrom:])
 	s.buf = s.buf[:remaining]
-	// The complete correlation lags shift with the buffer and stay valid;
-	// the zero-padded tail lags will be recomputed next pass.
+	// The complete lags shift with the buffer and stay valid; the
+	// zero-padded tail lags will be recomputed next pass.
 	s.corrValid -= keepFrom
 	if s.corrValid < 0 {
 		s.corrValid = 0
 	}
 	copy(s.corr, s.corr[keepFrom:])
 	s.corr = s.corr[:remaining]
+	copy(s.env, s.env[keepFrom:])
+	s.env = s.env[:remaining]
 	// Prune emissions that can no longer collide with future detections:
 	// anything before the kept samples minus the dedupe window.
 	bufStart := float64(s.absOffset)/s.fs - s.det.MinSeparation

@@ -1,6 +1,7 @@
 package chirp
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -263,6 +264,34 @@ func TestStreamFlushShortBuffer(t *testing.T) {
 	}
 }
 
+// chunkingRecording is the chunk-invariance fixture: 3 s of beacons in
+// noise, salted with a close pair (NMS stress) and an extra off-period
+// chirp.
+func chunkingRecording(p Params, fs float64) []float64 {
+	tpl := p.Reference(fs)
+	base := synth(p, fs, 3*int(fs), 0.0191, 0.15, 41)
+	placeChirp(base, tpl, int(1.23*fs), 0.5)
+	placeChirp(base, tpl, int(1.27*fs), 1.0)
+	placeChirp(base, tpl, int(2.51*fs), 0.8)
+	return base
+}
+
+// randomChunk draws the next chunk length of TestStreamRandomChunkingFuzz:
+// tiny audio-callback dribbles, callback- and block-scale chunks, and
+// multi-block lumps.
+func randomChunk(rng *rand.Rand, blockSize int) int {
+	switch rng.Intn(4) {
+	case 0:
+		return 1 + rng.Intn(16)
+	case 1:
+		return 1 + rng.Intn(2048)
+	case 2:
+		return 1 + rng.Intn(8192)
+	default:
+		return 1 + rng.Intn(3*blockSize)
+	}
+}
+
 // TestStreamRandomChunkingFuzz is the fuzz-style chunking test: many
 // random chunk-size sequences (including pathological 1-sample and
 // larger-than-block chunks) over signals with noise, close pairs, and
@@ -270,12 +299,7 @@ func TestStreamFlushShortBuffer(t *testing.T) {
 func TestStreamRandomChunkingFuzz(t *testing.T) {
 	p := Default()
 	fs := 44100.0
-	tpl := p.Reference(fs)
-	base := synth(p, fs, 3*int(fs), 0.0191, 0.15, 41)
-	// Salt in a close pair (NMS stress) and an extra off-period chirp.
-	placeChirp(base, tpl, int(1.23*fs), 0.5)
-	placeChirp(base, tpl, int(1.27*fs), 1.0)
-	placeChirp(base, tpl, int(2.51*fs), 0.8)
+	base := chunkingRecording(p, fs)
 
 	batchDet, err := NewDetector(p, fs)
 	if err != nil {
@@ -295,17 +319,7 @@ func TestStreamRandomChunkingFuzz(t *testing.T) {
 		var got []Detection
 		pos := 0
 		for pos < len(base) {
-			var n int
-			switch rng.Intn(4) {
-			case 0:
-				n = 1 + rng.Intn(16) // tiny audio-callback dribbles
-			case 1:
-				n = 1 + rng.Intn(2048)
-			case 2:
-				n = 1 + rng.Intn(8192)
-			default:
-				n = 1 + rng.Intn(3*s.blockSize) // multi-block lumps
-			}
+			n := randomChunk(rng, s.blockSize)
 			if pos+n > len(base) {
 				n = len(base) - pos
 			}
@@ -324,6 +338,71 @@ func TestStreamRandomChunkingFuzz(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzStreamChunking is the native-fuzz form of
+// TestStreamRandomChunkingFuzz. The input is a chunk-length sequence —
+// little-endian uint16 pairs, each one chunk of 1 + v samples, repeated
+// cyclically until the recording is consumed; an empty input pushes the
+// whole recording at once. Push + Flush over the fixed recording must
+// return Detect's detections: same count and Index, times within 2 µs.
+// The seed corpus holds that test's 25 splits, 1-sample chunks, and the
+// single whole-recording chunk.
+func FuzzStreamChunking(f *testing.F) {
+	p := Default()
+	fs := 44100.0
+	base := chunkingRecording(p, fs)
+	batchDet, err := NewDetector(p, fs)
+	if err != nil {
+		f.Fatal(err)
+	}
+	batch := batchDet.Detect(base)
+	if len(batch) < 10 {
+		f.Fatalf("batch detections = %d, want ≥ 10", len(batch))
+	}
+	seedDet, err := NewStreamDetector(p, fs)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for trial := 0; trial < 25; trial++ {
+		rng := rand.New(rand.NewSource(int64(1000 + trial)))
+		var seed []byte
+		for pos := 0; pos < len(base); {
+			n := randomChunk(rng, seedDet.blockSize)
+			seed = binary.LittleEndian.AppendUint16(seed, uint16(n-1))
+			pos += n
+		}
+		f.Add(seed)
+	}
+	f.Add([]byte{0, 0})
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, split []byte) {
+		s, err := NewStreamDetector(p, fs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chunks := len(split) / 2
+		var got []Detection
+		for pos, i := 0, 0; pos < len(base); i++ {
+			n := len(base) - pos
+			if chunks > 0 {
+				n = min(n, 1+int(binary.LittleEndian.Uint16(split[2*(i%chunks):])))
+			}
+			got = append(got, s.Push(base[pos:pos+n])...)
+			pos += n
+		}
+		got = append(got, s.Flush()...)
+		if len(got) != len(batch) {
+			t.Fatalf("stream found %d detections, batch %d", len(got), len(batch))
+		}
+		for i := range got {
+			if got[i].Index != batch[i].Index || math.Abs(got[i].Time-batch[i].Time) > 2e-6 {
+				t.Errorf("detection %d: stream (%.7f, %d) vs batch (%.7f, %d)",
+					i, got[i].Time, got[i].Index, batch[i].Time, batch[i].Index)
+			}
+		}
+	})
 }
 
 // BenchmarkStreamDetectorPush streams one minute of audio through the

@@ -36,23 +36,6 @@ func Envelope(x []float64) []float64 {
 	return EnvelopeInto(make([]float64, len(x)), x)
 }
 
-// GCCPhat computes the generalized cross-correlation with phase transform
-// (PHAT) between x and ref: like CrossCorrelate, but the cross-spectrum is
-// whitened to unit magnitude before inverting, so every frequency votes
-// equally on the delay. PHAT is the classical defense against
-// reverberation — multipath's spectral comb no longer shapes the peak —
-// at the cost of amplifying bands that contain only noise. Bins whose
-// cross-spectrum magnitude falls below a floor relative to the strongest
-// bin are zeroed instead of whitened (an absolute floor would silently
-// discard the whole spectrum of a quiet far-field recording). The returned
-// lags match CrossCorrelate's.
-func GCCPhat(x, ref []float64) []float64 {
-	if len(x) == 0 || len(ref) == 0 {
-		return nil
-	}
-	return GCCPhatInto(make([]float64, len(x)), x, ref)
-}
-
 // CrossCorrelateDirect is the O(N·M) reference implementation of
 // CrossCorrelate, used in tests to validate the FFT path and in benchmarks
 // as the naive baseline.

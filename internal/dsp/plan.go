@@ -357,67 +357,14 @@ func CrossCorrelateInto(dst, x, ref []float64) []float64 {
 	return dst
 }
 
-// phatFloorRel is GCCPhat's whitening floor relative to the peak
-// cross-spectrum magnitude. Bins this far below the strongest bin carry no
-// usable phase (they are numerically zero-padded or out-of-band) and are
-// zeroed rather than amplified to unit magnitude. The floor is relative so
-// that uniformly quiet recordings — a far-field beacon at 1e-6 full scale —
-// whiten exactly like loud ones.
-const phatFloorRel = 1e-9
-
-// GCCPhatInto is GCCPhat writing its result into dst (grown/reused as
-// needed) and returning it.
-//
-//hyperearvet:zeroalloc
-func GCCPhatInto(dst, x, ref []float64) []float64 {
-	if len(x) == 0 || len(ref) == 0 {
-		return dst[:0]
-	}
-	n := corrFFTSize(len(x), len(ref))
-	p := realPlanFor(n)
-	h := p.SpectrumLen()
-	fx := getComplexPrefix(h, h)
-	fr := getComplexPrefix(h, h)
-	p.ForwardReal(*fx, x)
-	p.ForwardReal(*fr, ref)
-	// The cross-spectrum of two real signals is Hermitian, so the peak
-	// magnitude over the half spectrum is the peak over the full one.
-	maxMag := 0.0
-	for i, c := range *fr {
-		cs := (*fx)[i] * complex(real(c), -imag(c))
-		(*fx)[i] = cs
-		if m := math.Hypot(real(cs), imag(cs)); m > maxMag {
-			maxMag = m
-		}
-	}
-	floor := phatFloorRel * maxMag
-	dst = resizeF64(dst, len(x))
-	if maxMag == 0 {
-		for i := range dst {
-			dst[i] = 0
-		}
-		putComplex(fx)
-		putComplex(fr)
-		return dst
-	}
-	for i, c := range *fx {
-		if m := math.Hypot(real(c), imag(c)); m > floor {
-			(*fx)[i] = c / complex(m, 0)
-		} else {
-			(*fx)[i] = 0
-		}
-	}
-	p.InverseReal(dst, *fx)
-	putComplex(fx)
-	putComplex(fr)
-	return dst
-}
-
 // EnvelopeInto is Envelope writing its result into dst (grown/reused as
-// needed) and returning it. dst must not overlap x: it doubles as the
-// Hilbert-transform staging buffer, so the steady state borrows only one
-// pooled half spectrum. The transform is envelopeWindow over the whole
-// input at NextPow2(len(x)) points.
+// needed) and returning it. dst must not overlap x: it stages the Hilbert
+// transform, so the steady state borrows only one pooled half spectrum.
+// The whole round trip runs on the packed real path: the Hilbert
+// transform H(x) has spectrum -i·sign(f)·X(f), which is Hermitian (H(x)
+// is real), so InverseReal reconstructs it with half the butterflies of a
+// complex analytic-signal inverse — and the in-phase component is just x
+// itself.
 //
 //hyperearvet:zeroalloc
 func EnvelopeInto(dst, x []float64) []float64 {
@@ -428,7 +375,10 @@ func EnvelopeInto(dst, x []float64) []float64 {
 	h := rp.SpectrumLen()
 	spec := getComplexPrefix(h, h)
 	dst = resizeF64(dst, len(x))
-	envelopeWindow(dst, x, 0, rp, *spec, dst)
+	rp.ForwardReal(*spec, x)
+	quadrature(*spec, *spec)
+	rp.InverseReal(dst, *spec)
+	foldEnvelope(dst, x)
 	putComplex(spec)
 	return dst
 }
@@ -504,7 +454,9 @@ func (c *Correlator) CrossCorrelateInto(dst, x []float64) []float64 {
 // len(dst) lags of IFFT(RFFT(x)·conj(RFFT(ref))) at real transform size n.
 // When n ≥ len(x)+RefLen()-1 the circularity never wraps and the output is
 // the linear correlation (CrossCorrelateInto); overlap-save callers pick a
-// smaller fixed n and read only the alias-free prefix.
+// smaller fixed n and read only the alias-free prefix. The segmented
+// kernel (matchedBlock) runs the same arithmetic, so its lags stay
+// bit-identical to this pass at equal transform sizes.
 //
 //hyperearvet:zeroalloc
 func (c *Correlator) correlateAt(dst, x []float64, n int) {
@@ -512,24 +464,12 @@ func (c *Correlator) correlateAt(dst, x []float64, n int) {
 	spec := c.spectrum(n)
 	h := p.SpectrumLen()
 	fx := getComplexPrefix(h, h)
-	c.correlateAtWith(dst, x, p, spec, *fx)
-	putComplex(fx)
-}
-
-// correlateAtWith is correlateAt on caller-provided scratch: fx is the
-// SpectrumLen()-bin working buffer and spec the template half spectrum at
-// p's size, so block loops resolve the plan and spectrum once and hand
-// each worker its own pinned buffer. The arithmetic is identical to
-// correlateAt — the segmented path stays bit-identical to the monolithic
-// one at equal transform sizes.
-//
-//hyperearvet:zeroalloc
-func (c *Correlator) correlateAtWith(dst, x []float64, p *RealPlan, spec, fx []complex128) {
-	p.ForwardReal(fx, x)
+	p.ForwardReal(*fx, x)
 	for i, s := range spec {
-		fx[i] *= s
+		(*fx)[i] *= s
 	}
-	p.InverseReal(dst, fx)
+	p.InverseReal(dst, *fx)
+	putComplex(fx)
 }
 
 // CorrelateCircularInto computes dst[i] = Σ_j x[i+j]·ref[j] for lags i in

@@ -9,7 +9,7 @@ import (
 // RealPlan is the real-input fast path of the FFT layer: an N-point
 // transform of real samples computed with a single N/2-point complex FFT
 // plus an O(N) split/merge pass. Every hot DSP kernel in this package
-// (matched filter, GCC-PHAT, Hilbert envelope, FFT convolution) consumes
+// (matched filter, Hilbert envelope, FFT convolution) consumes
 // real audio, so packing adjacent sample pairs x[2k], x[2k+1] into one
 // complex value halves both the transform work and the bytes moved
 // through the butterflies.

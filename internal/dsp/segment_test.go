@@ -29,6 +29,9 @@ func maxRelDiff(a, b []float64) float64 {
 	return worst / peak
 }
 
+// segStep is the alias-free lags one segmented block yields.
+func segStep(c *Correlator) int { return c.SegmentSize() - c.RefLen() + 1 }
+
 // TestSegmentedMatchesMonolithic pins the segmented kernel's accuracy
 // contract: over random input lengths (including non-pow2 tails shorter
 // than one block) and worker counts, every lag agrees with the monolithic
@@ -51,9 +54,12 @@ func TestSegmentedMatchesMonolithic(t *testing.T) {
 		mono := c.CrossCorrelateInto(nil, x)
 		workers := 1 + rng.Intn(4)
 		var s SegScratch
-		seg := c.CrossCorrelateSegmentedInto(nil, x, &s, workers)
-		if len(seg) != len(mono) {
-			t.Fatalf("trial %d: segmented length %d, monolithic %d", trial, len(seg), len(mono))
+		seg, env, err := c.MatchedFilterCtx(context.Background(), nil, nil, x, &s, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(seg) != len(mono) || len(env) != len(mono) {
+			t.Fatalf("trial %d: segmented lengths %d/%d, monolithic %d", trial, len(seg), len(env), len(mono))
 		}
 		if d := maxRelDiff(seg, mono); d > 1e-12 {
 			t.Fatalf("trial %d (ref=%d n=%d workers=%d): segmented deviates %.3e from monolithic",
@@ -64,7 +70,8 @@ func TestSegmentedMatchesMonolithic(t *testing.T) {
 
 // TestSegmentedRangeMatchesFull pins that filling lags [from, n) over an
 // already-partially-filled destination (the streaming extension pattern)
-// produces the same values as a full segmented pass from zero.
+// produces the same correlation as a full pass from zero, and leaves the
+// lags before from untouched.
 func TestSegmentedRangeMatchesFull(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	ref := make([]float64, 300)
@@ -77,34 +84,18 @@ func TestSegmentedRangeMatchesFull(t *testing.T) {
 	}
 	c := NewCorrelator(ref)
 	mono := c.CrossCorrelateInto(nil, x)
-	for _, from := range []int{0, 1, 100, c.SegmentStep(), c.SegmentStep() + 7, len(x) - 50} {
+	for _, from := range []int{0, 1, 100, segStep(c), segStep(c) + 7, len(x) - 50} {
 		dst := make([]float64, len(x))
-		c.CorrelateSegmentedRange(dst, x, from, nil, 1)
+		env := make([]float64, len(x))
+		c.MatchedFilterRange(dst, env, x, from, nil)
 		if d := maxRelDiff(dst[from:], mono[from:]); d > 1e-12 {
 			t.Fatalf("from=%d: range fill deviates %.3e from monolithic", from, d)
 		}
-	}
-}
-
-// TestEnvelopeSegmentedMatchesMonolithic bounds the blocked envelope's
-// truncation error: with a 4096-sample margin the seam error on a
-// band-limited signal stays far below the 5×-floor detection threshold's
-// discrimination (1e-3 relative here, vs the ≲1e-4 analysis in
-// segment.go; the bound is loose to stay hardware-independent).
-func TestEnvelopeSegmentedMatchesMonolithic(t *testing.T) {
-	n := 3*envSegSize + 12345 // several blocks plus a ragged tail
-	x := make([]float64, n)
-	for i := range x {
-		ti := float64(i)
-		x[i] = math.Sin(0.07*ti) * (1 + 0.5*math.Sin(0.0003*ti))
-	}
-	mono := EnvelopeInto(nil, x)
-	seg := EnvelopeSegmentedInto(nil, x, nil, 2)
-	if len(seg) != len(mono) {
-		t.Fatalf("length %d vs %d", len(seg), len(mono))
-	}
-	if d := maxRelDiff(seg, mono); d > 1e-3 {
-		t.Fatalf("segmented envelope deviates %.3e from monolithic", d)
+		for i := 0; i < from; i++ {
+			if dst[i] != 0 || env[i] != 0 {
+				t.Fatalf("from=%d: lag %d written", from, i)
+			}
+		}
 	}
 }
 
@@ -136,29 +127,25 @@ func TestSegmentedCtxCancelStopsBetweenBlocks(t *testing.T) {
 		x[i] = rng.NormFloat64()
 	}
 	c := NewCorrelator(ref)
-	blocks := (len(x) + c.SegmentStep() - 1) / c.SegmentStep()
+	blocks := (len(x) + segStep(c) - 1) / segStep(c)
 	if blocks < 4 {
 		t.Fatalf("want ≥4 blocks for a meaningful cancel point, got %d", blocks)
 	}
 	ctx := &countdownCtx{Context: context.Background(), after: 2}
-	dst, err := c.CrossCorrelateSegmentedCtx(ctx, nil, x, nil, 1)
+	dst, env, err := c.MatchedFilterCtx(ctx, nil, nil, x, nil, 1)
 	if err != context.Canceled {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 	// The serial loop checks ctx before each block: two blocks ran, the
-	// rest of dst was never written.
-	stop := 2 * c.SegmentStep()
+	// rest of both outputs was never written.
+	stop := 2 * segStep(c)
+	if dst[stop-1] == 0 || env[stop-1] == 0 {
+		t.Fatalf("lag %d of the second block unwritten", stop-1)
+	}
 	for i := stop; i < len(dst); i++ {
-		if dst[i] != 0 {
+		if dst[i] != 0 || env[i] != 0 {
 			t.Fatalf("lag %d written after cancellation (block boundary %d)", i, stop)
 		}
-	}
-	// The envelope loop obeys the same contract.
-	ectx := &countdownCtx{Context: context.Background(), after: 1}
-	env := make([]float64, 3*envSegSize)
-	_, err = EnvelopeSegmentedCtx(ectx, env, x[:3*envSegSize], nil, 1)
-	if err != context.Canceled {
-		t.Fatalf("envelope: want context.Canceled, got %v", err)
 	}
 }
 
@@ -179,11 +166,10 @@ func TestSegmentedZeroAlloc(t *testing.T) {
 	}
 	c := NewCorrelator(ref)
 	var s SegScratch
-	dst := c.CrossCorrelateSegmentedInto(nil, x, &s, 1)
-	env := EnvelopeSegmentedInto(nil, x, &s, 1)
+	ctx := context.Background()
+	dst, env, _ := c.MatchedFilterCtx(ctx, nil, nil, x, &s, 1)
 	allocs := testing.AllocsPerRun(5, func() {
-		dst = c.CrossCorrelateSegmentedInto(dst, x, &s, 1)
-		env = EnvelopeSegmentedInto(env, x, &s, 1)
+		dst, env, _ = c.MatchedFilterCtx(ctx, dst, env, x, &s, 1)
 	})
 	if allocs != 0 {
 		t.Fatalf("warm segmented pass allocates %.1f times per run, want 0", allocs)
@@ -217,15 +203,19 @@ func BenchmarkCrossCorrelateSessionMono(b *testing.B) {
 	}
 }
 
-func BenchmarkCrossCorrelateSessionSegmented(b *testing.B) {
+// BenchmarkMatchedFilterSession times the serial segmented kernel, which
+// yields the correlation and its envelope together; its monolithic
+// counterpart is CrossCorrelateSessionMono plus EnvelopeSessionMono.
+func BenchmarkMatchedFilterSession(b *testing.B) {
 	x, ref := benchSession()
 	c := NewCorrelator(ref)
 	var s SegScratch
-	dst := c.CrossCorrelateSegmentedInto(nil, x, &s, 1)
+	ctx := context.Background()
+	dst, env, _ := c.MatchedFilterCtx(ctx, nil, nil, x, &s, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst = c.CrossCorrelateSegmentedInto(dst, x, &s, 1)
+		dst, env, _ = c.MatchedFilterCtx(ctx, dst, env, x, &s, 1)
 	}
 }
 
@@ -236,16 +226,5 @@ func BenchmarkEnvelopeSessionMono(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dst = EnvelopeInto(dst, x)
-	}
-}
-
-func BenchmarkEnvelopeSessionSegmented(b *testing.B) {
-	x, _ := benchSession()
-	var s SegScratch
-	dst := EnvelopeSegmentedInto(nil, x, &s, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst = EnvelopeSegmentedInto(dst, x, &s, 1)
 	}
 }
