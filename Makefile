@@ -88,12 +88,16 @@ obs-check:
 servbench-test:
 	cd servbench && $(GO) vet ./... && $(GO) test ./...
 
-# Short native-fuzz budget for the stream detector's chunk invariance
-# (Push + Flush over any chunking == Detect). A failing input lands in
-# internal/chirp/testdata/fuzz/FuzzStreamChunking/; commit it as a
+# Short native-fuzz budget, 55 s in total: the stream detector's chunk
+# invariance (Push + Flush over any chunking == Detect), then the two
+# upload decoders, WAV (never panics, output fits the input) and
+# meta.json (never panics, round-trips). A failing input lands in
+# internal/{chirp,sessionio}/testdata/fuzz/<target>/; commit it as a
 # regression input. CI's bench-smoke job runs this.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzStreamChunking$$' -fuzztime 30s ./internal/chirp
+	$(GO) test -run '^$$' -fuzz '^FuzzReadWAV$$' -fuzztime 15s ./internal/sessionio
+	$(GO) test -run '^$$' -fuzz '^FuzzParseMeta$$' -fuzztime 10s ./internal/sessionio
 
 # Run the localization service locally (README "Service quick start").
 serve:
@@ -119,7 +123,7 @@ crash-soak:
 # Real measurement run of the performance-critical benchmarks (see
 # DESIGN.md "Performance architecture"). FFTReal times the packed-real
 # forward + inverse round trip at the 2^13-2^15 block sizes production
-# runs; MatchedFilter the segmented correlation + envelope kernel over a
+# runs; MatchedFilter the segmented band-limited envelope kernel over a
 # session; Detect/Stream cover the batch and overlap-save detection hot
 # paths; ASP is the per-locate detection stage (both channels) on the
 # 5-slide bench session; PipelineLocate2D{,Serial,Parallel} track end-to-end latency and

@@ -10,7 +10,6 @@ package hyperear
 import (
 	"context"
 	"math"
-	"math/cmplx"
 	"strings"
 	"testing"
 
@@ -336,61 +335,6 @@ func BenchmarkPipelineLocate2DObserved(b *testing.B) {
 	}
 }
 
-// noPlanFFT is a textbook recursive Cooley-Tukey that recomputes twiddles
-// and allocates half-size scratch at every level — what the DSP layer did
-// before plans, kept here as the benchmark baseline.
-func noPlanFFT(x []complex128) []complex128 {
-	n := len(x)
-	if n == 1 {
-		return []complex128{x[0]}
-	}
-	even := make([]complex128, n/2)
-	odd := make([]complex128, n/2)
-	for i := 0; i < n/2; i++ {
-		even[i] = x[2*i]
-		odd[i] = x[2*i+1]
-	}
-	fe := noPlanFFT(even)
-	fo := noPlanFFT(odd)
-	out := make([]complex128, n)
-	for k := 0; k < n/2; k++ {
-		ang := -2 * math.Pi * float64(k) / float64(n)
-		t := complex(math.Cos(ang), math.Sin(ang)) * fo[k]
-		out[k] = fe[k] + t
-		out[k+n/2] = fe[k] - t
-	}
-	return out
-}
-
-// noPlanCrossCorrelate is the pre-plan matched filter: per-call FFTs of
-// both operands with no caching, no pooling, no template reuse.
-func noPlanCrossCorrelate(x, ref []float64) []float64 {
-	n := dsp.NextPow2(len(x) + len(ref) - 1)
-	fx := make([]complex128, n)
-	fr := make([]complex128, n)
-	for i, v := range x {
-		fx[i] = complex(v, 0)
-	}
-	for i, v := range ref {
-		fr[i] = complex(v, 0)
-	}
-	X := noPlanFFT(fx)
-	R := noPlanFFT(fr)
-	for i := range X {
-		X[i] *= cmplx.Conj(R[i])
-	}
-	// Inverse via conjugation.
-	for i := range X {
-		X[i] = cmplx.Conj(X[i])
-	}
-	Y := noPlanFFT(X)
-	out := make([]float64, len(x))
-	for i := range out {
-		out[i] = real(cmplx.Conj(Y[i])) / float64(n)
-	}
-	return out
-}
-
 // benchCorrelateInput builds the matched-filter workload the detector
 // runs per channel: one second of audio against the 40 ms template.
 func benchCorrelateInput() (x, ref []float64) {
@@ -405,33 +349,11 @@ func benchCorrelateInput() (x, ref []float64) {
 	return x, ref
 }
 
-// BenchmarkCrossCorrelateNoPlan is the no-plan baseline for the plan
-// benchmarks below (and BenchmarkCrossCorrelatePlanInto /
-// BenchmarkCorrelatorCrossCorrelate in internal/dsp).
-func BenchmarkCrossCorrelateNoPlan(b *testing.B) {
-	x, ref := benchCorrelateInput()
-	// Sanity-pin the baseline against the production path once.
-	want := dsp.CrossCorrelate(x, ref)
-	got := noPlanCrossCorrelate(x, ref)
-	for i := range got {
-		if math.Abs(got[i]-want[i]) > 1e-6 {
-			b.Fatalf("no-plan baseline diverges at %d: %v vs %v", i, got[i], want[i])
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		noPlanCrossCorrelate(x, ref)
-	}
-}
-
-// BenchmarkCrossCorrelatePlan is the plan-cached, scratch-pooled path on
-// the same workload; with a reused destination it runs allocation-free in
-// steady state (see -benchmem, and TestPlanPathZeroAllocs in
-// internal/dsp). Since the real-input fast path landed this runs entirely
-// on packed half-size transforms — compare against
-// BenchmarkCrossCorrelateComplexFFT for the real-vs-complex speedup on the
-// identical workload.
+// BenchmarkCrossCorrelatePlan is the plan-cached, scratch-pooled
+// monolithic correlation on that workload; with a reused destination it
+// runs allocation-free in steady state (see -benchmem, and
+// TestPlanPathZeroAllocs in internal/dsp), entirely on packed half-size
+// transforms.
 func BenchmarkCrossCorrelatePlan(b *testing.B) {
 	x, ref := benchCorrelateInput()
 	dst := dsp.CrossCorrelateInto(nil, x, ref)
@@ -439,68 +361,6 @@ func BenchmarkCrossCorrelatePlan(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dst = dsp.CrossCorrelateInto(dst, x, ref)
-	}
-}
-
-// complexCrossCorrelate is the previous production matched filter: widen
-// both real operands to complex128, run full-size plan-cached transforms,
-// multiply by the conjugate, and invert. Buffers are caller-reused, so the
-// comparison against the real-input path isolates the transform and
-// memory-traffic win (half-size FFTs, half the bytes) rather than
-// allocator noise.
-func complexCrossCorrelate(dst []float64, fx, fr []complex128, x, ref []float64) {
-	n := len(fx)
-	for i, v := range x {
-		fx[i] = complex(v, 0)
-	}
-	for i := len(x); i < n; i++ {
-		fx[i] = 0
-	}
-	for i, v := range ref {
-		fr[i] = complex(v, 0)
-	}
-	for i := len(ref); i < n; i++ {
-		fr[i] = 0
-	}
-	if err := dsp.FFT(fx); err != nil {
-		panic(err)
-	}
-	if err := dsp.FFT(fr); err != nil {
-		panic(err)
-	}
-	for i, c := range fr {
-		fx[i] *= complex(real(c), -imag(c))
-	}
-	if err := dsp.IFFT(fx); err != nil {
-		panic(err)
-	}
-	for i := range dst {
-		dst[i] = real(fx[i])
-	}
-}
-
-// BenchmarkCrossCorrelateComplexFFT is the complex-transform baseline
-// paired with BenchmarkCrossCorrelatePlan: the same detector-sized
-// workload through full-size complex FFTs. The real-input path must beat
-// it by ≥1.8× (see DESIGN.md "Performance architecture").
-func BenchmarkCrossCorrelateComplexFFT(b *testing.B) {
-	x, ref := benchCorrelateInput()
-	n := dsp.NextPow2(len(x) + len(ref) - 1)
-	fx := make([]complex128, n)
-	fr := make([]complex128, n)
-	dst := make([]float64, len(x))
-	// Sanity-pin the baseline against the production path once.
-	complexCrossCorrelate(dst, fx, fr, x, ref)
-	want := dsp.CrossCorrelate(x, ref)
-	for i := range dst {
-		if math.Abs(dst[i]-want[i]) > 1e-6 {
-			b.Fatalf("complex baseline diverges at %d: %v vs %v", i, dst[i], want[i])
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		complexCrossCorrelate(dst, fx, fr, x, ref)
 	}
 }
 

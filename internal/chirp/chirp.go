@@ -84,11 +84,28 @@ func (p Params) Eval(t float64) float64 {
 	if t < 0 {
 		return 0
 	}
-	within := math.Mod(t, p.Period)
+	within := p.Within(t)
 	if within > p.Duration {
 		return 0
 	}
 	return p.Amplitude * p.evalOne(within)
+}
+
+// Within returns the time since the start of the current beacon period,
+// math.Mod(t, Period), for t ≥ 0 — bit for bit, at a fraction of fmod's
+// cost. The remainder of a floating-point division is exactly
+// representable, so once the quotient q is the right integer, the fused
+// t − q·Period rounds to it exactly; a quotient rounded up or down by
+// the division is caught by the sign check and fixed in one step.
+func (p Params) Within(t float64) float64 {
+	q := math.Floor(t / p.Period)
+	r := math.FMA(-q, p.Period, t)
+	if r < 0 {
+		r = math.FMA(-(q - 1), p.Period, t)
+	} else if r >= p.Period {
+		r = math.FMA(-(q + 1), p.Period, t)
+	}
+	return r
 }
 
 // evalOne evaluates a single chirp at local time t in [0, Duration].
@@ -101,18 +118,6 @@ func (p Params) evalOne(t float64) float64 {
 		env = 0.5 * (1 - math.Cos(math.Pi*(p.Duration-t)/taper))
 	}
 	return env * math.Sin(p.phase(t))
-}
-
-// BeaconIndex returns which beacon (0-based) is sounding at time t, or -1
-// if the source is silent at t.
-func (p Params) BeaconIndex(t float64) int {
-	if t < 0 {
-		return -1
-	}
-	if math.Mod(t, p.Period) > p.Duration {
-		return -1
-	}
-	return int(math.Floor(t / p.Period))
 }
 
 // Reference returns the sampled single-chirp waveform at sampling rate fs,

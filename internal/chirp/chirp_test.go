@@ -2,6 +2,7 @@ package chirp
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -91,21 +92,27 @@ func TestInstantFrequency(t *testing.T) {
 	}
 }
 
-func TestBeaconIndex(t *testing.T) {
-	p := Default()
-	cases := []struct {
-		t    float64
-		want int
-	}{
-		{-1, -1},
-		{0.01, 0},
-		{0.1, -1},
-		{0.21, 1},
-		{1.005, 5},
-	}
-	for _, c := range cases {
-		if got := p.BeaconIndex(c.t); got != c.want {
-			t.Errorf("BeaconIndex(%v) = %d, want %d", c.t, got, c.want)
+// TestWithinMatchesMod pins Params.Within to math.Mod bit for bit, on
+// random times and on exact period multiples and their float neighbours
+// (where the division's rounded quotient needs the one-step fix-up).
+func TestWithinMatchesMod(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, period := range []float64{0.2, 0.25, 1.0 / 3} {
+		p := Default()
+		p.Period = period
+		check := func(v float64) {
+			if got, want := p.Within(v), math.Mod(v, period); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("period %v: Within(%v) = %v, math.Mod %v", period, v, got, want)
+			}
+		}
+		for i := 0; i < 100000; i++ {
+			check(rng.Float64() * 600)
+			m := float64(rng.Intn(3000)) * period
+			check(m)
+			check(math.Nextafter(m, math.Inf(1)))
+			if m > 0 {
+				check(math.Nextafter(m, 0))
+			}
 		}
 	}
 }

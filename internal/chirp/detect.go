@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"hyperear/internal/dsp"
 )
@@ -141,18 +140,22 @@ type envCand struct {
 }
 
 // DetectScratch holds the reusable working set of one detection pass: the
-// matched-filter output, its Hilbert envelope, the floor-estimation sample,
-// and the candidate lists. A zero value is ready to use; after the first
+// decimated Hilbert envelope of the matched-filter output, the
+// floor-estimation sample, the candidate lists, and the full-rate timing
+// window. A zero value is ready to use; after the first
 // call on a given input size every buffer is warm and DetectInto performs
 // no heap allocations. A DetectScratch must not be shared between
 // concurrent DetectInto calls (the Detector itself stays safe for
 // concurrent use — each goroutine brings its own scratch).
 type DetectScratch struct {
-	corr     []float64
 	env      []float64
 	absSamp  []float64
 	cands    []envCand
 	accepted []envCand
+	// win and quad hold the exact correlation and quadrature lags around
+	// one accepted peak.
+	win  []float64
+	quad []float64
 	// seg holds the matched-filter kernel's per-worker spectrum buffers;
 	// when DetectIntoCtx runs with block workers, each worker indexes its
 	// own buffer, so one scratch still serves the whole call.
@@ -164,10 +167,12 @@ type DetectScratch struct {
 // Detection is two-stage: candidate peaks are found on the Hilbert
 // envelope of the matched-filter output (the envelope is immune to
 // carrier-cycle ambiguity, which matters once the chirp's center
-// frequency approaches Nyquist), then each timestamp is refined by
-// parabolic interpolation of the raw correlation at the carrier peak
-// nearest the envelope maximum (the raw peak carries the sharpest timing
-// information).
+// frequency approaches Nyquist), sampled at every D-th lag by the
+// band-limited kernel, then each accepted peak is timed at full rate by
+// parabolic interpolation of exact correlation lags summed from the
+// samples — the raw correlation at the carrier peak nearest the envelope
+// maximum (the raw peak carries the sharpest timing information), or the
+// full-rate envelope for narrowband beacons.
 func (d *Detector) Detect(x []float64) []Detection {
 	if len(x) < len(d.ref) {
 		return nil
@@ -189,10 +194,10 @@ func (d *Detector) DetectInto(dst []Detection, x []float64, s *DetectScratch) []
 }
 
 // DetectIntoCtx is DetectInto with intra-recording block parallelism and
-// mid-recording cancellation. The matched filter and its envelope run as
-// fixed-size overlap-save blocks (dsp.Correlator.MatchedFilterCtx — the
-// same kernel the streaming detector extends incrementally) fanned across
-// workers (≤ 0 selects GOMAXPROCS; 1 runs serial and allocation-free
+// mid-recording cancellation. The matched filter's decimated envelope runs
+// as fixed-size overlap-save blocks (dsp.Correlator.MatchedEnvelopeCtx —
+// the same kernel the streaming detector extends incrementally) fanned
+// across workers (≤ 0 selects GOMAXPROCS; 1 runs serial and allocation-free
 // once warm), and ctx is checked before every block, so a canceled
 // locate aborts between blocks instead of finishing a session-length
 // transform. On cancellation the partial dst plus ctx's error are
@@ -210,20 +215,24 @@ func (d *Detector) DetectIntoCtx(ctx context.Context, dst []Detection, x []float
 		s = &DetectScratch{}
 	}
 	var err error
-	s.corr, s.env, err = d.corr.MatchedFilterCtx(ctx, s.corr, s.env, x, &s.seg, workers)
+	s.env, err = d.corr.MatchedEnvelopeCtx(ctx, s.env, x, &s.seg, workers)
 	if err != nil {
 		return dst, err
 	}
-	return d.detectCore(dst, s.corr, s.env, s), nil
+	return d.detectCore(dst, x, s.env, s), nil
 }
 
-// detectCore is the shared threshold/NMS/timing pass over a matched-filter
-// output r (r[k] is the correlation at lag k) and its Hilbert envelope
-// env. The batch path and the streaming detector — which maintains both
-// incrementally via overlap-save — each call it on their own buffers.
+// detectCore is the shared threshold/NMS/timing pass over the samples x
+// and their matched filter's decimated Hilbert envelope env: env[m] is
+// the envelope at lag D·m, D = Decimation(). The floor, the candidates
+// and non-maximum suppression all run on env; each accepted peak is then
+// timed at full rate from exact sums over x. The batch path and the
+// streaming detector — which extends env incrementally via overlap-save —
+// each call it on their own buffers.
 //
 //hyperearvet:zeroalloc
-func (d *Detector) detectCore(dst []Detection, r, env []float64, s *DetectScratch) []Detection {
+func (d *Detector) detectCore(dst []Detection, x, env []float64, s *DetectScratch) []Detection {
+	dec := d.corr.Decimation()
 	var floor float64
 	floor, s.absSamp = correlationFloor(env, s.absSamp)
 	if floor == 0 {
@@ -234,12 +243,12 @@ func (d *Detector) detectCore(dst []Detection, r, env []float64, s *DetectScratc
 		minSep = 1
 	}
 
-	// Collect envelope local maxima above the threshold.
+	// Collect envelope local maxima above the threshold, at their lags.
 	cands := s.cands[:0]
 	thresh := d.Threshold * floor
 	for i := 1; i < len(env)-1; i++ {
 		if env[i] >= env[i-1] && env[i] > env[i+1] && env[i] > thresh {
-			cands = append(cands, envCand{i, env[i]})
+			cands = append(cands, envCand{i * dec, env[i]})
 		}
 	}
 	s.cands = cands
@@ -282,39 +291,93 @@ func (d *Detector) detectCore(dst []Detection, r, env []float64, s *DetectScratc
 	//     beacon): many near-equal carrier peaks fit under the envelope
 	//     and the raw maximum slips cycles as the geometry drifts; the
 	//     smooth envelope is then the only unbiased timing reference.
+	//
+	// A decimated maximum lies within D lags of the full-rate peak of its
+	// lobe, so the wideband search window is widened by D. Narrowband
+	// envelopes are broad enough for an echo's lobe to sit within a few
+	// D of the direct one at nearly its height, so the narrowband rule
+	// scans every lobe within the separation window that reaches
+	// narrowScanRel of the candidate, D lags either side of its samples,
+	// and keeps the highest full-rate envelope lag.
 	carrier := (d.params.Low + d.params.High) / 2
 	bandwidth := d.params.High - d.params.Low
 	wideband := carrier/bandwidth <= 2
-	half := int(d.fs/carrier) + 1
+	half := int(d.fs/carrier) + 1 + dec
 
 	for _, c := range accepted {
-		var t float64
-		var val float64
-		idx := c.idx
+		var p windowPeak
 		if wideband {
-			best := c.idx
-			for i := c.idx - half; i <= c.idx+half; i++ {
-				if i >= 0 && i < len(r) && r[i] > r[best] {
-					best = i
+			p = d.peakIn(x, c.idx-half, c.idx+half, false, s)
+		} else {
+			mc, k := c.idx/dec, minSep/dec
+			last, lobe := min(mc+k, len(env)-1), narrowScanRel*c.val
+			for m := max(mc-k, 0); m <= last; m++ {
+				if env[m] < lobe {
+					continue
+				}
+				run := m
+				for m < last && env[m+1] >= lobe {
+					m++
+				}
+				if q := d.peakIn(x, dec*(run-1)+1, dec*(m+1)-1, true, s); q.sample > p.sample {
+					p = q
 				}
 			}
-			off, v := dsp.ParabolicInterp(r, best)
-			t = (float64(best) + off + d.delay) / d.fs
-			idx = best
-			val = v
-		} else {
-			off, v := dsp.ParabolicInterp(env, c.idx)
-			t = (float64(c.idx) + off + d.delay) / d.fs
-			val = v
 		}
 		dst = append(dst, Detection{
-			Time:     t,
-			Index:    idx,
-			Strength: val,
-			SNR:      env[c.idx] / floor,
+			Time:     (float64(p.idx) + p.off + d.delay) / d.fs,
+			Index:    p.idx,
+			Strength: p.val,
+			SNR:      c.val / floor,
 		})
 	}
 	return dst
+}
+
+// narrowScanRel is the fraction of a narrowband candidate's decimated
+// envelope a nearby lobe's samples must reach for the lobe to be timed
+// at full rate. A lobe whose full-rate peak beats the candidate's has a
+// sample within D/2 lags of that peak, and the inaudible beacon's
+// envelope falls far less than half over D/2 = 4 lags.
+const narrowScanRel = 0.5
+
+// windowPeak is the largest exact lag in a search window: its index,
+// sample value, and parabolic sub-sample offset and peak value.
+type windowPeak struct {
+	idx      int
+	sample   float64
+	off, val float64
+}
+
+// peakIn finds the largest exact correlation (envelope when analytic)
+// lag in [lo, hi] ∩ [0, len(x)) and interpolates it. The exact lags span
+// one more on each side for the interpolation; at the recording edges
+// the window edge is the slice edge, so ParabolicInterp's edge rule
+// (offset 0) applies exactly there.
+//
+//hyperearvet:zeroalloc
+func (d *Detector) peakIn(x []float64, lo, hi int, analytic bool, s *DetectScratch) windowPeak {
+	lo, hi = max(lo, 0), min(hi, len(x)-1)
+	wlo := max(lo-1, 0)
+	s.win = growKeep(s.win, 0, min(hi+1, len(x)-1)-wlo+1)
+	r := s.win
+	d.corr.CorrelateWindow(r, x, wlo)
+	if analytic {
+		s.quad = growKeep(s.quad, 0, len(r))
+		q := s.quad
+		d.corr.QuadratureWindow(q, x, wlo)
+		for i, re := range r {
+			r[i] = math.Sqrt(re*re + q[i]*q[i])
+		}
+	}
+	best := lo
+	for i := lo + 1; i <= hi; i++ {
+		if r[i-wlo] > r[best-wlo] {
+			best = i
+		}
+	}
+	off, val := dsp.ParabolicInterp(r, best-wlo)
+	return windowPeak{idx: best, sample: r[best-wlo], off: off, val: val}
 }
 
 // floorQuantileNum/floorQuantileDen select the quantile of the sampled
@@ -339,14 +402,75 @@ func correlationFloor(r, scratch []float64) (float64, []float64) {
 	if len(r) == 0 {
 		return 0, scratch
 	}
-	// Sample up to 4096 points evenly to bound the sort cost.
+	// Sample up to 4096 points evenly to bound the selection cost.
 	step := len(r)/4096 + 1
 	abs := scratch[:0]
 	for i := 0; i < len(r); i += step {
 		abs = append(abs, math.Abs(r[i]))
 	}
-	sort.Float64s(abs)
-	return abs[len(abs)*floorQuantileNum/floorQuantileDen] + 1e-30, abs
+	return selectFloat64(abs, len(abs)*floorQuantileNum/floorQuantileDen) + 1e-30, abs
+}
+
+// selectFloat64 returns the value sort.Float64s would leave at index k of
+// a — NaNs first, then ascending — in expected O(len(a)) by three-way
+// quickselect, permuting a. Equal values are one value (the samples are
+// absolute values, so there is no −0 to tell apart), which makes the
+// result the sorted order statistic exactly.
+//
+//hyperearvet:zeroalloc
+func selectFloat64(a []float64, k int) float64 {
+	nan := 0
+	for i, v := range a {
+		if math.IsNaN(v) {
+			a[i], a[nan] = a[nan], a[i]
+			nan++
+		}
+	}
+	if k < nan {
+		return a[k]
+	}
+	a, k = a[nan:], k-nan
+	for len(a) > 1 {
+		// Median-of-three pivot, then a Dutch-flag partition into
+		// < p | == p | > p, so runs of ties cost one pass.
+		p := median3(a[0], a[len(a)/2], a[len(a)-1])
+		lt, i, gt := 0, 0, len(a)
+		for i < gt {
+			switch v := a[i]; {
+			case v < p:
+				a[lt], a[i] = v, a[lt]
+				lt++
+				i++
+			case v > p:
+				gt--
+				a[gt], a[i] = v, a[gt]
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			a = a[:lt]
+		case k >= gt:
+			a, k = a[gt:], k-gt
+		default:
+			return p
+		}
+	}
+	return a[0]
+}
+
+// median3 returns the median of three (non-NaN) values.
+//
+//hyperearvet:zeroalloc
+func median3(a, b, c float64) float64 {
+	if a > b {
+		a, b = b, a
+	}
+	if b > c {
+		b = c
+	}
+	return max(a, b)
 }
 
 //hyperearvet:zeroalloc

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"hyperear/internal/dsp"
@@ -328,11 +329,21 @@ func TestDetectorFilteredRejectsAsymmetricTaps(t *testing.T) {
 }
 
 // detectMonolithic is the pre-segmentation detection pass: one
-// session-length FFT correlation and one monolithic envelope of it, fed
-// to the shared threshold/NMS/timing stage.
+// session-length FFT correlation and one monolithic envelope of it,
+// sampled on the band kernel's D-lag grid and fed to the shared
+// threshold/NMS/timing stage.
 func detectMonolithic(d *Detector, x []float64) []Detection {
-	corr := d.corr.CrossCorrelateInto(nil, x)
-	return d.detectCore(nil, corr, dsp.EnvelopeInto(nil, corr), &DetectScratch{})
+	env := dsp.EnvelopeInto(nil, d.corr.CrossCorrelateInto(nil, x))
+	return d.detectCore(nil, x, onGrid(env, d.corr.Decimation()), &DetectScratch{})
+}
+
+// onGrid samples a full-rate sequence at every dec-th lag.
+func onGrid(full []float64, dec int) []float64 {
+	out := make([]float64, (len(full)+dec-1)/dec)
+	for m := range out {
+		out[m] = full[m*dec]
+	}
+	return out
 }
 
 // TestDetectSegmentedMatchesMonolithic is the chirp-level differential
@@ -395,24 +406,27 @@ func TestDetectSegmentedMatchesMonolithic(t *testing.T) {
 	}
 }
 
-// TestMatchedFilterEnvelopeOracle pins the quadrature matched filter
-// (dsp.Correlator.MatchedFilterCtx) on a 30 s noisy beacon recording,
-// with the flat template (2^13 blocks) and the ASP's band-pass-folded one
-// (2^14 blocks):
+// TestMatchedFilterEnvelopeOracle pins the band-limited analytic matched
+// filter on a 30 s noisy beacon recording, with the flat template (2^13
+// blocks) and the ASP's band-pass-folded one (2^14 blocks):
 //
-//   - r is CorrelateCircularInto run block by block at SegmentSize(),
-//     bit for bit, so the correlation — and every wideband timestamp read
-//     from it — cannot move;
-//   - env stays within a fixed bound of the exact analytic envelope of
-//     the full linear correlation at every lag, recording edges included.
-//     The reference correlates the recording with len(ref)-1 leading and
-//     2^16 trailing zeros, so the oracle envelope's own circular wrap
-//     falls far from the recording's lags.
+//   - D follows from the template: 2 for the flat one, whose spectral
+//     skirts reach −100 dB only past a quarter of the band, 4 for the
+//     folded one;
+//   - the decimated envelope stays within a fixed bound of the exact
+//     analytic envelope of the full linear correlation at every D-th
+//     lag, recording edges included. The reference correlates the
+//     recording with len(ref)-1 leading and 2^16 trailing zeros, so the
+//     oracle envelope's own circular wrap falls far from the recording's
+//     lags;
+//   - the exact lags each detection is timed from equal CrossCorrelate's
+//     within 1e-12 of its peak.
 //
-// The bounds sit about 10× above the worst errors measured on x86-64
-// (4.0e-6 of the peak flat, 1.8e-9 folded): the block's circular
-// quadrature aliases the template Hilbert kernel's tail past the block
-// edges, and the folded band-pass makes that tail far shorter.
+// The envelope bounds sit about 10× above the worst errors measured on
+// x86-64 (3.0e-6 of the peak flat, 1.1e-9 folded; see the t.Logf
+// lines): the block's circular quadrature aliases the template Hilbert
+// kernel's tail past the block edges, and the −100 dB cut drops the bins
+// outside the template's band.
 func TestMatchedFilterEnvelopeOracle(t *testing.T) {
 	p := Default()
 	fs := 44100.0
@@ -430,51 +444,64 @@ func TestMatchedFilterEnvelopeOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name  string
-		d     *Detector
-		block int
-		bound float64
+		name       string
+		d          *Detector
+		block, dec int
+		bound      float64
 	}{
-		{"flat", flat, 1 << 13, 4e-5},
-		{"folded", folded, 1 << 14, 2e-8},
+		{"flat", flat, 1 << 13, 2, 3e-5},
+		{"folded", folded, 1 << 14, 4, 1.1e-8},
 	} {
 		c := tc.d.corr
-		n := c.SegmentSize()
-		if n != tc.block {
-			t.Fatalf("%s: block size %d, want %d", tc.name, n, tc.block)
+		if n, dec := c.SegmentSize(), c.Decimation(); n != tc.block || dec != tc.dec {
+			t.Fatalf("%s: block size %d at decimation %d, want %d at %d", tc.name, n, dec, tc.block, tc.dec)
 		}
-		r, env, err := c.MatchedFilterCtx(context.Background(), nil, nil, x, nil, 2)
+		env, err := c.MatchedEnvelopeCtx(context.Background(), nil, x, nil, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-
-		step := n - c.RefLen() + 1
-		want := make([]float64, step)
-		for at := 0; at < len(x); at += step {
-			lags := want[:min(step, len(x)-at)]
-			c.CorrelateCircularInto(lags, x[at:min(at+n, len(x))], n)
-			for i, w := range lags {
-				if math.Float64bits(r[at+i]) != math.Float64bits(w) {
-					t.Fatalf("%s: lag %d = %v, block-wise circular correlation %v", tc.name, at+i, r[at+i], w)
-				}
-			}
-		}
-
 		lead := c.RefLen() - 1
 		padded := make([]float64, lead+len(x)+1<<16)
 		copy(padded[lead:], x)
-		exact := dsp.Envelope(dsp.CrossCorrelate(padded, tc.d.ref))[lead : lead+len(x)]
+		exact := onGrid(dsp.Envelope(dsp.CrossCorrelate(padded, tc.d.ref))[lead:lead+len(x)], tc.dec)
+		if len(env) != len(exact) {
+			t.Fatalf("%s: %d decimated lags, want %d", tc.name, len(env), len(exact))
+		}
 		peak, worst, at := 0.0, 0.0, 0
-		for i, e := range exact {
+		for m, e := range exact {
 			peak = math.Max(peak, e)
-			if d := math.Abs(env[i] - e); d > worst {
-				worst, at = d, i
+			if d := math.Abs(env[m] - e); d > worst {
+				worst, at = d, m*tc.dec
 			}
 		}
 		t.Logf("%s: worst envelope error %.2e of the peak at lag %d", tc.name, worst/peak, at)
 		if worst > tc.bound*peak {
 			t.Errorf("%s: envelope deviates %.2e of the peak from the exact analytic envelope at lag %d (bound %.0e)",
 				tc.name, worst/peak, at, tc.bound)
+		}
+
+		r := dsp.CrossCorrelate(x, tc.d.ref)
+		rPeak := 0.0
+		for _, v := range r {
+			rPeak = math.Max(rPeak, math.Abs(v))
+		}
+		dets := tc.d.Detect(x)
+		if len(dets) < 140 {
+			t.Fatalf("%s: %d detections, want ≈150", tc.name, len(dets))
+		}
+		worstR := 0.0
+		lags := make([]float64, 3)
+		for _, det := range dets {
+			from := max(det.Index-1, 0)
+			lags = lags[:min(det.Index+2, len(x))-from]
+			c.CorrelateWindow(lags, x, from)
+			for i, v := range lags {
+				worstR = math.Max(worstR, math.Abs(v-r[from+i]))
+			}
+		}
+		t.Logf("%s: worst timed-lag correlation error %.2e of the peak", tc.name, worstR/rPeak)
+		if worstR > 1e-12*rPeak {
+			t.Errorf("%s: timed lags deviate %.2e of the peak from CrossCorrelate (bound 1e-12)", tc.name, worstR/rPeak)
 		}
 	}
 }
@@ -539,5 +566,38 @@ func BenchmarkDetectSegmented(b *testing.B) {
 				dst, _ = tc.d.DetectIntoCtx(ctx, dst, x, &scratch, tc.workers)
 			}
 		})
+	}
+}
+
+// TestSelectFloat64MatchesSort pins the floor's selection to the sort it
+// replaced: on random inputs with heavy ties and NaNs, selectFloat64
+// returns exactly the value sort.Float64s leaves at the same index — the
+// floor's 90th percentile and every other rank.
+func TestSelectFloat64MatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 3000; trial++ {
+		n := 1 + rng.Intn(300)
+		a := make([]float64, n)
+		for i := range a {
+			switch rng.Intn(8) {
+			case 0:
+				a[i] = math.NaN()
+			case 1, 2:
+				a[i] = float64(rng.Intn(4)) // ties
+			case 3:
+				a[i] = math.Inf(1)
+			default:
+				a[i] = rng.ExpFloat64()
+			}
+		}
+		sorted := append([]float64(nil), a...)
+		sort.Float64s(sorted)
+		for _, k := range []int{n * floorQuantileNum / floorQuantileDen, rng.Intn(n), 0, n - 1} {
+			got := selectFloat64(append([]float64(nil), a...), k)
+			want := sorted[k]
+			if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+				t.Fatalf("trial %d (n=%d): rank %d = %v, sort.Float64s %v", trial, n, k, got, want)
+			}
+		}
 	}
 }

@@ -25,14 +25,16 @@ const (
 // with a batch run over the whole stream regardless of how the samples
 // were chunked.
 //
-// The matched filter is overlap-save: correlation lags, once complete (the
-// full template fit inside the buffer), never change when more audio
-// arrives, so each pass extends the cached correlation and its envelope
-// only over the new samples with fixed-size FFT blocks against a template
-// spectrum computed once for the whole stream — the batch detector's
-// kernel. Only the threshold/peak-picking stages rerun over the sliding
-// window; the per-pass transform cost is proportional to the new audio,
-// not the buffer.
+// The matched filter is overlap-save: envelope lags, once complete (the
+// full template fit inside the buffer), are never recomputed when more
+// audio arrives, so each pass extends the cached decimated envelope only
+// over the new samples with fixed-size band-limited blocks against a
+// template spectrum computed once for the whole stream — the batch
+// detector's kernel, on the same absolute D-lag grid. Only the
+// threshold/peak-picking stages rerun over the sliding window, and
+// accepted peaks are timed from exact sums over the buffered samples; the
+// per-pass transform cost is proportional to the new audio, not the
+// buffer.
 type StreamDetector struct {
 	det *Detector
 	fs  float64
@@ -57,16 +59,16 @@ type StreamDetector struct {
 	// a distinct later chirp must never be confused with a re-detection.
 	// Entries too old to ever match again are pruned.
 	emitted []float64
-	// corr and env cache the matched-filter output and its Hilbert
-	// envelope aligned with buf: corr[k] is the correlation at lag buf[k].
-	// The leading corrValid lags are complete (computed with the full
-	// template inside the buffer) and stay byte-identical forever; lags
+	// env caches the matched filter's decimated Hilbert envelope aligned
+	// with buf: env[m] is the envelope at lag buf[D·m], and absOffset is
+	// kept a multiple of D so the grid is the batch detector's absolute
+	// one. The leading envValid lags are complete (computed with the
+	// full template inside the buffer) and are never recomputed; lags
 	// beyond that were computed against implicit zero padding — exactly
 	// what a batch run over the current buffer would produce — and are
 	// recomputed once more audio arrives.
-	corr      []float64
-	env       []float64
-	corrValid int
+	env      []float64
+	envValid int
 	// scratch and dets are the detection pass's reusable working set; out
 	// is the emission slice handed back from Push, reused across pushes
 	// (see PushContext's aliasing contract).
@@ -128,9 +130,8 @@ func (s *StreamDetector) Reset() {
 	s.buf = s.buf[:0]
 	s.absOffset = 0
 	s.emitted = s.emitted[:0]
-	s.corr = s.corr[:0]
 	s.env = s.env[:0]
-	s.corrValid = 0
+	s.envValid = 0
 	s.dets = s.dets[:0]
 	s.out = s.out[:0]
 }
@@ -202,26 +203,25 @@ func (s *StreamDetector) alreadyEmitted(abs float64) bool {
 	return false
 }
 
-// extendCorr brings the cached matched-filter output and envelope up to
-// date with the buffer via the shared block kernel: overlap-save blocks
-// starting at the first non-final lag, each one fixed-size transform
-// yielding up to a step of alias-free lags
-// (dsp.Correlator.MatchedFilterRange — the same block core the batch
-// detector fans out over a whole recording). Input past the buffer end is
-// implicit zero padding, which makes the trailing template-length of lags
-// equal what a batch correlation of exactly this buffer would produce.
-// Lags that were complete on a previous pass are never touched.
+// extendEnv brings the cached decimated envelope up to date with the
+// buffer via the shared block kernel: overlap-save blocks starting at the
+// first non-final lag, each one fixed-size transform yielding up to a
+// step of alias-free lags (dsp.Correlator.MatchedEnvelopeRange — the same
+// block core the batch detector fans out over a whole recording). Input
+// past the buffer end is implicit zero padding, which makes the trailing
+// template-length of lags equal what a batch pass over exactly this
+// buffer would produce. Lags that were complete on a previous pass are
+// never touched.
 //
 //hyperearvet:zeroalloc
-func (s *StreamDetector) extendCorr() {
-	n := len(s.buf)
-	s.corr = growKeep(s.corr, s.corrValid, n)
-	s.env = growKeep(s.env, s.corrValid, n)
-	s.det.corr.MatchedFilterRange(s.corr, s.env, s.buf, s.corrValid, &s.scratch.seg)
+func (s *StreamDetector) extendEnv() {
+	dec := s.det.corr.Decimation()
+	s.env = growKeep(s.env, s.envValid, (len(s.buf)+dec-1)/dec)
+	s.det.corr.MatchedEnvelopeRange(s.env, s.buf, s.envValid, &s.scratch.seg)
 	// Everything with the full template inside the buffer is final.
-	s.corrValid = n - len(s.det.ref) + 1
-	if s.corrValid < 0 {
-		s.corrValid = 0
+	s.envValid = 0
+	if last := len(s.buf) - len(s.det.ref); last >= 0 {
+		s.envValid = last/dec + 1
 	}
 }
 
@@ -238,8 +238,8 @@ func growKeep(buf []float64, keep, n int) []float64 {
 }
 
 // process runs one detection pass over the current buffer: the cached
-// overlap-save correlation and envelope are extended over the new
-// samples, then the threshold/NMS stages rerun over the window. Unless
+// overlap-save envelope is extended over the new samples, then the
+// threshold/NMS/timing stages rerun over the window. Unless
 // final, detections too close to the buffer end are withheld and a tail
 // is carried over. The emission horizon leaves room for both the detection's
 // own template and a full minimum-separation window after it, so that any
@@ -248,8 +248,8 @@ func growKeep(buf []float64, keep, n int) []float64 {
 //
 //hyperearvet:zeroalloc
 func (s *StreamDetector) process(final bool, out []Detection) []Detection {
-	s.extendCorr()
-	s.dets = s.det.detectCore(s.dets[:0], s.corr, s.env, &s.scratch)
+	s.extendEnv()
+	s.dets = s.det.detectCore(s.dets[:0], s.buf, s.env, &s.scratch)
 	dets := s.dets
 	horizon := len(s.buf) - len(s.det.ref) - s.minSepSamples
 	if final {
@@ -275,35 +275,31 @@ func (s *StreamDetector) process(final bool, out []Detection) []Detection {
 	}
 	if final {
 		s.buf = nil
-		s.corr = nil
 		s.env = nil
-		s.corrValid = 0
+		s.envValid = 0
 		return out
 	}
 	// Keep the tail: at least tailKeep samples, and never drop samples
 	// after an emitted peak (the peak itself stays so its re-detection is
-	// recognized rather than half a template producing a phantom).
+	// recognized rather than half a template producing a phantom). The
+	// cut is rounded down to the decimation grid so the envelope shifts
+	// by whole lags and stays on the absolute grid.
+	dec := s.det.corr.Decimation()
 	keepFrom := len(s.buf) - s.tailKeep
 	if keepFrom < lastIdx {
 		keepFrom = lastIdx
 	}
-	if keepFrom < 0 {
-		keepFrom = 0
-	}
+	keepFrom = max(keepFrom, 0) / dec * dec
 	s.absOffset += keepFrom
 	remaining := len(s.buf) - keepFrom
 	copy(s.buf, s.buf[keepFrom:])
 	s.buf = s.buf[:remaining]
 	// The complete lags shift with the buffer and stay valid; the
 	// zero-padded tail lags will be recomputed next pass.
-	s.corrValid -= keepFrom
-	if s.corrValid < 0 {
-		s.corrValid = 0
-	}
-	copy(s.corr, s.corr[keepFrom:])
-	s.corr = s.corr[:remaining]
-	copy(s.env, s.env[keepFrom:])
-	s.env = s.env[:remaining]
+	shift := keepFrom / dec
+	s.envValid = max(s.envValid-shift, 0)
+	copy(s.env, s.env[shift:])
+	s.env = s.env[:len(s.env)-shift]
 	// Prune emissions that can no longer collide with future detections:
 	// anything before the kept samples minus the dedupe window.
 	bufStart := float64(s.absOffset)/s.fs - s.det.MinSeparation

@@ -112,13 +112,20 @@ type ASP struct {
 	cfg    ASPConfig
 	source chirp.Params
 	fs     float64
-	det    *chirp.Detector
+	det    channelDetector
 	// scratch pools per-worker detection working sets (correlation,
 	// envelope, candidate buffers) so the per-channel fan-out — run once
 	// per experiment trial — reuses its big buffers instead of
 	// reallocating second-long float slices every call. A pool (rather
 	// than per-channel fields) keeps Process safe to call concurrently.
 	scratch sync.Pool
+}
+
+// channelDetector is the per-channel detection pass ASP fans out.
+// *chirp.Detector is the only production implementation; tests swap in
+// reference rules to compare whole locates.
+type channelDetector interface {
+	DetectIntoCtx(ctx context.Context, dst []chirp.Detection, x []float64, s *chirp.DetectScratch, workers int) ([]chirp.Detection, error)
 }
 
 // NewASP builds the stage for a beacon waveform and sampling rate.

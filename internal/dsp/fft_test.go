@@ -178,17 +178,3 @@ func TestFFTRealAndSpectrum(t *testing.T) {
 		t.Errorf("spectral peak at %v Hz, want ≈100", freq[best])
 	}
 }
-
-func BenchmarkFFT4096(b *testing.B) {
-	x := make([]complex128, 4096)
-	rng := rand.New(rand.NewSource(9))
-	for i := range x {
-		x[i] = complex(rng.NormFloat64(), 0)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := FFT(x); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -144,15 +144,7 @@ func (p *Plan) Forward(x []complex128) {
 //hyperearvet:zeroalloc
 func (p *Plan) Inverse(x []complex128) {
 	p.checkLen(x)
-	p.difStages(x)
-	if p.odd {
-		radix2(x)
-	} else {
-		for i := 0; i+3 < len(x); i += 4 {
-			b := x[i : i+4 : i+4]
-			b[0], b[1], b[2], b[3] = dif4(b[0], b[1], b[2], b[3])
-		}
-	}
+	p.inverseBitReversed(x)
 	s := 1 / float64(p.n)
 	for i, j := range p.rev {
 		if int(j) < i {
@@ -161,6 +153,25 @@ func (p *Plan) Inverse(x []complex128) {
 		a, b := x[i], x[j]
 		x[i] = complex(real(b)*s, imag(b)*s)
 		x[j] = complex(real(a)*s, imag(a)*s)
+	}
+}
+
+// inverseBitReversed runs the whole inverse decimation-in-frequency
+// kernel in place and leaves the unscaled inverse in bit-reversed order:
+// output m at x[rev[m]]. Callers that read only some outputs (the
+// band-limited matched filter) index through rev instead of paying for a
+// permutation pass.
+//
+//hyperearvet:zeroalloc
+func (p *Plan) inverseBitReversed(x []complex128) {
+	p.difStages(x)
+	if p.odd {
+		radix2(x)
+		return
+	}
+	for i := 0; i+3 < len(x); i += 4 {
+		b := x[i : i+4 : i+4]
+		b[0], b[1], b[2], b[3] = dif4(b[0], b[1], b[2], b[3])
 	}
 }
 
@@ -383,6 +394,38 @@ func EnvelopeInto(dst, x []float64) []float64 {
 	return dst
 }
 
+// quadrature writes the Hilbert-transform spectrum of the real signal
+// whose half spectrum is spec into q: −i·X[k] on the positive
+// frequencies, with DC and Nyquist zeroed (they carry no quadrature
+// component). The result is Hermitian like spec, so InverseReal
+// reconstructs the (real) Hilbert transform. q may be spec itself.
+//
+//hyperearvet:zeroalloc
+func quadrature(q, spec []complex128) {
+	m := len(spec) - 1
+	for k := 1; k < m; k++ {
+		v := spec[k]
+		q[k] = complex(imag(v), -real(v))
+	}
+	q[0], q[m] = 0, 0
+}
+
+// foldEnvelope replaces each quadrature sample env[i] with the envelope
+// sqrt(x[i]² + env[i]²) of the in-phase sample x[i].
+//
+// sqrt(re²+im²) rather than math.Hypot: the samples are bounded by the
+// input's dynamic range (no overflow/underflow regime), and Hypot's
+// scaling branches cost ~5× per sample on this hot loop.
+//
+//hyperearvet:zeroalloc
+func foldEnvelope(env, x []float64) {
+	x = x[:len(env)]
+	for i, re := range x {
+		im := env[i]
+		env[i] = math.Sqrt(re*re + im*im)
+	}
+}
+
 // Correlator cross-correlates many signals against one fixed reference
 // template, caching the template's conjugated half spectrum per transform
 // size. This is the matched-filter object a detector holds: signal lengths
@@ -394,6 +437,15 @@ type Correlator struct {
 
 	mu   sync.RWMutex
 	spec map[int][]complex128 // size -> conj(RFFT(zero-padded ref)), n/2+1 bins
+
+	// bandK is the band-limited analytic kernel at SegmentSize(), and
+	// hilb the truncated Hilbert template (hilbLead lags before ref[0]);
+	// each is built once, on first use.
+	bandOnce sync.Once
+	bandK    *bandKernel
+	hilbOnce sync.Once
+	hilb     []float64
+	hilbLead int
 }
 
 // NewCorrelator builds a Correlator for the given reference template. The
@@ -454,9 +506,7 @@ func (c *Correlator) CrossCorrelateInto(dst, x []float64) []float64 {
 // len(dst) lags of IFFT(RFFT(x)·conj(RFFT(ref))) at real transform size n.
 // When n ≥ len(x)+RefLen()-1 the circularity never wraps and the output is
 // the linear correlation (CrossCorrelateInto); overlap-save callers pick a
-// smaller fixed n and read only the alias-free prefix. The segmented
-// kernel (matchedBlock) runs the same arithmetic, so its lags stay
-// bit-identical to this pass at equal transform sizes.
+// smaller fixed n and read only the alias-free prefix.
 //
 //hyperearvet:zeroalloc
 func (c *Correlator) correlateAt(dst, x []float64, n int) {

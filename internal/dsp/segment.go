@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/cmplx"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -17,18 +18,22 @@ import (
 // one the streaming detector has always used (NextPow2(segFFTMul·
 // template)), so the Correlator's cached half-spectrum template is shared
 // between the batch and streaming paths — they are the same kernel,
-// differing only in which lag range they fill. Each block also yields the
-// Hilbert envelope of its lags from its own spectrum (matchedBlock), so
-// no pass ever transforms the correlation output again.
+// differing only in which lag range they fill.
 //
-// Accuracy contract: each block computes the exact same circular
-// correlation CorrelateCircularInto has always computed; lags only ever
-// come from the alias-free prefix, and input past the buffer end is
-// implicit zero padding, which equals what a linear (monolithic)
-// correlation produces for the trailing template-length of lags. The
-// per-lag values differ from the monolithic path only by the rounding of
-// a different FFT factorization — within 1e-12 of the peak magnitude,
-// pinned by TestSegmentedMatchesMonolithic.
+// Each block is band-limited and analytic (bandBlock): it keeps only the
+// template's band of its product spectrum and inverts it at n/D points,
+// yielding the Hilbert envelope of the correlation at every D-th lag. No
+// block writes the full-rate correlation; the detector times accepted
+// peaks from exact direct sums over the samples instead
+// (CorrelateWindow, QuadratureWindow).
+//
+// Accuracy contract: lags only ever come from each block's alias-free
+// prefix, and input past the buffer end is implicit zero padding, which
+// equals what a linear (monolithic) correlation produces for the trailing
+// template-length of lags. The envelope differs from the exact analytic
+// envelope of the monolithic correlation by the blocks' circular
+// quadrature and the band cut — pinned by TestSegmentedMatchesMonolithic
+// here and, for the beacon templates, TestMatchedFilterEnvelopeOracle.
 
 // segFFTMul sizes the fixed overlap-save transform at
 // NextPow2(segFFTMul·template) samples. Four template lengths keeps the
@@ -161,142 +166,315 @@ func segParallel(ctx context.Context, blocks, workers int, fn func(worker, b int
 	return ctx.Err()
 }
 
-// MatchedFilterCtx runs the matched filter over x as fixed-size
-// overlap-save blocks at SegmentSize(), fanned across workers (≤ 0
-// selects GOMAXPROCS; 1 runs serial and allocation-free once scratch is
-// warm). It writes the correlation lags r[k] = Σ_j x[k+j]·ref[j] —
-// CrossCorrelate(x, ref) — and their Hilbert envelope into r and env,
-// both grown/reused to len(x), and returns them. ctx is checked before
-// every block; on cancellation the partial outputs plus ctx's error are
-// returned. A nil scratch is allowed and degrades to per-call buffers.
-//
-//hyperearvet:zeroalloc
-func (c *Correlator) MatchedFilterCtx(ctx context.Context, r, env, x []float64, s *SegScratch, workers int) ([]float64, []float64, error) {
-	if len(x) == 0 || len(c.ref) == 0 {
-		return r[:0], env[:0], ctx.Err()
-	}
-	r = resizeF64(r, len(x))
-	env = resizeF64(env, len(x))
-	return r, env, c.matchedRange(ctx, r, env, x, 0, s, workers)
+// bandFloorRel is the in-band cut of the band-limited kernel: bins whose
+// template magnitude is below 1e-5 of the template's peak bin (−100 dB)
+// carry no correlation energy worth keeping.
+const bandFloorRel = 1e-5
+
+// bandKernel is the band-limited analytic matched filter's setup at the
+// block size n = SegmentSize(): the template's in-band bins, the
+// decimation they allow, and the small complex plan that inverts them.
+type bandKernel struct {
+	// d is the decimation: the largest power of two whose n/d bins hold
+	// every bin within −100 dB of the template spectrum's peak.
+	d int
+	// step is the alias-free block step n − RefLen() + 1 rounded down to
+	// a multiple of d, so every block starts on the absolute d-grid.
+	step int
+	// lo is the first kept bin; spec holds (c_k/n)·conj(T[k]) for the
+	// n/d bins k = lo, lo+1, … centred on the band (n/2+1 when d = 1),
+	// where c_k = 2 (1 at DC and Nyquist) builds the analytic signal and
+	// 1/n is the inverse scale, both powers of two and therefore exact.
+	lo   int
+	spec []complex128
+	// inv is the complex plan of size n/d.
+	inv *Plan
 }
 
-// MatchedFilterRange fills lags [from, len(r)) of r and env from x with
-// the same block kernel, serially: blocks start at from and advance by
-// the alias-free step. This is the streaming detector's overlap-save
-// extension loop — it passes its complete-lag high-water mark as from
-// and the kernel fills only the missing lags. len(env) must equal
-// len(r), which must not exceed len(x).
+// band returns the Correlator's band-limited kernel, building it on first
+// use from the template spectrum at SegmentSize().
 //
 //hyperearvet:zeroalloc
-func (c *Correlator) MatchedFilterRange(r, env, x []float64, from int, s *SegScratch) {
-	if len(r) > len(x) || len(env) != len(r) {
-		panic(fmt.Sprintf("dsp: matched-filter range outputs %d/%d over input %d", len(r), len(env), len(x)))
+func (c *Correlator) band() *bandKernel {
+	c.bandOnce.Do(c.buildBand)
+	return c.bandK
+}
+
+func (c *Correlator) buildBand() {
+	n := c.SegmentSize()
+	t := c.spectrum(n)
+	peak := 0.0
+	for _, v := range t {
+		peak = math.Max(peak, cmplx.Abs(v))
 	}
-	if err := c.matchedRange(context.Background(), r, env, x, max(from, 0), s, 1); err != nil {
+	lo, hi := len(t)-1, 0
+	for k, v := range t {
+		if cmplx.Abs(v) >= bandFloorRel*peak {
+			lo, hi = min(lo, k), max(hi, k)
+		}
+	}
+	d := 1
+	for n/(2*d) >= hi-lo+1 {
+		d *= 2
+	}
+	// The n/d slots are all filled: widen the band to n/d bins centred on
+	// it, so the bins the kernel drops lie deeper in the stopband.
+	w := min(n/d, len(t))
+	lo = max(0, min(lo-(w-(hi-lo+1))/2, len(t)-w))
+	spec := make([]complex128, w)
+	for i := range spec {
+		k := lo + i
+		scale := 2 / float64(n)
+		if k == 0 || k == n/2 {
+			scale = 1 / float64(n)
+		}
+		spec[i] = t[k] * complex(scale, 0)
+	}
+	// d ≤ n/2 < n − RefLen() + 1, since n ≥ 4·RefLen(): the step is
+	// never empty.
+	step := (n - len(c.ref) + 1) / d * d
+	c.bandK = &bandKernel{d: d, step: step, lo: lo, spec: spec, inv: planFor(n / d)}
+}
+
+// Decimation returns the band-limited matched filter's decimation D: the
+// envelope MatchedEnvelopeCtx writes holds every D-th lag. D follows from
+// the template alone (see bandKernel), so batch and stream agree on it.
+//
+//hyperearvet:zeroalloc
+func (c *Correlator) Decimation() int { return c.band().d }
+
+// MatchedEnvelopeCtx runs the band-limited analytic matched filter over x
+// as fixed-size overlap-save blocks at SegmentSize(), fanned across
+// workers (≤ 0 selects GOMAXPROCS; 1 runs serial and allocation-free once
+// scratch is warm). It writes the Hilbert envelope of the correlation
+// r[k] = Σ_j x[k+j]·ref[j] at every D-th lag into env, env[m] = |z(D·m)|
+// for m in [0, ⌈len(x)/D⌉), D = Decimation(), growing/reusing env, and
+// returns it. ctx is checked before every block; on cancellation the
+// partial output plus ctx's error are returned. A nil scratch is allowed
+// and degrades to per-call buffers.
+//
+//hyperearvet:zeroalloc
+func (c *Correlator) MatchedEnvelopeCtx(ctx context.Context, env, x []float64, s *SegScratch, workers int) ([]float64, error) {
+	if len(x) == 0 || len(c.ref) == 0 {
+		return env[:0], ctx.Err()
+	}
+	d := c.Decimation()
+	env = resizeF64(env, (len(x)+d-1)/d)
+	return env, c.envelopeRange(ctx, env, x, 0, s, workers)
+}
+
+// MatchedEnvelopeRange fills the decimated envelope env[from:] from x with
+// the same block kernel, serially: env[m] is the envelope at lag D·m, and
+// blocks start at lag D·from. This is the streaming detector's
+// overlap-save extension loop — it passes its complete-lag high-water
+// mark as from and the kernel fills only the missing lags. len(env) must
+// not exceed ⌈len(x)/D⌉.
+//
+//hyperearvet:zeroalloc
+func (c *Correlator) MatchedEnvelopeRange(env, x []float64, from int, s *SegScratch) {
+	if d := c.Decimation(); len(env) > (len(x)+d-1)/d {
+		panic(fmt.Sprintf("dsp: decimated envelope %d over input %d at decimation %d", len(env), len(x), d))
+	}
+	if err := c.envelopeRange(context.Background(), env, x, max(from, 0), s, 1); err != nil {
 		panic(err) // unreachable: Background never cancels
 	}
 }
 
-// matchedRange is the shared block loop: lags [from, len(r)) of x, one
-// matchedBlock per block on per-worker scratch.
+// envelopeRange is the shared block loop: decimated lags [from, len(env))
+// of x, one bandBlock per block on per-worker scratch.
 //
 //hyperearvet:zeroalloc
-func (c *Correlator) matchedRange(ctx context.Context, r, env, x []float64, from int, s *SegScratch, workers int) error {
-	if from >= len(r) || len(c.ref) == 0 {
+func (c *Correlator) envelopeRange(ctx context.Context, env, x []float64, from int, s *SegScratch, workers int) error {
+	if from >= len(env) || len(c.ref) == 0 {
 		return ctx.Err()
 	}
+	b := c.band()
 	n := c.SegmentSize()
-	step := n - len(c.ref) + 1
 	p := realPlanFor(n)
-	spec := c.spectrum(n)
-	// Each worker holds the block spectrum and its quadrature copy.
-	h := 2 * p.SpectrumLen()
+	// Each worker holds the block's half spectrum and the in-band buffer.
+	h := p.SpectrumLen() + b.inv.Size()
 	if s == nil {
 		//hyperearvet:allow zeroalloc nil scratch is the caller opting out of reuse; the detector passes a warm SegScratch
 		s = &SegScratch{}
 	}
-	blocks := (len(r) - from + step - 1) / step
+	per := b.step / b.d
+	blocks := (len(env) - from + per - 1) / per
 	if segWorkers(blocks, workers) == 1 {
 		// Inline serial loop: creating the fan-out closure would heap-
 		// allocate it (it escapes into goroutines on the parallel path),
 		// and this path must stay allocation-free for the detector's
 		// steady-state pins.
 		buf := s.buf(0, h)
-		for b := 0; b < blocks; b++ {
+		for i := 0; i < blocks; i++ {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			matchedBlock(r, env, x, from+b*step, step, p, spec, buf)
+			bandBlock(env, x, from+i*per, b, p, buf)
 		}
 		return nil
 	}
 	s.grow(segWorkers(blocks, workers))
 	//hyperearvet:allow zeroalloc parallel fan-out heap-allocates its block closure once per call; the serial path above stays allocation-free
-	return segParallel(ctx, blocks, workers, func(worker, b int) {
-		matchedBlock(r, env, x, from+b*step, step, p, spec, s.buf(worker, h))
+	return segParallel(ctx, blocks, workers, func(worker, i int) {
+		bandBlock(env, x, from+i*per, b, p, s.buf(worker, h))
 	})
 }
 
-// matchedBlock is the quadrature matched filter on one overlap-save
-// block: lags [at, at+step) of r and env (clipped to len(r)) from the
-// block input x[at : at+n], n = p.Size(). spec is the template's
-// conjugated half spectrum at n and buf holds two SpectrumLen() spectra.
+// bandBlock is the band-limited analytic matched filter on one
+// overlap-save block: decimated lags [m0, m0+step/D) of env (clipped to
+// len(env)) from the block input x[D·m0 : D·m0+n], n = p.Size().
 //
-// The Hilbert transform of the block's output r has spectrum
-// −i·sign(f)·X·conj(T), a −90° rotation of the product the block already
-// holds (equivalently, H(x⋆t) = x⋆H(t) up to sign), so a second
-// half-size InverseReal recovers it and env = sqrt(r² + H(r)²) needs no
-// transform over the correlation output. The r arithmetic is exactly
-// CorrelateCircularInto's at n, so r is bit-identical to it block by
-// block. The quadrature is the block's circular one: it aliases the tail
-// of the template's Hilbert kernel past the block edges, which for the
-// band-limited chirp templates stays within ~4e-6 of the envelope peak
-// (DESIGN.md §8, "Segmented matched filtering").
+// The block's product spectrum X·conj(T) has energy only in the
+// template's band. Doubling its positive-frequency bins and dropping the
+// negative ones gives the spectrum of the analytic correlation
+// z = r + i·H(r), and sampling z at every D-th lag folds bin k onto
+// k mod n/D. The in-band bins span at most n/D, so they land on distinct
+// slots and one complex inverse of n/D points yields z(D·m) exactly — the
+// envelope |z| on the decimated grid, carrier phase included, with no
+// full-rate transform. z is the block's circular analytic correlation:
+// its quadrature aliases the template Hilbert kernel's tail past the
+// block edges (DESIGN.md §8, "Segmented matched filtering").
 //
 //hyperearvet:zeroalloc
-func matchedBlock(r, env, x []float64, at, step int, p *RealPlan, spec, buf []complex128) {
-	end := min(at+step, len(r))
-	in := min(at+p.Size(), len(x))
-	fx, fq := buf[:len(spec)], buf[len(spec):2*len(spec)]
-	p.ForwardReal(fx, x[at:in])
-	for i, t := range spec {
-		fx[i] *= t
+func bandBlock(env, x []float64, m0 int, b *bandKernel, p *RealPlan, buf []complex128) {
+	at := m0 * b.d
+	fx := buf[:p.SpectrumLen()]
+	y := buf[len(fx):]
+	p.ForwardReal(fx, x[at:min(at+p.Size(), len(x))])
+	// Bin k lands on slot k mod n/d: the kept bins run from slot lo mod
+	// n/d to the end and wrap to the front. They fill every slot unless
+	// d = 1, where they are bins 0..n/2 of n slots and the rest are zero.
+	w := fx[b.lo : b.lo+len(b.spec)]
+	k := b.lo % len(y)
+	n1 := min(len(w), len(y)-k)
+	head, tail := y[k:k+n1], y[:len(w)-n1]
+	for i, t := range b.spec[:len(head)] {
+		head[i] = w[i] * t
 	}
-	quadrature(fq, fx)
-	r, env = r[at:end], env[at:end]
-	p.InverseReal(r, fx)
-	p.InverseReal(env, fq)
-	foldEnvelope(env, r)
+	for i, t := range b.spec[n1:][:len(tail)] {
+		tail[i] = w[n1+i] * t
+	}
+	clear(y[len(w):])
+	b.inv.inverseBitReversed(y)
+	out := env[m0:min(m0+b.step/b.d, len(env))]
+	rev := b.inv.rev
+	for m := range out {
+		v := y[rev[m]]
+		out[m] = math.Sqrt(real(v)*real(v) + imag(v)*imag(v))
+	}
 }
 
-// quadrature writes the Hilbert-transform spectrum of the real signal
-// whose half spectrum is spec into q: −i·X[k] on the positive
-// frequencies, with DC and Nyquist zeroed (they carry no quadrature
-// component). The result is Hermitian like spec, so InverseReal
-// reconstructs the (real) Hilbert transform. q may be spec itself.
+// CorrelateWindow writes the exact correlation lags dst[i] = r[from+i],
+// r[k] = Σ_j x[k+j]·ref[j], by direct summation over the samples, with x
+// implicitly zero outside [0, len(x)). It is the full-rate timing half
+// of the matched filter: the detector picks candidates on the decimated
+// envelope, then reads r only at the few lags around each accepted peak.
+// Each lag sums j in ascending order whatever the window, so a lag's
+// value depends on the samples alone — not on block layout or chunking.
 //
 //hyperearvet:zeroalloc
-func quadrature(q, spec []complex128) {
-	m := len(spec) - 1
-	for k := 1; k < m; k++ {
-		v := spec[k]
-		q[k] = complex(imag(v), -real(v))
-	}
-	q[0], q[m] = 0, 0
+func (c *Correlator) CorrelateWindow(dst, x []float64, from int) {
+	dotWindow(dst, x, c.ref, from)
 }
 
-// foldEnvelope replaces each quadrature sample env[i] with the envelope
-// sqrt(x[i]² + env[i]²) of the in-phase sample x[i].
-//
-// sqrt(re²+im²) rather than math.Hypot: the samples are bounded by the
-// input's dynamic range (no overflow/underflow regime), and Hypot's
-// scaling branches cost ~5× per sample on this hot loop.
+// QuadratureWindow writes dst[i] = q[from+i], q[k] = Σ_j x[k+j]·h[j], where
+// h is the discrete Hilbert transform of the template truncated where its
+// tail is negligible (see hilbertTemplate). r and q are the in-phase and
+// quadrature parts of the analytic correlation, so sqrt(r² + q²) is the
+// full-rate Hilbert envelope at those lags. The truncated template is
+// built once per Correlator, on first use.
 //
 //hyperearvet:zeroalloc
-func foldEnvelope(env, x []float64) {
-	x = x[:len(env)]
-	for i, re := range x {
-		im := env[i]
-		env[i] = math.Sqrt(re*re + im*im)
+func (c *Correlator) QuadratureWindow(dst, x []float64, from int) {
+	c.hilbOnce.Do(c.buildHilbert)
+	dotWindow(dst, x, c.hilb, from-c.hilbLead)
+}
+
+func (c *Correlator) buildHilbert() { c.hilb, c.hilbLead = hilbertTemplate(c.ref) }
+
+// hilbertTailRel bounds the truncated Hilbert template's tail: lags are
+// kept out to the last one whose magnitude reaches this fraction of the
+// template's peak magnitude (band-pass templates decay to it within a few
+// hundred lags; DESIGN.md §8).
+const hilbertTailRel = 1e-7
+
+// hilbertMaxLead caps the truncation margin on each side of the template.
+const hilbertMaxLead = 4096
+
+// hilbertTemplate returns the discrete Hilbert transform of ref — the
+// convolution with 2/(πn) at odd n, the response −i·sign(f) with DC and
+// Nyquist zeroed, as EnvelopeInto's quadrature — over lags [−lead,
+// len(ref)+lead), lead the truncation margin on each side.
+func hilbertTemplate(ref []float64) ([]float64, int) {
+	// inv[n+off] = 1/n over every offset n = j − hilbertMaxLead − i the
+	// sum below can reach; only odd n are read.
+	off := len(ref) + hilbertMaxLead
+	inv := make([]float64, 2*off)
+	for n := 1 - off; n < off; n++ {
+		if n != 0 {
+			inv[n+off] = 1 / float64(n)
+		}
+	}
+	full := make([]float64, len(ref)+2*hilbertMaxLead)
+	for j := range full {
+		var s float64
+		for i := (j + hilbertMaxLead + 1) & 1; i < len(ref); i += 2 {
+			s += ref[i] * inv[j-hilbertMaxLead-i+off]
+		}
+		full[j] = s * (2 / math.Pi)
+	}
+	peak := 0.0
+	for _, v := range ref {
+		peak = math.Max(peak, math.Abs(v))
+	}
+	lead := 0
+	for l := hilbertMaxLead; l > 0; l-- {
+		if math.Abs(full[hilbertMaxLead-l]) >= hilbertTailRel*peak ||
+			math.Abs(full[hilbertMaxLead+len(ref)+l-1]) >= hilbertTailRel*peak {
+			lead = l
+			break
+		}
+	}
+	// Copy out the kept lags so the Correlator does not pin the
+	// maximum-margin array.
+	return append([]float64(nil), full[hilbertMaxLead-lead:hilbertMaxLead+len(ref)+lead]...), lead
+}
+
+// dotWindow writes dst[i] = Σ_j x[from+i+j]·tpl[j] with x zero outside
+// [0, len(x)). Interior lags run four at a time — four independent
+// accumulators sharing each template load — and every lag sums j in
+// ascending order, so the grouping never changes a result bit: an edge
+// lag's clipped sum equals its zero-padded one, since adding ±0 leaves a
+// sum unchanged.
+//
+//hyperearvet:zeroalloc
+func dotWindow(dst, x, tpl []float64, from int) {
+	n := len(tpl)
+	i := 0
+	for ; i < len(dst); i++ {
+		k := from + i
+		if k >= 0 && i+3 < len(dst) && k+3+n <= len(x) {
+			x0 := x[k : k+n]
+			x1 := x[k+1 : k+1+n][:len(x0)]
+			x2 := x[k+2 : k+2+n][:len(x0)]
+			x3 := x[k+3 : k+3+n][:len(x0)]
+			tpl := tpl[:len(x0)]
+			var s0, s1, s2, s3 float64
+			for j, t := range tpl {
+				s0 += x0[j] * t
+				s1 += x1[j] * t
+				s2 += x2[j] * t
+				s3 += x3[j] * t
+			}
+			dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
+			i += 3
+			continue
+		}
+		lo, hi := max(0, -k), min(n, len(x)-k)
+		var s float64
+		for j := lo; j < hi; j++ {
+			s += x[k+j] * tpl[j]
+		}
+		dst[i] = s
 	}
 }

@@ -117,7 +117,7 @@ func Render(cfg RenderConfig) (*Recording, error) {
 					if s != 0 {
 						g := 1.0
 						if cfg.Phone.HFRolloffDB > 0 {
-							within := math.Mod(emit, cfg.Source.Period)
+							within := cfg.Source.Within(emit)
 							g = cfg.Phone.HFGain(cfg.Source.InstantFrequency(within))
 						}
 						v += cfg.Env.Attenuation(d, p.Gain) * s * g

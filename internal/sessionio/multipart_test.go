@@ -2,6 +2,7 @@ package sessionio
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"mime/multipart"
 	"strings"
@@ -143,4 +144,37 @@ func TestMultipartDuplicatePart(t *testing.T) {
 	if _, err := ReadBundleMultipart(mr); err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Fatalf("duplicate part: got %v, want duplicate-part error", err)
 	}
+}
+
+// FuzzParseMeta feeds arbitrary bytes to ParseMeta. It must never panic;
+// on success the Meta passes Validate and survives a JSON round trip
+// unchanged.
+func FuzzParseMeta(f *testing.F) {
+	f.Add([]byte(`{"phoneName":"galaxy-s4","micSeparationM":0.012,"sampleRateHz":44100,` +
+		`"chirpLowHz":2000,"chirpHighHz":6400,"chirpDurS":0.04,"chirpPeriodS":0.2,"trueDistanceM":4,"notes":"seed"}`))
+	f.Add([]byte(`{"sampleRateHz":1e999}`))
+	f.Add([]byte(`{"sampleRateHz":-0}`))
+	f.Add([]byte(`{"unknown":1}`))
+	f.Add([]byte(`null`))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		m, err := ParseMeta(raw)
+		if err != nil {
+			return
+		}
+		if err := m.Validate(); err != nil {
+			t.Fatalf("ParseMeta accepted %+v that Validate rejects: %v", m, err)
+		}
+		enc, err := json.Marshal(m)
+		if err != nil {
+			t.Fatalf("marshal %+v: %v", m, err)
+		}
+		back, err := ParseMeta(enc)
+		if err != nil {
+			t.Fatalf("round trip of %s: %v", enc, err)
+		}
+		if back != m {
+			t.Fatalf("round trip changed %+v to %+v", m, back)
+		}
+	})
 }

@@ -41,8 +41,8 @@ func putBuf(b *bytes.Buffer) {
 }
 
 // pcmScratchPool recycles the fixed 64 KiB windows the streaming PCM
-// decoder reads through (64 KiB is a multiple of every frame size, so a
-// full window always holds whole frames).
+// decoder reads through (it reads the largest whole number of frames
+// that fits).
 var pcmScratchPool = sync.Pool{New: func() any {
 	b := make([]byte, 64<<10)
 	return &b

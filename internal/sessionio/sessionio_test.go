@@ -2,8 +2,11 @@ package sessionio
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
 	"math"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -247,4 +250,116 @@ func TestBundleLoadRateMismatch(t *testing.T) {
 	if _, err := Load(dir); err == nil {
 		t.Error("rate mismatch should error")
 	}
+}
+
+// wavHeader returns a 44-byte canonical stereo 16-bit PCM header whose
+// data chunk claims dataLen bytes.
+func wavHeader(dataLen uint32) []byte {
+	var buf bytes.Buffer
+	if err := WriteWAV(&buf, 44100, []float64{}, []float64{}); err != nil {
+		panic(err)
+	}
+	h := buf.Bytes()[:44]
+	binary.LittleEndian.PutUint32(h[40:], dataLen)
+	return h
+}
+
+// TestReadWAVHugeDataClaim is the regression test for header-sized
+// allocation: a 44-byte stream whose data chunk claims 0xFFFFFFF0 bytes
+// must fail after allocating in proportion to the bytes present, not to
+// the claim (which used to request two 8 GiB channel slices) — both when
+// the reader reports its remaining length and when it does not.
+func TestReadWAVHugeDataClaim(t *testing.T) {
+	head := wavHeader(0xFFFFFFF0)
+	for _, tc := range []struct {
+		name string
+		r    func() io.Reader
+	}{
+		{"bytes.Reader", func() io.Reader { return bytes.NewReader(head) }},
+		{"plain reader", func() io.Reader { return struct{ io.Reader }{bytes.NewReader(head)} }},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := ReadWAV(tc.r())
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: truncated data chunk decoded without error", tc.name)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Errorf("%s: allocated %d bytes for a 44-byte stream, want < 1 MiB", tc.name, got)
+		}
+	}
+}
+
+// TestReadWAVGrowsWithoutLength decodes a valid multi-window stream
+// through a reader that does not report its length, so the channels
+// grow as data arrives, and checks it against the presized path.
+func TestReadWAVGrowsWithoutLength(t *testing.T) {
+	n := 100000
+	a, b := make([]float64, n), make([]float64, n)
+	for i := range a {
+		a[i] = math.Sin(float64(i) * 0.01)
+		b[i] = math.Cos(float64(i) * 0.013)
+	}
+	var buf bytes.Buffer
+	if err := WriteWAV(&buf, 48000, a, b); err != nil {
+		t.Fatal(err)
+	}
+	_, want, err := ReadWAV(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, got, err := ReadWAV(struct{ io.Reader }{bytes.NewReader(buf.Bytes())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := range want {
+		if len(got[c]) != n || len(want[c]) != n {
+			t.Fatalf("channel %d: %d and %d frames, want %d", c, len(got[c]), len(want[c]), n)
+		}
+		for i := range want[c] {
+			if got[c][i] != want[c][i] {
+				t.Fatalf("channel %d sample %d: %v vs %v", c, i, got[c][i], want[c][i])
+			}
+		}
+	}
+}
+
+// FuzzReadWAV feeds arbitrary bytes to ReadWAV. It must never panic; on
+// success every channel has the same length, the decoded frames fit in
+// the input (frames × channels × 2 ≤ len(input)), and every sample is a
+// 16-bit value scaled by 1/32767.
+func FuzzReadWAV(f *testing.F) {
+	var stereo, mono bytes.Buffer
+	if err := WriteWAV(&stereo, 44100, []float64{0, 0.5, -1, 1}, []float64{0.25, -0.25, 1, -1}); err != nil {
+		f.Fatal(err)
+	}
+	if err := WriteWAV(&mono, 8000, []float64{0.1, -0.9, 0.3}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(stereo.Bytes())
+	f.Add(mono.Bytes())
+	f.Add(wavHeader(0xFFFFFFF0))
+	f.Add(wavHeader(200 << 20))
+	f.Add([]byte("RIFF\x00\x00\x00\x00WAVE"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		_, chans, err := ReadWAV(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for c, ch := range chans {
+			if len(ch) != len(chans[0]) {
+				t.Fatalf("channel %d has %d frames, channel 0 %d", c, len(ch), len(chans[0]))
+			}
+			for i, v := range ch {
+				if v < -32768.0/32767 || v > 1 {
+					t.Fatalf("channel %d sample %d = %v outside ±32768/32767", c, i, v)
+				}
+			}
+		}
+		if len(chans) > 0 && len(chans[0])*len(chans)*2 > len(data) {
+			t.Fatalf("%d frames × %d channels from %d input bytes", len(chans[0]), len(chans), len(data))
+		}
+	})
 }

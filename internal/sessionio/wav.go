@@ -182,34 +182,57 @@ func ReadWAV(r io.Reader) (rate int, channels [][]float64, err error) {
 // fill a frame are discarded, matching the buffered decoder's n =
 // len(data)/frame truncation.
 //
+// The channels are sized from the bytes actually present, never from
+// the header's claim alone: a reader that reports its remaining length
+// (the multipart path's *bytes.Reader) caps the claim, and any other
+// reader starts at one window of frames and grows as data arrives. A
+// 44-byte stream claiming a 4 GiB data chunk therefore fails with EOF
+// after allocating one window, not gigabytes.
+//
 //hyperearvet:pooled
 func readPCM16(r io.Reader, size int64, nCh int) ([][]float64, error) {
 	frame := int64(nCh * 2)
 	n := int(size / frame)
+	wp := pcmScratchPool.Get().(*[]byte)
+	defer pcmScratchPool.Put(wp)
+	// Whole frames per window read: channel counts whose frame exceeds
+	// the window cannot be decoded through it.
+	step := int64(len(*wp)) / frame * frame
+	if step == 0 {
+		return nil, fmt.Errorf("sessionio: %d-channel frames exceed the %d-byte decode window", nCh, len(*wp))
+	}
+	win := (*wp)[:step]
+	pre := min(n, len(win)/int(frame))
+	if l, ok := r.(interface{ Len() int }); ok {
+		pre = min(n, l.Len()/int(frame))
+	}
 	channels := make([][]float64, nCh)
 	for c := range channels {
 		// The container is this pooled function's own return value:
 		// ownership of the borrowed slices transfers to the caller, who
 		// hands them back via RecycleSamples (or lets the GC take them).
 		//hyperearvet:allow poolleak borrowed slices are the pooled return value; RecycleSamples is the give-back
-		channels[c] = BorrowSamples(n)
+		channels[c] = BorrowSamples(pre)
 	}
-	wp := pcmScratchPool.Get().(*[]byte)
-	defer pcmScratchPool.Put(wp)
-	win := *wp
 	done := 0
 	for rem := int64(n) * frame; rem > 0; {
 		want := int64(len(win))
 		if want > rem {
 			want = rem
 		}
-		// len(win) and rem are both frame multiples, so the window holds
+		// len(win) and rem are both frame multiples, so each read holds
 		// whole frames only.
 		if _, err := io.ReadFull(r, win[:want]); err != nil {
 			RecycleSamples(channels...)
 			return nil, fmt.Errorf("sessionio: read \"data\" chunk: %w", err)
 		}
 		frames := int(want / frame)
+		if need := done + frames; need > len(channels[0]) {
+			for c, ch := range channels {
+				//hyperearvet:allow poolleak the grown slice replaces ch in the pooled return value
+				channels[c] = growSamples(ch, done, min(max(2*len(ch), need), n))
+			}
+		}
 		for i := 0; i < frames; i++ {
 			for c := 0; c < nCh; c++ {
 				raw := int16(binary.LittleEndian.Uint16(win[i*int(frame)+c*2:]))
@@ -226,6 +249,17 @@ func readPCM16(r io.Reader, size int64, nCh int) ([][]float64, error) {
 		}
 	}
 	return channels, nil
+}
+
+// growSamples returns a pooled slice of length n holding s[:keep], and
+// hands s back to the pool.
+//
+//hyperearvet:pooled
+func growSamples(s []float64, keep, n int) []float64 {
+	g := BorrowSamples(n)
+	copy(g, s[:keep])
+	RecycleSamples(s)
+	return g
 }
 
 // WriteRecording saves a stereo mic.Recording as WAV.
