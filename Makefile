@@ -88,16 +88,20 @@ obs-check:
 servbench-test:
 	cd servbench && $(GO) vet ./... && $(GO) test ./...
 
-# Short native-fuzz budget, 55 s in total: the stream detector's chunk
-# invariance (Push + Flush over any chunking == Detect), then the two
-# upload decoders, WAV (never panics, output fits the input) and
-# meta.json (never panics, round-trips). A failing input lands in
-# internal/{chirp,sessionio}/testdata/fuzz/<target>/; commit it as a
-# regression input. CI's bench-smoke job runs this.
+# Short native-fuzz budget, 60 s in total: the stream detector's chunk
+# invariance (Push + Flush over any chunking == Detect), then the upload
+# decoders POST /v1/locate feeds untrusted bytes: WAV (never panics,
+# output fits the input), meta.json (never panics, round-trips), the IMU
+# CSV (never panics, finite samples, write/read fixed point) and the
+# multipart bundle around them (never panics, consistent bundle). A
+# failing input lands in internal/{chirp,sessionio}/testdata/fuzz/<target>/;
+# commit it as a regression input. CI's bench-smoke job runs this.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzStreamChunking$$' -fuzztime 30s ./internal/chirp
-	$(GO) test -run '^$$' -fuzz '^FuzzReadWAV$$' -fuzztime 15s ./internal/sessionio
+	$(GO) test -run '^$$' -fuzz '^FuzzStreamChunking$$' -fuzztime 20s ./internal/chirp
+	$(GO) test -run '^$$' -fuzz '^FuzzReadWAV$$' -fuzztime 10s ./internal/sessionio
 	$(GO) test -run '^$$' -fuzz '^FuzzParseMeta$$' -fuzztime 10s ./internal/sessionio
+	$(GO) test -run '^$$' -fuzz '^FuzzReadIMU$$' -fuzztime 10s ./internal/sessionio
+	$(GO) test -run '^$$' -fuzz '^FuzzReadBundleMultipart$$' -fuzztime 10s ./internal/sessionio
 
 # Run the localization service locally (README "Service quick start").
 serve:
@@ -126,9 +130,8 @@ crash-soak:
 # runs; MatchedFilter the segmented band-limited envelope kernel over a
 # session; Detect/Stream cover the batch and overlap-save detection hot
 # paths; ASP is the per-locate detection stage (both channels) on the
-# 5-slide bench session; PipelineLocate2D{,Serial,Parallel} track end-to-end latency and
-# the serial/parallel split; ServerThroughput measures locates/sec
-# through the full HTTP service;
+# 5-slide bench session; PipelineLocate2D tracks end-to-end latency;
+# ServerThroughput measures locates/sec through the full HTTP service;
 # SessionIngest compares the streaming-append path with and without the
 # session WAL underneath and WALAppend pins the raw durable append under
 # both fsync policies; DisabledSpan/EnabledSpan pin the per-hook
@@ -142,13 +145,14 @@ bench:
 
 # Same measurement run, archived as a dated JSON snapshot (name, ns/op,
 # B/op, allocs/op per benchmark, plus the machine's core count) for
-# cross-commit comparison. A second pass re-runs the block-parallel hot
-# paths at GOMAXPROCS=1 and 2 — the cores a 2-core box actually has — so
-# the snapshot records the single-core vs multi-core separation side by
-# side (the unsuffixed and -2 entries; benchjson -compare strips the
+# cross-commit comparison. A second pass re-runs the benchmarks that
+# fan out — a locate's two channels, and the service's concurrent
+# locates — at GOMAXPROCS=1 and 2, the cores a 2-core box actually has,
+# so the snapshot records the single-core vs multi-core separation side
+# by side (the unsuffixed and -2 entries; benchjson -compare strips the
 # suffix and never fails on entries present in only one report).
-SCALING_RE := DetectSegmented|PipelineLocate2D$$|ServerThroughput
-SCALING_PKGS := ./ ./internal/chirp/ ./internal/server/
+SCALING_RE := PipelineLocate2D$$|ServerThroughput
+SCALING_PKGS := ./ ./internal/server/
 
 bench-json:
 	{ $(GO) test -run NONE -bench '$(BENCH_RE)' -benchmem $(BENCH_PKGS); \

@@ -179,34 +179,17 @@ func benchScenario() Scenario {
 	}
 }
 
-// benchScenario12 is the multi-slide variant for the serial-vs-parallel
-// comparison: twelve slides give the PDE fan-out real work per worker,
-// and the longer session keeps the two ASP channel correlations — the
-// dominant cost — big enough that splitting them across cores shows up
-// in wall-clock. (The original 5-slide session pinned the fan-out to
-// effectively serial scheduling noise; see the Serial/Parallel
-// benchmarks below.)
-func benchScenario12() Scenario {
+// BenchmarkPipelineLocate2D measures the end-to-end pipeline cost on one
+// pre-rendered 5-slide session (the per-localization latency a phone
+// implementation would care about): the two channels detect
+// concurrently, everything else runs serially.
+func BenchmarkPipelineLocate2D(b *testing.B) {
 	sc := benchScenario()
-	sc.Protocol.Slides = 12
-	return sc
-}
-
-// benchLocate2D runs the end-to-end Locate2D benchmark with the given
-// worker-pool bound (1 = fully serial, 0 = GOMAXPROCS).
-func benchLocate2D(b *testing.B, parallelism int) {
-	benchLocate2DScenario(b, benchScenario(), parallelism)
-}
-
-func benchLocate2DScenario(b *testing.B, sc Scenario, parallelism int) {
-	b.Helper()
 	session, err := Simulate(sc)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := core.DefaultConfig(sc.Source, sc.Phone.SampleRate, sc.Phone.MicSeparation)
-	cfg.Parallelism = parallelism
-	loc, err := NewLocalizerConfig(cfg)
+	loc, err := NewLocalizerConfig(core.DefaultConfig(sc.Source, sc.Phone.SampleRate, sc.Phone.MicSeparation))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -225,36 +208,10 @@ func benchLocate2DScenario(b *testing.B, sc Scenario, parallelism int) {
 	}
 }
 
-// BenchmarkPipelineLocate2D measures the end-to-end pipeline cost on one
-// pre-rendered 5-slide session (the per-localization latency a phone
-// implementation would care about), at the default parallelism.
-func BenchmarkPipelineLocate2D(b *testing.B) { benchLocate2D(b, 0) }
-
-// BenchmarkPipelineLocate2DSerial pins the pipeline to one worker on the
-// twelve-slide session. Compare against BenchmarkPipelineLocate2DParallel:
-// on ≥2 cores the two-channel ASP fan-out alone should approach 2× (the
-// matched-filter FFTs dominate), with the PDE fan-out adding more.
-//
-// On a GOMAXPROCS==1 machine the two benchmarks are legitimately equal:
-// parallelFor resolves `workers ≤ 0` to GOMAXPROCS and `workers == 1`
-// runs inline, so both settings take the identical serial path — the
-// "serial==parallel anomaly" of earlier bench files was this, not a
-// broken fan-out. TestParallelFasterThanSerial asserts the separation
-// wherever GOMAXPROCS > 1.
-func BenchmarkPipelineLocate2DSerial(b *testing.B) {
-	benchLocate2DScenario(b, benchScenario12(), 1)
-}
-
-// BenchmarkPipelineLocate2DParallel uses the full worker pool
-// (GOMAXPROCS) on the same twelve-slide session as Serial.
-func BenchmarkPipelineLocate2DParallel(b *testing.B) {
-	benchLocate2DScenario(b, benchScenario12(), 0)
-}
-
 // BenchmarkASP times the acoustic preprocessing stage alone — matched
-// filter, envelope, NMS and pairing on both channels, plus the period fit
-// — on the same 5-slide session, at Parallelism 1 (one worker, serial
-// blocks), the stage row of BenchmarkPipelineLocate2D's per-locate cost.
+// filter, envelope, NMS and pairing on both channels, which detect
+// concurrently, plus the period fit — on the same 5-slide session: the
+// stage row of BenchmarkPipelineLocate2D's per-locate cost.
 func BenchmarkASP(b *testing.B) {
 	sc := benchScenario()
 	session, err := Simulate(sc)
@@ -262,7 +219,6 @@ func BenchmarkASP(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg := core.DefaultConfig(sc.Source, sc.Phone.SampleRate, sc.Phone.MicSeparation).ASP
-	cfg.Parallelism = 1
 	asp, err := core.NewASP(sc.Source, sc.Phone.SampleRate, cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -303,7 +259,7 @@ func BenchmarkPipelineLocate2DObserved(b *testing.B) {
 		b.Fatal(err)
 	}
 	// Untimed warm-up so allocs/op reflects steady state (see
-	// benchLocate2DScenario). Its movements still land in the registry
+	// BenchmarkPipelineLocate2D). Its movements still land in the registry
 	// tallies, so seed the counter with them.
 	var movements int
 	warm, err := loc.Locate2D(session)

@@ -67,7 +67,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("hyperearservd", flag.ContinueOnError)
 	addr := fs.String("addr", ":8787", "listen address")
 	phoneName := fs.String("phone", "s4", "default phone profile: s4 or note3 (per-request meta may override geometry)")
-	workers := fs.Int("workers", 0, "concurrent localizations (0 = pipeline parallelism default)")
+	workers := fs.Int("workers", 0, "concurrent localizations (0 = GOMAXPROCS)")
 	queue := fs.Int("queue", 0, "admitted-but-waiting requests beyond workers (0 = 2×workers)")
 	timeout := fs.Duration("timeout", 30*time.Second, "per-request pipeline deadline")
 	maxBody := fs.Int64("max-body", 64<<20, "max request body bytes")

@@ -166,7 +166,7 @@ type Localizer struct {
 
 // DefaultConfigFor returns the paper-default pipeline configuration for
 // a phone and beacon — the config NewLocalizer uses — so callers can
-// adjust fields (Parallelism, Obs, ablation switches) before building
+// adjust fields (Obs, ablation switches) before building
 // the Localizer with NewLocalizerConfig.
 func DefaultConfigFor(phone Phone, beacon Beacon) Config {
 	cfg := core.DefaultConfig(beacon, phone.SampleRate, phone.MicSeparation)

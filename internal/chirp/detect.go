@@ -156,9 +156,7 @@ type DetectScratch struct {
 	// one accepted peak.
 	win  []float64
 	quad []float64
-	// seg holds the matched-filter kernel's per-worker spectrum buffers;
-	// when DetectIntoCtx runs with block workers, each worker indexes its
-	// own buffer, so one scratch still serves the whole call.
+	// seg holds the matched-filter kernel's block spectrum buffer.
 	seg dsp.SegScratch
 }
 
@@ -181,31 +179,27 @@ func (d *Detector) Detect(x []float64) []Detection {
 }
 
 // DetectInto is Detect appending into dst (reset to length 0 first) with
-// caller-owned scratch. Hot loops — the streaming detector, the ASP
-// per-channel fan-out the experiment harness drives every trial — reuse
-// one scratch per worker and run the whole detection pass without heap
-// allocations once warm. A nil scratch is allowed and degrades to
-// per-call buffers.
+// caller-owned scratch. Hot loops — the streaming detector, ASP's two
+// channels on every locate — reuse one scratch per channel and run the
+// whole detection pass without heap allocations once warm. A nil scratch
+// is allowed and degrades to per-call buffers.
 //
 //hyperearvet:zeroalloc
 func (d *Detector) DetectInto(dst []Detection, x []float64, s *DetectScratch) []Detection {
-	dst, _ = d.DetectIntoCtx(context.Background(), dst, x, s, 1)
+	dst, _ = d.DetectIntoCtx(context.Background(), dst, x, s)
 	return dst
 }
 
-// DetectIntoCtx is DetectInto with intra-recording block parallelism and
-// mid-recording cancellation. The matched filter's decimated envelope runs
-// as fixed-size overlap-save blocks (dsp.Correlator.MatchedEnvelopeCtx —
-// the same kernel the streaming detector extends incrementally) fanned
-// across workers (≤ 0 selects GOMAXPROCS; 1 runs serial and allocation-free
-// once warm), and ctx is checked before every block, so a canceled
-// locate aborts between blocks instead of finishing a session-length
-// transform. On cancellation the partial dst plus ctx's error are
-// returned. Results are independent of workers: the block layout is
-// fixed by the input length alone, workers only schedule it.
+// DetectIntoCtx is DetectInto with mid-recording cancellation. The
+// matched filter's decimated envelope runs as fixed-size overlap-save
+// blocks (dsp.Correlator.MatchedEnvelopeCtx — the same kernel the
+// streaming detector extends incrementally), and ctx is checked before
+// every block, so a canceled locate aborts between blocks instead of
+// finishing a session-length pass. On cancellation the partial dst plus
+// ctx's error are returned.
 //
 //hyperearvet:zeroalloc
-func (d *Detector) DetectIntoCtx(ctx context.Context, dst []Detection, x []float64, s *DetectScratch, workers int) ([]Detection, error) {
+func (d *Detector) DetectIntoCtx(ctx context.Context, dst []Detection, x []float64, s *DetectScratch) ([]Detection, error) {
 	dst = dst[:0]
 	if len(x) < len(d.ref) {
 		return dst, ctx.Err()
@@ -215,7 +209,7 @@ func (d *Detector) DetectIntoCtx(ctx context.Context, dst []Detection, x []float
 		s = &DetectScratch{}
 	}
 	var err error
-	s.env, err = d.corr.MatchedEnvelopeCtx(ctx, s.env, x, &s.seg, workers)
+	s.env, err = d.corr.MatchedEnvelopeCtx(ctx, s.env, x, &s.seg)
 	if err != nil {
 		return dst, err
 	}

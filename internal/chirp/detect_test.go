@@ -348,8 +348,8 @@ func onGrid(full []float64, dec int) []float64 {
 
 // TestDetectSegmentedMatchesMonolithic is the chirp-level differential
 // check for the overlap-save refactor: DetectIntoCtx (segmented matched
-// filter with the per-block quadrature envelope, any worker count) must
-// report the same beacons as the monolithic pass (detectMonolithic).
+// filter with the per-block quadrature envelope) must report the same
+// beacons as the monolithic pass (detectMonolithic).
 // Indices and interpolated times come from the raw correlation, which the
 // segmented kernel reproduces to ~1e-12, so they must match (nearly)
 // exactly; strength and SNR pass through the envelope, where the two
@@ -377,30 +377,27 @@ func TestDetectSegmentedMatchesMonolithic(t *testing.T) {
 
 		want := detectMonolithic(d, x)
 
-		for _, workers := range []int{1, 3} {
-			var s DetectScratch
-			got, err := d.DetectIntoCtx(context.Background(), nil, x, &s, workers)
-			if err != nil {
-				t.Fatalf("n=%d workers=%d: %v", n, workers, err)
+		var s DetectScratch
+		got, err := d.DetectIntoCtx(context.Background(), nil, x, &s)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("n=%d: segmented %d detections, monolithic %d", n, len(got), len(want))
+		}
+		for i := range want {
+			g, w := got[i], want[i]
+			if g.Index != w.Index {
+				t.Errorf("n=%d det %d: index %d != %d", n, i, g.Index, w.Index)
 			}
-			if len(got) != len(want) {
-				t.Fatalf("n=%d workers=%d: segmented %d detections, monolithic %d",
-					n, workers, len(got), len(want))
+			if math.Abs(g.Time-w.Time) > 1e-9 {
+				t.Errorf("n=%d det %d: time %v != %v", n, i, g.Time, w.Time)
 			}
-			for i := range want {
-				g, w := got[i], want[i]
-				if g.Index != w.Index {
-					t.Errorf("n=%d workers=%d det %d: index %d != %d", n, workers, i, g.Index, w.Index)
-				}
-				if math.Abs(g.Time-w.Time) > 1e-9 {
-					t.Errorf("n=%d workers=%d det %d: time %v != %v", n, workers, i, g.Time, w.Time)
-				}
-				if relErr(g.Strength, w.Strength) > 1e-3 {
-					t.Errorf("n=%d workers=%d det %d: strength %v != %v", n, workers, i, g.Strength, w.Strength)
-				}
-				if relErr(g.SNR, w.SNR) > 1e-3 {
-					t.Errorf("n=%d workers=%d det %d: SNR %v != %v", n, workers, i, g.SNR, w.SNR)
-				}
+			if relErr(g.Strength, w.Strength) > 1e-3 {
+				t.Errorf("n=%d det %d: strength %v != %v", n, i, g.Strength, w.Strength)
+			}
+			if relErr(g.SNR, w.SNR) > 1e-3 {
+				t.Errorf("n=%d det %d: SNR %v != %v", n, i, g.SNR, w.SNR)
 			}
 		}
 	}
@@ -456,7 +453,7 @@ func TestMatchedFilterEnvelopeOracle(t *testing.T) {
 		if n, dec := c.SegmentSize(), c.Decimation(); n != tc.block || dec != tc.dec {
 			t.Fatalf("%s: block size %d at decimation %d, want %d at %d", tc.name, n, dec, tc.block, tc.dec)
 		}
-		env, err := c.MatchedEnvelopeCtx(context.Background(), nil, x, nil, 2)
+		env, err := c.MatchedEnvelopeCtx(context.Background(), nil, x, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -516,11 +513,8 @@ func relErr(a, b float64) float64 {
 }
 
 // BenchmarkDetectSegmented measures the segmented batch detection pass
-// (DetectIntoCtx) on a 30 s recording at different block-worker counts.
-// workers1 is the serial overlap-save path (the per-lane cost inside the
-// ASP fan-out); workers4 shows the intra-recording block parallelism a
-// multi-core box buys on a single locate. Run with -cpu 1,4 to see the
-// GOMAXPROCS separation.
+// (DetectIntoCtx) on a 30 s recording, with the flat template and with
+// the ASP's band-pass-folded one: the per-channel cost inside a locate.
 func BenchmarkDetectSegmented(b *testing.B) {
 	p := Default()
 	fs := 44100.0
@@ -543,17 +537,15 @@ func BenchmarkDetectSegmented(b *testing.B) {
 	}
 	ctx := context.Background()
 	for _, tc := range []struct {
-		name    string
-		d       *Detector
-		workers int
+		name string
+		d    *Detector
 	}{
-		{"workers1", d, 1},
-		{"workers4", d, 4},
-		{"filtered", filtered, 1},
+		{"flat", d},
+		{"filtered", filtered},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			var scratch DetectScratch
-			dst, err := tc.d.DetectIntoCtx(ctx, nil, x, &scratch, tc.workers)
+			dst, err := tc.d.DetectIntoCtx(ctx, nil, x, &scratch)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -563,7 +555,7 @@ func BenchmarkDetectSegmented(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				dst, _ = tc.d.DetectIntoCtx(ctx, dst, x, &scratch, tc.workers)
+				dst, _ = tc.d.DetectIntoCtx(ctx, dst, x, &scratch)
 			}
 		})
 	}

@@ -207,7 +207,7 @@ func (s *StreamDetector) alreadyEmitted(abs float64) bool {
 // buffer via the shared block kernel: overlap-save blocks starting at the
 // first non-final lag, each one fixed-size transform yielding up to a
 // step of alias-free lags (dsp.Correlator.MatchedEnvelopeRange — the same
-// block core the batch detector fans out over a whole recording). Input
+// block core the batch detector runs over a whole recording). Input
 // past the buffer end is implicit zero padding, which makes the trailing
 // template-length of lags equal what a batch pass over exactly this
 // buffer would produce. Lags that were complete on a previous pass are

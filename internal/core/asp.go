@@ -37,13 +37,12 @@ type ASPConfig struct {
 	// the per-device calibration that keeps near-ultrasonic beacon timing
 	// unbiased through a rolled-off capsule. Nil uses the flat template.
 	TemplateGain func(freqHz float64) float64
-	// Parallelism bounds the workers for the per-channel filter+detect
-	// fan-out: 0 uses GOMAXPROCS, 1 runs the two channels serially.
+	// Parallelism, BatchWindow and MaxBatch are ignored: the two
+	// channels always detect concurrently and every correlation runs the
+	// plain serial block loop (DESIGN.md §8, "Retired: the parallelism
+	// budget" and "Retired: batched execution"). They remain so
+	// configurations that set them keep compiling.
 	Parallelism int
-	// BatchWindow and MaxBatch are ignored: every correlation runs the
-	// plain segmented kernel (DESIGN.md §8, "Retired: batched
-	// execution"). They remain so configurations that set them keep
-	// compiling.
 	BatchWindow time.Duration
 	MaxBatch    int
 	// Obs receives the "asp" stage span and detection/pairing counters;
@@ -113,19 +112,19 @@ type ASP struct {
 	source chirp.Params
 	fs     float64
 	det    channelDetector
-	// scratch pools per-worker detection working sets (correlation,
-	// envelope, candidate buffers) so the per-channel fan-out — run once
-	// per experiment trial — reuses its big buffers instead of
-	// reallocating second-long float slices every call. A pool (rather
-	// than per-channel fields) keeps Process safe to call concurrently.
+	// scratch pools per-channel detection working sets (envelope,
+	// candidate and timing buffers) so every locate reuses its big
+	// buffers instead of reallocating second-long float slices. A pool
+	// (rather than per-channel fields) keeps Process safe to call
+	// concurrently.
 	scratch sync.Pool
 }
 
-// channelDetector is the per-channel detection pass ASP fans out.
-// *chirp.Detector is the only production implementation; tests swap in
-// reference rules to compare whole locates.
+// channelDetector is the per-channel detection pass ASP runs on both
+// microphones at once. *chirp.Detector is the only production
+// implementation; tests swap in reference rules to compare whole locates.
 type channelDetector interface {
-	DetectIntoCtx(ctx context.Context, dst []chirp.Detection, x []float64, s *chirp.DetectScratch, workers int) ([]chirp.Detection, error)
+	DetectIntoCtx(ctx context.Context, dst []chirp.Detection, x []float64, s *chirp.DetectScratch) ([]chirp.Detection, error)
 }
 
 // NewASP builds the stage for a beacon waveform and sampling rate.
@@ -169,10 +168,10 @@ func (a *ASP) Process(rec *mic.Recording) (*ASPResult, error) {
 	return a.ProcessContext(context.Background(), rec)
 }
 
-// ProcessContext is Process with cancellation: the per-channel
-// filter+detect fan-out — the pipeline's dominant CPU cost — is skipped
-// for channels not yet started when ctx is done, and the stage returns
-// ctx's error instead of pairing partial results.
+// ProcessContext is Process with cancellation: each channel's detection
+// — the pipeline's dominant CPU cost — checks ctx before every
+// matched-filter block, and the stage returns ctx's error instead of
+// pairing partial results.
 func (a *ASP) ProcessContext(ctx context.Context, rec *mic.Recording) (*ASPResult, error) {
 	sp := a.cfg.Obs.SpanCtx(ctx, "asp")
 	defer sp.End()
@@ -182,27 +181,40 @@ func (a *ASP) ProcessContext(ctx context.Context, rec *mic.Recording) (*ASPResul
 	}
 	// The two channels are independent and the detector is stateless
 	// after construction (the template spectrum cache is lock-protected),
-	// so detection fans out on a two-level channel×block schedule: up to
-	// two channel workers, each running the segmented matched filter with
-	// its share of the configured parallelism as block workers. A single
-	// locate therefore uses all of Parallelism even though there are only
-	// two channels — the old 2-wide fan-out left the rest of the machine
-	// idle. The band-pass lives inside the matched-filter template (see
-	// NewASP), so detection runs on the raw channels directly. Block
-	// workers only schedule work; the block layout (and hence the result)
-	// is fixed by the recording length alone.
+	// so mic2 always detects on its own goroutine while mic1 detects on
+	// the caller's, and pairing waits for both. This is the pipeline's
+	// only fan-out: each channel's block loop is serial, and concurrency
+	// across locates belongs to the caller (DESIGN.md §8, "Locate
+	// schedule"). The band-pass lives inside the matched-filter template
+	// (see NewASP), so detection runs on the raw channels directly. A
+	// panic on either channel is recovered and re-raised here once both
+	// have returned, so it unwinds the caller instead of killing the
+	// process from a bare goroutine.
 	chans := [2][]float64{rec.Mic1, rec.Mic2}
-	var dets [2][]chirp.Detection
-	var detErrs [2]error
-	chanWorkers, blockWorkers := splitParallelism(a.cfg.Parallelism)
-	parallelFor(2, chanWorkers, func(i int) {
-		if ctx.Err() != nil {
-			return
-		}
+	var (
+		dets    [2][]chirp.Detection
+		detErrs [2]error
+		panics  [2]any
+		wg      sync.WaitGroup
+	)
+	detect := func(i int) {
+		defer func() { panics[i] = recover() }()
 		sc := a.scratch.Get().(*chirp.DetectScratch)
-		dets[i], detErrs[i] = a.det.DetectIntoCtx(ctx, nil, chans[i], sc, blockWorkers)
+		dets[i], detErrs[i] = a.det.DetectIntoCtx(ctx, nil, chans[i], sc)
 		a.scratch.Put(sc)
-	})
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		detect(1)
+	}()
+	detect(0)
+	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
 	if err := ctxErr(ctx); err != nil {
 		sp.AttrStr("error", err.Error())
 		return nil, err

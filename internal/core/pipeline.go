@@ -55,11 +55,10 @@ type Config struct {
 	// 3D projection will infer (meters); 0 selects the 1.5 m default. See
 	// ProjectDistanceClamped.
 	MaxVerticalOffset float64
-	// Parallelism bounds the worker goroutines used for the pipeline's
-	// independent stages (the two microphone channels in ASP and the
-	// per-slide movement estimates). 0 uses GOMAXPROCS; 1 forces a fully
-	// serial pipeline (useful for benchmarking and deterministic
-	// profiling).
+	// Parallelism is ignored: a locate always detects its two channels
+	// concurrently and runs everything else serially (DESIGN.md §8,
+	// "Retired: the parallelism budget"). It remains so configurations
+	// that set it keep compiling.
 	Parallelism int
 	// Obs is the observability hook: stage spans, reason-coded counters,
 	// and duration histograms flow through it (see internal/obs and
@@ -129,9 +128,6 @@ func NewLocalizer(cfg Config) (*Localizer, error) {
 		gain := cfg.ASP.TemplateGain
 		cfg.ASP = DefaultASPConfig()
 		cfg.ASP.TemplateGain = gain
-	}
-	if cfg.ASP.Parallelism == 0 {
-		cfg.ASP.Parallelism = cfg.Parallelism
 	}
 	// One hook drives every stage; set after defaulting so a zero stage
 	// config still compares equal to its zero value above.
@@ -212,10 +208,10 @@ func (l *Localizer) SpeedOfSound() float64 { return l.cfg.SpeedOfSound }
 
 // analyzeSession runs ASP, MSP, and PDE over one session, working through
 // the borrowed Scratch s (the MSPResult it returns aliases s and must not
-// outlive the borrow). Cancellation is checked between stages and inside
-// the PDE fan-out so an abandoned request (dead client, expired deadline)
-// stops burning CPU mid-pipeline instead of completing a result nobody
-// will read.
+// outlive the borrow). Cancellation is checked between stages and between
+// movement estimates so an abandoned request (dead client, expired
+// deadline) stops burning CPU mid-pipeline instead of completing a result
+// nobody will read.
 func (l *Localizer) analyzeSession(ctx context.Context, rec *mic.Recording, tr *imu.Trace, s *Scratch) (*ASPResult, *MSPResult, []SlideEstimate, error) {
 	aspRes, err := l.asp.ProcessContext(ctx, rec)
 	if err != nil {
@@ -228,25 +224,18 @@ func (l *Localizer) analyzeSession(ctx context.Context, rec *mic.Recording, tr *
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	// Movement estimates are independent per segment (EstimateMovement only
-	// reads the shared MSPResult), so they fan out over the worker pool;
-	// results land at their segment index to keep the output order, and
-	// each worker reuses its own velocity scratch slot. A canceled context
-	// turns the remaining iterations into no-ops — the pool drains quickly
-	// rather than finishing every estimate.
 	sp := l.cfg.Obs.SpanCtx(ctx, "pde")
-	s.growPDE(effectiveWorkers(len(msp.Segments), l.cfg.Parallelism))
 	ests := make([]SlideEstimate, len(msp.Segments))
-	parallelForWorkers(len(msp.Segments), l.cfg.Parallelism, func(w, i int) {
+	for i, seg := range msp.Segments {
 		if ctx.Err() != nil {
-			return
+			break
 		}
-		est := estimateMovement(msp, msp.Segments[i], l.cfg.PDE, &s.pde[w])
+		est := estimateMovement(msp, seg, l.cfg.PDE, &s.pde)
 		if l.cfg.DisableDriftCorrection {
 			est = l.reestimateWithoutCorrection(msp, est)
 		}
 		ests[i] = est
-	})
+	}
 	sp.AttrInt("segments", len(msp.Segments))
 	sp.End()
 	if err := ctxErr(ctx); err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"strings"
@@ -147,36 +148,78 @@ func TestNewLocalizerSpeedOfSoundValidation(t *testing.T) {
 	}
 }
 
-// TestLocalizerSerialMatchesParallel: the Parallelism knob must not change
-// results, only scheduling.
+// replayDetector is a channelDetector that returns detections computed
+// beforehand, keyed by the address of the channel's first sample.
+type replayDetector map[*float64][]chirp.Detection
+
+func (r replayDetector) DetectIntoCtx(_ context.Context, dst []chirp.Detection, x []float64, _ *chirp.DetectScratch) ([]chirp.Detection, error) {
+	return append(dst[:0], r[&x[0]]...), nil
+}
+
+// TestLocalizerSerialMatchesParallel pins serial == parallel: ASP detects
+// its two channels concurrently, and its beacons and the Locate2D fix
+// must equal, bit for bit, a serial reference that detects mic1 and then
+// mic2 on the test goroutine with the same detector, pairs them with
+// chirp.PairBeacons, and feeds those detections to the rest of the
+// pipeline.
 func TestLocalizerSerialMatchesParallel(t *testing.T) {
 	sc := ruler2DScenario(4, 107)
 	s, err := sim.Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(par int) *Result2D {
-		cfg := DefaultConfig(sc.Source, sc.Phone.SampleRate, sc.Phone.MicSeparation)
-		cfg.Parallelism = par
-		loc, err := NewLocalizer(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := loc.Locate2D(s.Recording, s.IMU)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	rec := s.Recording
+	loc, err := NewLocalizer(DefaultConfig(sc.Source, sc.Phone.SampleRate, sc.Phone.MicSeparation))
+	if err != nil {
+		t.Fatal(err)
 	}
-	serial := run(1)
-	parallel := run(0)
-	if serial.Pos != parallel.Pos || serial.L != parallel.L {
-		t.Errorf("serial (%v, L=%v) vs parallel (%v, L=%v)",
-			serial.Pos, serial.L, parallel.Pos, parallel.L)
+	got, err := loc.Locate2D(rec, s.IMU)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(serial.Fixes) != len(parallel.Fixes) || len(serial.Movements) != len(parallel.Movements) {
-		t.Errorf("serial %d fixes/%d movements vs parallel %d/%d",
-			len(serial.Fixes), len(serial.Movements), len(parallel.Fixes), len(parallel.Movements))
+
+	ctx := context.Background()
+	d1, err := loc.asp.det.DetectIntoCtx(ctx, nil, rec.Mic1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d2, err := loc.asp.det.DetectIntoCtx(ctx, nil, rec.Mic2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := chirp.PairBeacons(d1, d2, loc.cfg.ASP.MaxPairSkew)
+	loc.asp.det = replayDetector{&rec.Mic1[0]: d1, &rec.Mic2[0]: d2}
+	want, err := loc.Locate2D(rec, s.IMU)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	eq := func(name string, a, b float64) {
+		t.Helper()
+		if math.Float64bits(a) != math.Float64bits(b) {
+			t.Errorf("%s: concurrent %v != serial %v", name, a, b)
+		}
+	}
+	if len(got.ASP.Beacons) != len(pairs) {
+		t.Fatalf("concurrent %d beacons, serial %d pairs", len(got.ASP.Beacons), len(pairs))
+	}
+	for i, p := range pairs {
+		b := got.ASP.Beacons[i]
+		eq("beacon T1", b.T1, p[0].Time)
+		eq("beacon T2", b.T2, p[1].Time)
+		eq("beacon SNR", b.SNR, math.Min(p[0].SNR, p[1].SNR))
+	}
+	eq("Pos.X", got.Pos.X, want.Pos.X)
+	eq("Pos.Y", got.Pos.Y, want.Pos.Y)
+	eq("L", got.L, want.L)
+	if len(got.Fixes) != len(want.Fixes) || len(got.Movements) != len(want.Movements) {
+		t.Fatalf("concurrent %d fixes/%d movements vs serial %d/%d",
+			len(got.Fixes), len(got.Movements), len(want.Fixes), len(want.Movements))
+	}
+	for i := range want.Fixes {
+		eq("fix L", got.Fixes[i].L, want.Fixes[i].L)
+		eq("fix Pos.X", got.Fixes[i].Pos.X, want.Fixes[i].Pos.X)
+		eq("fix Pos.Y", got.Fixes[i].Pos.Y, want.Fixes[i].Pos.Y)
 	}
 }
 

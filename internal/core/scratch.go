@@ -15,14 +15,14 @@ import "sync"
 //     produced inside that run aliases the scratch buffers and must not
 //     outlive it; the public Result2D/3D/Full3D types deliberately carry no
 //     MSPResult so nothing scratch-backed escapes.
-//   - PDE scratch is per worker (s.pde[w]), sized by effectiveWorkers before
-//     the fan-out, so concurrent EstimateMovement calls never share buffers.
+//   - The movement estimates run one after another, so one PDE velocity
+//     scratch (s.pde) serves them all.
 //   - The pool hands out values with whatever capacity their previous
 //     session grew them to; every user resizes with growF64/growBool before
 //     reading.
 type Scratch struct {
 	msp mspScratch
-	pde []pdeScratch
+	pde pdeScratch
 }
 
 // mspScratch backs one PreprocessIMU pass. res is the MSPResult header
@@ -40,7 +40,7 @@ type mspScratch struct {
 	res        MSPResult
 }
 
-// pdeScratch backs one worker's EstimateMovement calls.
+// pdeScratch backs a run's EstimateMovement calls.
 type pdeScratch struct {
 	vy, vz []float64
 }
@@ -55,14 +55,6 @@ var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 func getScratch() *Scratch { return scratchPool.Get().(*Scratch) }
 
 func putScratch(s *Scratch) { scratchPool.Put(s) }
-
-// growPDE ensures at least n per-worker PDE scratch slots exist,
-// preserving the buffers already grown in existing slots.
-func (s *Scratch) growPDE(n int) {
-	for len(s.pde) < n {
-		s.pde = append(s.pde, pdeScratch{})
-	}
-}
 
 // growF64 returns a length-n float64 slice, reusing buf's storage when it
 // is large enough. Contents are unspecified.

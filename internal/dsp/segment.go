@@ -5,20 +5,17 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
-	"runtime"
-	"sync"
-	"sync/atomic"
 )
 
 // This file is the segmented execution mode of the matched filter:
 // instead of one session-length transform (2^19+ points for a 20 s
-// recording — cache-hostile and inherently serial), the input is cut into
-// fixed-size overlap-save blocks whose working set stays L2-resident, and
-// the blocks fan out across a bounded worker pool. The block size is the
-// one the streaming detector has always used (NextPow2(segFFTMul·
-// template)), so the Correlator's cached half-spectrum template is shared
-// between the batch and streaming paths — they are the same kernel,
-// differing only in which lag range they fill.
+// recording — cache-hostile), the input is cut into fixed-size
+// overlap-save blocks whose working set stays L2-resident, run one after
+// another on one scratch buffer. The block size is the one the streaming
+// detector has always used (NextPow2(segFFTMul·template)), so the
+// Correlator's cached half-spectrum template is shared between the batch
+// and streaming paths — they are the same kernel, differing only in which
+// lag range they fill.
 //
 // Each block is band-limited and analytic (bandBlock): it keeps only the
 // template's band of its product spectrum and inverts it at n/D points,
@@ -57,113 +54,12 @@ func (c *Correlator) SegmentSize() int {
 	return n
 }
 
-// SegScratch holds the per-worker spectrum buffers of segmented
-// matched-filter passes. A zero value is ready to use; after the first
-// call at a given size every buffer is warm and the pass performs no heap
-// allocations. A SegScratch must not be shared between concurrent calls
-// (workers within one call index disjoint buffers).
+// SegScratch holds the spectrum buffer of segmented matched-filter
+// passes. A zero value is ready to use; after the first call at a given
+// size the buffer is warm and the pass performs no heap allocations. A
+// SegScratch must not be shared between concurrent calls.
 type SegScratch struct {
-	spec [][]complex128
-}
-
-// grow pre-sizes the per-worker slots to the pool width. The parallel
-// path calls it before fanning out: growing the outer slice from inside
-// concurrent buf calls would race on the slice header, whereas after grow
-// each worker only ever touches its own index.
-//
-//hyperearvet:zeroalloc
-func (s *SegScratch) grow(workers int) {
-	for len(s.spec) < workers {
-		s.spec = append(s.spec, nil)
-	}
-}
-
-// buf returns worker w's complex buffer grown to length n.
-//
-//hyperearvet:zeroalloc
-func (s *SegScratch) buf(w, n int) []complex128 {
-	s.grow(w + 1)
-	if cap(s.spec[w]) < n {
-		s.spec[w] = make([]complex128, n)
-	}
-	return s.spec[w][:n]
-}
-
-// segWorkers resolves a requested worker count against the block count
-// (same semantics as the core package's effectiveWorkers, which dsp
-// cannot import): ≤ 0 selects GOMAXPROCS, and the pool never exceeds the
-// number of blocks.
-//
-//hyperearvet:zeroalloc
-func segWorkers(blocks, workers int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > blocks {
-		workers = blocks
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
-}
-
-// segParallel runs fn(worker, b) for every block b in [0, blocks) on a
-// bounded worker pool, checking ctx before each block so cancellation
-// lands mid-recording rather than at stage boundaries. workers == 1 (or a
-// single block) runs inline with no synchronization — the allocation-free
-// serial path. Panics in fn surface on the calling goroutine: workers
-// recover, the first panic value wins, and it is re-raised after all
-// workers drain (mirroring core's parallelForWorkers).
-func segParallel(ctx context.Context, blocks, workers int, fn func(worker, b int)) error {
-	if blocks <= 0 {
-		return ctx.Err()
-	}
-	workers = segWorkers(blocks, workers)
-	if workers == 1 {
-		for b := 0; b < blocks; b++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			fn(0, b)
-		}
-		return nil
-	}
-	var (
-		next     int64
-		wg       sync.WaitGroup
-		panicMu  sync.Mutex
-		panicVal any
-		panicked bool
-	)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(worker int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicMu.Lock()
-					if !panicked {
-						panicked = true
-						panicVal = r
-					}
-					panicMu.Unlock()
-				}
-			}()
-			for {
-				b := int(atomic.AddInt64(&next, 1)) - 1
-				if b >= blocks || ctx.Err() != nil {
-					return
-				}
-				fn(worker, b)
-			}
-		}(w)
-	}
-	wg.Wait()
-	if panicked {
-		panic(panicVal)
-	}
-	return ctx.Err()
+	spec []complex128
 }
 
 // bandFloorRel is the in-band cut of the band-limited kernel: bins whose
@@ -244,9 +140,9 @@ func (c *Correlator) buildBand() {
 func (c *Correlator) Decimation() int { return c.band().d }
 
 // MatchedEnvelopeCtx runs the band-limited analytic matched filter over x
-// as fixed-size overlap-save blocks at SegmentSize(), fanned across
-// workers (≤ 0 selects GOMAXPROCS; 1 runs serial and allocation-free once
-// scratch is warm). It writes the Hilbert envelope of the correlation
+// as fixed-size overlap-save blocks at SegmentSize(), one after another
+// and allocation-free once scratch is warm. It writes the Hilbert
+// envelope of the correlation
 // r[k] = Σ_j x[k+j]·ref[j] at every D-th lag into env, env[m] = |z(D·m)|
 // for m in [0, ⌈len(x)/D⌉), D = Decimation(), growing/reusing env, and
 // returns it. ctx is checked before every block; on cancellation the
@@ -254,17 +150,17 @@ func (c *Correlator) Decimation() int { return c.band().d }
 // and degrades to per-call buffers.
 //
 //hyperearvet:zeroalloc
-func (c *Correlator) MatchedEnvelopeCtx(ctx context.Context, env, x []float64, s *SegScratch, workers int) ([]float64, error) {
+func (c *Correlator) MatchedEnvelopeCtx(ctx context.Context, env, x []float64, s *SegScratch) ([]float64, error) {
 	if len(x) == 0 || len(c.ref) == 0 {
 		return env[:0], ctx.Err()
 	}
 	d := c.Decimation()
 	env = resizeF64(env, (len(x)+d-1)/d)
-	return env, c.envelopeRange(ctx, env, x, 0, s, workers)
+	return env, c.envelopeRange(ctx, env, x, 0, s)
 }
 
 // MatchedEnvelopeRange fills the decimated envelope env[from:] from x with
-// the same block kernel, serially: env[m] is the envelope at lag D·m, and
+// the same block kernel: env[m] is the envelope at lag D·m, and
 // blocks start at lag D·from. This is the streaming detector's
 // overlap-save extension loop — it passes its complete-lag high-water
 // mark as from and the kernel fills only the missing lags. len(env) must
@@ -275,49 +171,39 @@ func (c *Correlator) MatchedEnvelopeRange(env, x []float64, from int, s *SegScra
 	if d := c.Decimation(); len(env) > (len(x)+d-1)/d {
 		panic(fmt.Sprintf("dsp: decimated envelope %d over input %d at decimation %d", len(env), len(x), d))
 	}
-	if err := c.envelopeRange(context.Background(), env, x, max(from, 0), s, 1); err != nil {
+	if err := c.envelopeRange(context.Background(), env, x, max(from, 0), s); err != nil {
 		panic(err) // unreachable: Background never cancels
 	}
 }
 
 // envelopeRange is the shared block loop: decimated lags [from, len(env))
-// of x, one bandBlock per block on per-worker scratch.
+// of x, one bandBlock per block, checking ctx before each.
 //
 //hyperearvet:zeroalloc
-func (c *Correlator) envelopeRange(ctx context.Context, env, x []float64, from int, s *SegScratch, workers int) error {
+func (c *Correlator) envelopeRange(ctx context.Context, env, x []float64, from int, s *SegScratch) error {
 	if from >= len(env) || len(c.ref) == 0 {
 		return ctx.Err()
 	}
 	b := c.band()
-	n := c.SegmentSize()
-	p := realPlanFor(n)
-	// Each worker holds the block's half spectrum and the in-band buffer.
-	h := p.SpectrumLen() + b.inv.Size()
+	p := realPlanFor(c.SegmentSize())
 	if s == nil {
 		//hyperearvet:allow zeroalloc nil scratch is the caller opting out of reuse; the detector passes a warm SegScratch
 		s = &SegScratch{}
 	}
-	per := b.step / b.d
-	blocks := (len(env) - from + per - 1) / per
-	if segWorkers(blocks, workers) == 1 {
-		// Inline serial loop: creating the fan-out closure would heap-
-		// allocate it (it escapes into goroutines on the parallel path),
-		// and this path must stay allocation-free for the detector's
-		// steady-state pins.
-		buf := s.buf(0, h)
-		for i := 0; i < blocks; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			bandBlock(env, x, from+i*per, b, p, buf)
-		}
-		return nil
+	// The buffer holds the block's half spectrum and the in-band bins.
+	h := p.SpectrumLen() + b.inv.Size()
+	if cap(s.spec) < h {
+		s.spec = make([]complex128, h)
 	}
-	s.grow(segWorkers(blocks, workers))
-	//hyperearvet:allow zeroalloc parallel fan-out heap-allocates its block closure once per call; the serial path above stays allocation-free
-	return segParallel(ctx, blocks, workers, func(worker, i int) {
-		bandBlock(env, x, from+i*per, b, p, s.buf(worker, h))
-	})
+	buf := s.spec[:h]
+	per := b.step / b.d
+	for m0 := from; m0 < len(env); m0 += per {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		bandBlock(env, x, m0, b, p, buf)
+	}
+	return nil
 }
 
 // bandBlock is the band-limited analytic matched filter on one

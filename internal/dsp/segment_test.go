@@ -63,8 +63,8 @@ func segStep(c *Correlator) int { return c.band().step / c.Decimation() }
 
 // TestSegmentedMatchesMonolithic pins the band-limited segmented kernel's
 // accuracy contract: over random band-limited templates (decimations 1 to
-// 16), input lengths (including tails shorter than one block) and worker
-// counts, the decimated envelope stays within 2e-4 of the peak of the
+// 16) and input lengths (including tails shorter than one block), the
+// decimated envelope stays within 2e-4 of the peak of the
 // exact analytic envelope of the monolithic linear correlation, ~10×
 // the worst trial (2.0e-5). What is left is the blocks' circular
 // quadrature, which aliases the tail of a Hann chirp's Hilbert kernel,
@@ -84,9 +84,9 @@ func TestSegmentedMatchesMonolithic(t *testing.T) {
 		c := NewCorrelator(ref)
 		dec := c.Decimation()
 		seen[dec] = true
-		workers := 1 + rng.Intn(4)
+		rng.Intn(4) // the retired worker count, still drawn so every trial keeps its input
 		var s SegScratch
-		env, err := c.MatchedEnvelopeCtx(context.Background(), nil, x, &s, workers)
+		env, err := c.MatchedEnvelopeCtx(context.Background(), nil, x, &s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,8 +95,8 @@ func TestSegmentedMatchesMonolithic(t *testing.T) {
 			t.Fatalf("trial %d: %d decimated lags, want %d", trial, len(env), len(want))
 		}
 		if d := maxRelDiff(env, want); d > 2e-4 {
-			t.Fatalf("trial %d (ref=%d n=%d D=%d workers=%d): segmented envelope deviates %.3e from monolithic",
-				trial, refLen, len(x), dec, workers, d)
+			t.Fatalf("trial %d (ref=%d n=%d D=%d): segmented envelope deviates %.3e from monolithic",
+				trial, refLen, len(x), dec, d)
 		}
 	}
 	if len(seen) < 3 {
@@ -123,7 +123,7 @@ func TestSegmentedBlockExact(t *testing.T) {
 	if c.Decimation() != 1 {
 		t.Fatalf("white template decimation %d, want 1", c.Decimation())
 	}
-	env, err := c.MatchedEnvelopeCtx(context.Background(), nil, x, nil, 1)
+	env, err := c.MatchedEnvelopeCtx(context.Background(), nil, x, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestSegmentedCtxCancelStopsBetweenBlocks(t *testing.T) {
 		t.Fatalf("want ≥4 blocks for a meaningful cancel point, got %d", blocks)
 	}
 	ctx := &countdownCtx{Context: context.Background(), after: 2}
-	env, err := c.MatchedEnvelopeCtx(ctx, env, x, nil, 1)
+	env, err := c.MatchedEnvelopeCtx(ctx, env, x, nil)
 	if err != context.Canceled {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -257,10 +257,10 @@ func TestSegmentedZeroAlloc(t *testing.T) {
 	c := NewCorrelator(bandChirp(300, 0.05, 0.15))
 	var s SegScratch
 	ctx := context.Background()
-	env, _ := c.MatchedEnvelopeCtx(ctx, nil, x, &s, 1)
+	env, _ := c.MatchedEnvelopeCtx(ctx, nil, x, &s)
 	win := make([]float64, 33)
 	allocs := testing.AllocsPerRun(5, func() {
-		env, _ = c.MatchedEnvelopeCtx(ctx, env, x, &s, 1)
+		env, _ = c.MatchedEnvelopeCtx(ctx, env, x, &s)
 		c.CorrelateWindow(win, x, 5000)
 		c.QuadratureWindow(win, x, 5000)
 	})
@@ -282,10 +282,10 @@ func BenchmarkMatchedFilterSession(b *testing.B) {
 	c := NewCorrelator(bandChirp(2700, 1800.0/48000, 6600.0/48000))
 	var s SegScratch
 	ctx := context.Background()
-	env, _ := c.MatchedEnvelopeCtx(ctx, nil, x, &s, 1)
+	env, _ := c.MatchedEnvelopeCtx(ctx, nil, x, &s)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		env, _ = c.MatchedEnvelopeCtx(ctx, env, x, &s, 1)
+		env, _ = c.MatchedEnvelopeCtx(ctx, env, x, &s)
 	}
 }

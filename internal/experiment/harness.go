@@ -38,12 +38,8 @@ type Options struct {
 	Obs *obs.Obs
 }
 
-// DefaultOptions returns a CLI-friendly configuration.
-func DefaultOptions() Options {
-	return Options{Trials: 10, Seed: 1}
-}
-
-// quick returns options scaled down for unit tests.
+// workers is the number of trials run at once: Parallelism when
+// positive, otherwise GOMAXPROCS.
 func (o Options) workers() int {
 	if o.Parallelism > 0 {
 		return o.Parallelism
@@ -184,26 +180,4 @@ func runTrials(opt Options, seed int64, fn func(trial int, rng *rand.Rand) (floa
 		}
 	}
 	return errs, failed
-}
-
-// RunAll executes every figure reproduction and the ablation suite.
-func RunAll(opt Options) []Figure {
-	figs := []Figure{
-		RunFig3(opt),
-		RunFig4(opt),
-		RunFig7(opt),
-		RunFig8(opt),
-		RunFig9(opt),
-		RunFig14(opt),
-		RunFig15(opt),
-		RunFig16(opt),
-		RunFig17(opt),
-		RunFig18(opt),
-		RunFig19(opt),
-	}
-	figs = append(figs, RunAblations(opt)...)
-	figs = append(figs, RunDirectionComparison(opt))
-	figs = append(figs, RunFull3DComparison(opt))
-	figs = append(figs, RunBaselineComparison(opt))
-	return figs
 }

@@ -5,7 +5,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"testing"
 
 	"hyperear/internal/core"
@@ -13,10 +12,9 @@ import (
 
 // BenchmarkServerThroughput drives concurrent multipart /v1/locate
 // requests through the full service stack — admission pool, localizer
-// cache, batched ASP correlations, pipeline — and reports locates/sec.
-// Run with -cpu 1,2,4 to see throughput scale with cores: the worker
-// pool admits GOMAXPROCS localizations at once and the batch window
-// coalesces their matched-filter FFTs.
+// cache, pipeline — and reports locates/sec. Run with -cpu 1,2 to see
+// throughput scale with cores: the default worker pool admits GOMAXPROCS
+// localizations at once, each detecting its two channels concurrently.
 func BenchmarkServerThroughput(b *testing.B) {
 	bd, err := testBundle()
 	if err != nil {
@@ -28,7 +26,6 @@ func BenchmarkServerThroughput(b *testing.B) {
 	}
 	pipe := core.DefaultConfig(sess.Scenario.Source, sess.Scenario.Phone.SampleRate, sess.Scenario.Phone.MicSeparation)
 	srv := New(Config{
-		Workers: runtime.GOMAXPROCS(0),
 		// Queue past the bench's in-flight request count so nothing is
 		// shed with 429 — this benchmark measures throughput, not
 		// admission control.

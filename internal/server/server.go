@@ -1,6 +1,6 @@
 // Package server exposes the HyperEar localization pipeline as an HTTP
 // service. The routing is thin; the substance is the robustness layer:
-// a bounded admission pool sized off core.Config.Parallelism, per-request
+// a bounded admission pool (GOMAXPROCS workers by default), per-request
 // deadlines propagated via context into the pipeline's stage loops,
 // load-shedding with Retry-After when the queue is full, per-session idle
 // eviction for the streaming-ingest path, request-size limits, and a
@@ -36,9 +36,10 @@ import (
 // Config sizes the service. Zero values select the documented defaults;
 // Normalize applies them.
 type Config struct {
-	// Workers bounds concurrently running localizations. 0 uses the
-	// pipeline config's Parallelism (itself defaulting to GOMAXPROCS-ish
-	// behavior inside the pipeline), floored at 1.
+	// Workers bounds concurrently running localizations. 0 uses
+	// GOMAXPROCS. Each localization detects its two channels
+	// concurrently, and the Go scheduler shares the cores between
+	// workers.
 	Workers int
 	// Queue bounds admitted-but-waiting localizations beyond Workers.
 	// Requests past workers+queue are shed with 429.
@@ -95,27 +96,12 @@ type Config struct {
 // Normalize fills zero fields with defaults and returns the result.
 func (c Config) Normalize() Config {
 	if c.Workers <= 0 {
-		c.Workers = c.Pipeline.Parallelism
-	}
-	if c.Workers <= 0 {
-		c.Workers = 2
+		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.Queue < 0 {
 		c.Queue = 0
 	} else if c.Queue == 0 {
 		c.Queue = 2 * c.Workers
-	}
-	if c.Pipeline.Parallelism == 0 {
-		// Divide the machine across the worker pool: each admitted
-		// localization gets its share of cores as intra-recording block
-		// parallelism (the core two-level channel×block schedule) instead
-		// of every locate assuming it owns all of GOMAXPROCS — with a
-		// full worker pool that would oversubscribe the box W-fold.
-		p := runtime.GOMAXPROCS(0) / c.Workers
-		if p < 1 {
-			p = 1
-		}
-		c.Pipeline.Parallelism = p
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 30 * time.Second

@@ -11,6 +11,7 @@ import (
 	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -782,5 +783,36 @@ func TestRetryAfterSeconds(t *testing.T) {
 	h.Set("Retry-After", "Wed, 21 Oct 2015 07:28:00 GMT")
 	if _, ok := RetryAfterSeconds(h); ok {
 		t.Error("date form must report !ok")
+	}
+}
+
+// TestConfigNormalizeWorkers: Workers 0 selects GOMAXPROCS and an
+// explicit count is kept; Queue 0 selects 2×Workers and a negative Queue
+// means none. Pipeline.Parallelism, which no longer sizes anything, is
+// neither read nor written.
+func TestConfigNormalizeWorkers(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	for _, c := range []struct {
+		name                string
+		workers, queue, par int
+		wantWork, wantQueue int
+	}{
+		{"defaults", 0, 0, 0, procs, 2 * procs},
+		{"explicit workers", 3, 0, 0, 3, 6},
+		{"explicit queue", 1, 5, 0, 1, 5},
+		{"negative queue", 2, -1, 0, 2, 0},
+		{"negative workers", -4, 0, 0, procs, 2 * procs},
+		{"parallelism ignored", 0, 0, 7, procs, 2 * procs},
+		{"parallelism kept", 2, 0, 1, 2, 4},
+	} {
+		in := Config{Workers: c.workers, Queue: c.queue}
+		in.Pipeline.Parallelism = c.par
+		got := in.Normalize()
+		if got.Workers != c.wantWork || got.Queue != c.wantQueue {
+			t.Errorf("%s: Workers %d, Queue %d; want %d, %d", c.name, got.Workers, got.Queue, c.wantWork, c.wantQueue)
+		}
+		if got.Pipeline.Parallelism != c.par {
+			t.Errorf("%s: Pipeline.Parallelism %d, want it left at %d", c.name, got.Pipeline.Parallelism, c.par)
+		}
 	}
 }

@@ -32,7 +32,7 @@ func buildMultipart(t *testing.T, parts map[string][]byte) (*multipart.Reader, s
 	return multipart.NewReader(&buf, w.Boundary()), w.FormDataContentType()
 }
 
-func testParts(t *testing.T) (wav, imuCSV []byte) {
+func testParts(t testing.TB) (wav, imuCSV []byte) {
 	t.Helper()
 	rec := &mic.Recording{
 		Fs:   44100,
@@ -175,6 +175,61 @@ func FuzzParseMeta(f *testing.F) {
 		}
 		if back != m {
 			t.Fatalf("round trip changed %+v to %+v", m, back)
+		}
+	})
+}
+
+// FuzzReadBundleMultipart feeds arbitrary multipart bodies, under a fixed
+// boundary, to ReadBundleMultipart. It must never panic; on success both
+// channels have the same length, the IMU trace is non-empty, and the
+// meta validates and matches the WAV rate.
+func FuzzReadBundleMultipart(f *testing.F) {
+	const boundary = "hyperearfuzzboundary"
+	wav, imuCSV := testParts(f)
+	meta := []byte(`{"phoneName":"s4","sampleRateHz":44100,"micSeparationM":0.1366}`)
+	body := func(parts ...[2][]byte) []byte {
+		var buf bytes.Buffer
+		w := multipart.NewWriter(&buf)
+		if err := w.SetBoundary(boundary); err != nil {
+			f.Fatal(err)
+		}
+		for _, p := range parts {
+			fw, err := w.CreateFormFile(string(p[0]), string(p[0]))
+			if err != nil {
+				f.Fatal(err)
+			}
+			if _, err := fw.Write(p[1]); err != nil {
+				f.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	audio, trace := [2][]byte{[]byte(PartAudio), wav}, [2][]byte{[]byte(PartIMU), imuCSV}
+	// Valid JSON padded past the cap: rejected for its size alone.
+	huge := append(append([]byte(nil), meta...), bytes.Repeat([]byte(" "), maxMetaBytes+1-len(meta))...)
+	f.Add(body(audio, trace, [2][]byte{[]byte(PartMeta), meta}))
+	f.Add(body(audio, trace, trace))
+	f.Add(body(audio, trace, [2][]byte{[]byte("extra"), {1}}))
+	f.Add(body(audio, trace, [2][]byte{[]byte(PartMeta), huge}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b, err := ReadBundleMultipart(multipart.NewReader(bytes.NewReader(data), boundary))
+		if err != nil {
+			return
+		}
+		if len(b.Recording.Mic1) != len(b.Recording.Mic2) {
+			t.Fatalf("channels of %d and %d samples", len(b.Recording.Mic1), len(b.Recording.Mic2))
+		}
+		if b.IMU.Len() == 0 {
+			t.Fatal("accepted an empty IMU trace")
+		}
+		if err := b.Meta.Validate(); err != nil {
+			t.Fatalf("accepted meta %+v: %v", b.Meta, err)
+		}
+		if b.Meta.SampleRate != 0 && b.Meta.SampleRate != b.Recording.Fs {
+			t.Fatalf("meta rate %v, WAV rate %v", b.Meta.SampleRate, b.Recording.Fs)
 		}
 	})
 }

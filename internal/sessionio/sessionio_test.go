@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"io"
 	"math"
+	"math/rand"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -360,6 +361,82 @@ func FuzzReadWAV(f *testing.F) {
 		}
 		if len(chans) > 0 && len(chans[0])*len(chans)*2 > len(data) {
 			t.Fatalf("%d frames × %d channels from %d input bytes", len(chans[0]), len(chans), len(data))
+		}
+	})
+}
+
+// FuzzReadIMU feeds arbitrary bytes to ReadIMU. It must never panic; on
+// success the rate is finite and positive, the three vector series have
+// the same length of at least one, and every component is finite. A
+// decoded trace also round-trips: WriteIMU's %.9g rounds only once, so
+// after one write-and-read round a second one changes no bit.
+func FuzzReadIMU(f *testing.F) {
+	rng := rand.New(rand.NewSource(7))
+	tr := &imu.Trace{Fs: 100}
+	vec := func() geom.Vec3 {
+		return geom.Vec3{X: rng.NormFloat64(), Y: rng.NormFloat64(), Z: 9.8 + rng.NormFloat64()}
+	}
+	for i := 0; i < 5; i++ {
+		tr.Accel = append(tr.Accel, vec())
+		tr.Gyro = append(tr.Gyro, vec())
+		tr.Gravity = append(tr.Gravity, vec())
+	}
+	var buf bytes.Buffer
+	if err := WriteIMU(&buf, tr); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	hdr := "# fs=100\n" + imuHeader + "\n"
+	f.Add([]byte("no preamble\n" + imuHeader + "\n1,2,3,4,5,6,7,8,9\n"))
+	f.Add([]byte("# fs=NaN\n" + imuHeader + "\n1,2,3,4,5,6,7,8,9\n"))
+	f.Add([]byte(hdr + "1,2,3,4,5,6,7,8\n"))
+	f.Add([]byte(hdr + "1,2,3,4,5,6,7,8,+Inf\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := ReadIMU(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if !(tr.Fs > 0) || math.IsInf(tr.Fs, 0) {
+			t.Fatalf("accepted rate %v", tr.Fs)
+		}
+		n := len(tr.Accel)
+		if n == 0 || len(tr.Gyro) != n || len(tr.Gravity) != n {
+			t.Fatalf("series lengths %d/%d/%d", n, len(tr.Gyro), len(tr.Gravity))
+		}
+		for i := 0; i < n; i++ {
+			for _, v := range [...]geom.Vec3{tr.Accel[i], tr.Gyro[i], tr.Gravity[i]} {
+				for _, c := range [...]float64{v.X, v.Y, v.Z} {
+					if math.IsNaN(c) || math.IsInf(c, 0) {
+						t.Fatalf("sample %d: non-finite component in %+v", i, v)
+					}
+				}
+			}
+		}
+		round := func(in *imu.Trace) *imu.Trace {
+			var buf bytes.Buffer
+			if err := WriteIMU(&buf, in); err != nil {
+				t.Fatalf("write: %v", err)
+			}
+			out, err := ReadIMU(&buf)
+			if err != nil {
+				t.Fatalf("re-read of\n%s: %v", buf.Bytes(), err)
+			}
+			return out
+		}
+		once := round(tr)
+		twice := round(once)
+		if math.Float64bits(twice.Fs) != math.Float64bits(once.Fs) || twice.Len() != once.Len() {
+			t.Fatalf("second round: rate %v, %d samples; first %v, %d", twice.Fs, twice.Len(), once.Fs, once.Len())
+		}
+		same := func(a, b geom.Vec3) bool {
+			return math.Float64bits(a.X) == math.Float64bits(b.X) &&
+				math.Float64bits(a.Y) == math.Float64bits(b.Y) &&
+				math.Float64bits(a.Z) == math.Float64bits(b.Z)
+		}
+		for i := 0; i < once.Len(); i++ {
+			if !same(twice.Accel[i], once.Accel[i]) || !same(twice.Gyro[i], once.Gyro[i]) || !same(twice.Gravity[i], once.Gravity[i]) {
+				t.Fatalf("sample %d changed in the second round", i)
+			}
 		}
 	})
 }

@@ -106,8 +106,8 @@ func TestTraceGoldenLocate2D(t *testing.T) {
 }
 
 // TestObsConcurrentPipelines shares one sink+registry across concurrent
-// localizations that each use an internal worker pool — `make check`
-// runs this under the race detector, which is the point.
+// localizations that each detect their two channels concurrently —
+// `make check` runs this under the race detector, which is the point.
 func TestObsConcurrentPipelines(t *testing.T) {
 	sc := testScenario(7)
 	s, err := Simulate(sc)
@@ -126,7 +126,6 @@ func TestObsConcurrentPipelines(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			cfg := DefaultConfigFor(sc.Phone, sc.Source)
-			cfg.Parallelism = 2
 			cfg.Obs = o
 			loc, err := NewLocalizerConfig(cfg)
 			if err != nil {
