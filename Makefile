@@ -93,15 +93,20 @@ servbench-test:
 # decoders POST /v1/locate feeds untrusted bytes: WAV (never panics,
 # output fits the input), meta.json (never panics, round-trips), the IMU
 # CSV (never panics, finite samples, write/read fixed point) and the
-# multipart bundle around them (never panics, consistent bundle). A
-# failing input lands in internal/{chirp,sessionio}/testdata/fuzz/<target>/;
+# multipart bundle around them (never panics, consistent bundle), then
+# WAL replay (arbitrary session.wal or snapshot.wal bytes never panic
+# and recover what the Memory oracle holds). Each WAL input costs a
+# store open, so that target minimizes new inputs for at most 1 s. A
+# failing input lands in
+# internal/{chirp,sessionio,sessionstore}/testdata/fuzz/<target>/;
 # commit it as a regression input. CI's bench-smoke job runs this.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzStreamChunking$$' -fuzztime 20s ./internal/chirp
-	$(GO) test -run '^$$' -fuzz '^FuzzReadWAV$$' -fuzztime 10s ./internal/sessionio
-	$(GO) test -run '^$$' -fuzz '^FuzzParseMeta$$' -fuzztime 10s ./internal/sessionio
-	$(GO) test -run '^$$' -fuzz '^FuzzReadIMU$$' -fuzztime 10s ./internal/sessionio
-	$(GO) test -run '^$$' -fuzz '^FuzzReadBundleMultipart$$' -fuzztime 10s ./internal/sessionio
+	$(GO) test -run '^$$' -fuzz '^FuzzStreamChunking$$' -fuzztime 15s ./internal/chirp
+	$(GO) test -run '^$$' -fuzz '^FuzzReadWAV$$' -fuzztime 9s ./internal/sessionio
+	$(GO) test -run '^$$' -fuzz '^FuzzParseMeta$$' -fuzztime 9s ./internal/sessionio
+	$(GO) test -run '^$$' -fuzz '^FuzzReadIMU$$' -fuzztime 9s ./internal/sessionio
+	$(GO) test -run '^$$' -fuzz '^FuzzReadBundleMultipart$$' -fuzztime 9s ./internal/sessionio
+	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime 9s -fuzzminimizetime 1s ./internal/sessionstore
 
 # Run the localization service locally (README "Service quick start").
 serve:
@@ -133,11 +138,12 @@ crash-soak:
 # 5-slide bench session; PipelineLocate2D tracks end-to-end latency;
 # ServerThroughput measures locates/sec through the full HTTP service;
 # SessionIngest compares the streaming-append path with and without the
-# session WAL underneath and WALAppend pins the raw durable append under
-# both fsync policies; DisabledSpan/EnabledSpan pin the per-hook
+# session WAL underneath, SessionLocate times a streamed session's locate
+# alone, and WALAppend pins the raw durable append under both fsync
+# policies; DisabledSpan/EnabledSpan pin the per-hook
 # observability overhead (the disabled path must stay 0 B/op) and
 # PromExposition the /metrics scrape-render cost.
-BENCH_RE := CrossCorrelate|Correlator|Envelope|FFTReal|MatchedFilter|Detect|DetectSegmented|Stream|ASP|PipelineLocate2D|ServerThroughput|SessionIngest|WALAppend|DisabledSpan|EnabledSpan|PromExposition
+BENCH_RE := CrossCorrelate|Correlator|Envelope|FFTReal|MatchedFilter|Detect|DetectSegmented|Stream|ASP|PipelineLocate2D|ServerThroughput|SessionIngest|SessionLocate|WALAppend|DisabledSpan|EnabledSpan|PromExposition
 BENCH_PKGS := ./ ./internal/dsp/ ./internal/chirp/ ./internal/obs/ ./internal/server/ ./internal/sessionstore/
 
 bench:

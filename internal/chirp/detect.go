@@ -125,6 +125,11 @@ func NewDetectorFiltered(p Params, fs float64, gain func(freqHz float64) float64
 	return d, nil
 }
 
+// NewEnvelopeFeed returns a feed that runs this Detector's matched-filter
+// blocks over one channel as its audio arrives (dsp.EnvelopeFeed); its
+// Prefix lets DetectIntoCtx skip them.
+func (d *Detector) NewEnvelopeFeed() *dsp.EnvelopeFeed { return d.corr.NewEnvelopeFeed() }
+
 // Reference exposes the matched-filter template (for tests and plots).
 func (d *Detector) Reference() []float64 {
 	out := make([]float64, len(d.ref))
@@ -186,7 +191,7 @@ func (d *Detector) Detect(x []float64) []Detection {
 //
 //hyperearvet:zeroalloc
 func (d *Detector) DetectInto(dst []Detection, x []float64, s *DetectScratch) []Detection {
-	dst, _ = d.DetectIntoCtx(context.Background(), dst, x, s)
+	dst, _ = d.DetectIntoCtx(context.Background(), dst, x, dsp.EnvelopePrefix{}, s)
 	return dst
 }
 
@@ -198,8 +203,14 @@ func (d *Detector) DetectInto(dst []Detection, x []float64, s *DetectScratch) []
 // finishing a session-length pass. On cancellation the partial dst plus
 // ctx's error are returned.
 //
+// pre is the envelope's leading blocks as one of this Detector's
+// NewEnvelopeFeed feeds computed them while x arrived; only the blocks
+// after them run here. The detections are the same bits with or without
+// it. The zero value, and any other Detector's prefix, leaves every
+// block to run here.
+//
 //hyperearvet:zeroalloc
-func (d *Detector) DetectIntoCtx(ctx context.Context, dst []Detection, x []float64, s *DetectScratch) ([]Detection, error) {
+func (d *Detector) DetectIntoCtx(ctx context.Context, dst []Detection, x []float64, pre dsp.EnvelopePrefix, s *DetectScratch) ([]Detection, error) {
 	dst = dst[:0]
 	if len(x) < len(d.ref) {
 		return dst, ctx.Err()
@@ -209,7 +220,7 @@ func (d *Detector) DetectIntoCtx(ctx context.Context, dst []Detection, x []float
 		s = &DetectScratch{}
 	}
 	var err error
-	s.env, err = d.corr.MatchedEnvelopeCtx(ctx, s.env, x, &s.seg)
+	s.env, err = d.corr.MatchedEnvelopeCtx(ctx, s.env, x, pre, &s.seg)
 	if err != nil {
 		return dst, err
 	}

@@ -124,7 +124,7 @@ type ASP struct {
 // microphones at once. *chirp.Detector is the only production
 // implementation; tests swap in reference rules to compare whole locates.
 type channelDetector interface {
-	DetectIntoCtx(ctx context.Context, dst []chirp.Detection, x []float64, s *chirp.DetectScratch) ([]chirp.Detection, error)
+	DetectIntoCtx(ctx context.Context, dst []chirp.Detection, x []float64, pre dsp.EnvelopePrefix, s *chirp.DetectScratch) ([]chirp.Detection, error)
 }
 
 // NewASP builds the stage for a beacon waveform and sampling rate.
@@ -173,6 +173,19 @@ func (a *ASP) Process(rec *mic.Recording) (*ASPResult, error) {
 // matched-filter block, and the stage returns ctx's error instead of
 // pairing partial results.
 func (a *ASP) ProcessContext(ctx context.Context, rec *mic.Recording) (*ASPResult, error) {
+	return a.process(ctx, rec, [2]dsp.EnvelopePrefix{})
+}
+
+// newEnvelopeFeed returns a feed that runs the stage's matched-filter
+// blocks over one channel as its audio arrives. det is the
+// *chirp.Detector NewASP built; only tests swap it for a reference rule.
+func (a *ASP) newEnvelopeFeed() *dsp.EnvelopeFeed {
+	return a.det.(*chirp.Detector).NewEnvelopeFeed()
+}
+
+// process is ProcessContext with each channel's envelope prefix (the
+// zero value on the batch path): pre[0] for Mic1, pre[1] for Mic2.
+func (a *ASP) process(ctx context.Context, rec *mic.Recording, pre [2]dsp.EnvelopePrefix) (*ASPResult, error) {
 	sp := a.cfg.Obs.SpanCtx(ctx, "asp")
 	defer sp.End()
 	if rec == nil || len(rec.Mic1) == 0 || len(rec.Mic2) == 0 {
@@ -200,7 +213,7 @@ func (a *ASP) ProcessContext(ctx context.Context, rec *mic.Recording) (*ASPResul
 	detect := func(i int) {
 		defer func() { panics[i] = recover() }()
 		sc := a.scratch.Get().(*chirp.DetectScratch)
-		dets[i], detErrs[i] = a.det.DetectIntoCtx(ctx, nil, chans[i], sc)
+		dets[i], detErrs[i] = a.det.DetectIntoCtx(ctx, nil, chans[i], pre[i], sc)
 		a.scratch.Put(sc)
 	}
 	wg.Add(1)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"hyperear/internal/chirp"
+	"hyperear/internal/dsp"
 	"hyperear/internal/geom"
 	"hyperear/internal/mic"
 	"hyperear/internal/motion"
@@ -207,7 +208,7 @@ type panicDetector struct {
 	returned *atomic.Bool
 }
 
-func (p panicDetector) DetectIntoCtx(_ context.Context, dst []chirp.Detection, x []float64, _ *chirp.DetectScratch) ([]chirp.Detection, error) {
+func (p panicDetector) DetectIntoCtx(_ context.Context, dst []chirp.Detection, x []float64, _ dsp.EnvelopePrefix, _ *chirp.DetectScratch) ([]chirp.Detection, error) {
 	if &x[0] == p.panicOn {
 		close(p.started)
 		panic("boom")

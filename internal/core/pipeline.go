@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"hyperear/internal/chirp"
+	"hyperear/internal/dsp"
 	"hyperear/internal/geom"
 	"hyperear/internal/imu"
 	"hyperear/internal/mic"
@@ -212,8 +213,8 @@ func (l *Localizer) SpeedOfSound() float64 { return l.cfg.SpeedOfSound }
 // movement estimates so an abandoned request (dead client, expired
 // deadline) stops burning CPU mid-pipeline instead of completing a result
 // nobody will read.
-func (l *Localizer) analyzeSession(ctx context.Context, rec *mic.Recording, tr *imu.Trace, s *Scratch) (*ASPResult, *MSPResult, []SlideEstimate, error) {
-	aspRes, err := l.asp.ProcessContext(ctx, rec)
+func (l *Localizer) analyzeSession(ctx context.Context, rec *mic.Recording, tr *imu.Trace, pre [2]dsp.EnvelopePrefix, s *Scratch) (*ASPResult, *MSPResult, []SlideEstimate, error) {
+	aspRes, err := l.asp.process(ctx, rec, pre)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -374,11 +375,27 @@ func (l *Localizer) Locate2D(rec *mic.Recording, tr *imu.Trace) (*Result2D, erro
 // (and inside the heavy ASP/PDE fan-outs) and returns an error wrapping
 // ctx's cause.
 func (l *Localizer) Locate2DContext(ctx context.Context, rec *mic.Recording, tr *imu.Trace) (*Result2D, error) {
+	return l.Locate2DStreamed(ctx, rec, tr, [2]dsp.EnvelopePrefix{})
+}
+
+// NewEnvelopeFeed returns a feed that runs ASP's matched-filter blocks
+// over one channel as its audio arrives. A streamed session keeps one
+// per channel and hands their Prefixes to Locate2DStreamed or
+// Locate3DStreamed.
+func (l *Localizer) NewEnvelopeFeed() *dsp.EnvelopeFeed { return l.asp.newEnvelopeFeed() }
+
+// Locate2DStreamed is Locate2DContext over a recording whose channels
+// were pushed, as they arrived, through feeds from this Localizer's
+// NewEnvelopeFeed: pre[0] and pre[1] are the Mic1 and Mic2 feeds'
+// Prefixes, and ASP runs only the matched-filter blocks after them. The
+// result is the same bits as Locate2DContext's; a prefix from any other
+// feed is ignored.
+func (l *Localizer) Locate2DStreamed(ctx context.Context, rec *mic.Recording, tr *imu.Trace, pre [2]dsp.EnvelopePrefix) (*Result2D, error) {
 	sp := l.cfg.Obs.SpanCtx(ctx, "locate2d")
 	defer sp.End()
 	scr := getScratch()
 	defer putScratch(scr)
-	aspRes, msp, ests, err := l.analyzeSession(ctx, rec, tr, scr)
+	aspRes, msp, ests, err := l.analyzeSession(ctx, rec, tr, pre, scr)
 	if err != nil {
 		sp.AttrStr("error", err.Error())
 		return nil, err
@@ -428,11 +445,17 @@ func (l *Localizer) Locate3D(rec *mic.Recording, tr *imu.Trace) (*Result3D, erro
 
 // Locate3DContext is Locate3D with cancellation (see Locate2DContext).
 func (l *Localizer) Locate3DContext(ctx context.Context, rec *mic.Recording, tr *imu.Trace) (*Result3D, error) {
+	return l.Locate3DStreamed(ctx, rec, tr, [2]dsp.EnvelopePrefix{})
+}
+
+// Locate3DStreamed is Locate3DContext reusing the channels' streamed
+// matched-filter blocks (see Locate2DStreamed).
+func (l *Localizer) Locate3DStreamed(ctx context.Context, rec *mic.Recording, tr *imu.Trace, pre [2]dsp.EnvelopePrefix) (*Result3D, error) {
 	sp := l.cfg.Obs.SpanCtx(ctx, "locate3d")
 	defer sp.End()
 	scr := getScratch()
 	defer putScratch(scr)
-	aspRes, msp, ests, err := l.analyzeSession(ctx, rec, tr, scr)
+	aspRes, msp, ests, err := l.analyzeSession(ctx, rec, tr, pre, scr)
 	if err != nil {
 		sp.AttrStr("error", err.Error())
 		return nil, err

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"hyperear/internal/chirp"
+	"hyperear/internal/dsp"
 	"hyperear/internal/geom"
 	"hyperear/internal/imu"
 	"hyperear/internal/mic"
@@ -152,7 +153,7 @@ func TestNewLocalizerSpeedOfSoundValidation(t *testing.T) {
 // beforehand, keyed by the address of the channel's first sample.
 type replayDetector map[*float64][]chirp.Detection
 
-func (r replayDetector) DetectIntoCtx(_ context.Context, dst []chirp.Detection, x []float64, _ *chirp.DetectScratch) ([]chirp.Detection, error) {
+func (r replayDetector) DetectIntoCtx(_ context.Context, dst []chirp.Detection, x []float64, _ dsp.EnvelopePrefix, _ *chirp.DetectScratch) ([]chirp.Detection, error) {
 	return append(dst[:0], r[&x[0]]...), nil
 }
 
@@ -179,11 +180,11 @@ func TestLocalizerSerialMatchesParallel(t *testing.T) {
 	}
 
 	ctx := context.Background()
-	d1, err := loc.asp.det.DetectIntoCtx(ctx, nil, rec.Mic1, nil)
+	d1, err := loc.asp.det.DetectIntoCtx(ctx, nil, rec.Mic1, dsp.EnvelopePrefix{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := loc.asp.det.DetectIntoCtx(ctx, nil, rec.Mic2, nil)
+	d2, err := loc.asp.det.DetectIntoCtx(ctx, nil, rec.Mic2, dsp.EnvelopePrefix{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,5 +420,73 @@ func TestLocate2DHandMode(t *testing.T) {
 	}
 	if errDist > 0.8 {
 		t.Errorf("hand-mode 2D error at 5 m = %.3f m, want < 0.8 m", errDist)
+	}
+}
+
+// TestLocateStreamedMatchesBatch pins the streamed-session locate: the
+// channels pushed through the Localizer's own envelope feeds in
+// 4096-sample chunks, Locate2DStreamed reuses the feeds' blocks and must
+// return Locate2D's beacons and fix bit for bit. Prefixes from another
+// Localizer's feeds (a different template) are ignored: ASP recomputes
+// from lag 0 and the answer is the same.
+func TestLocateStreamedMatchesBatch(t *testing.T) {
+	sc := ruler2DScenario(4, 108)
+	s, err := sim.Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := s.Recording
+	cfg := DefaultConfig(sc.Source, sc.Phone.SampleRate, sc.Phone.MicSeparation)
+	loc, err := NewLocalizer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.ASP.FilterTaps = 201
+	other, err := NewLocalizer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := loc.Locate2D(rec, s.IMU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed := func(l *Localizer) [2]dsp.EnvelopePrefix {
+		var pre [2]dsp.EnvelopePrefix
+		for i, ch := range [][]float64{rec.Mic1, rec.Mic2} {
+			f := l.NewEnvelopeFeed()
+			for at := 0; at < len(ch); at += 4096 {
+				f.Push(ch[at:min(at+4096, len(ch))])
+			}
+			pre[i] = f.Prefix()
+		}
+		return pre
+	}
+	own := feed(loc)
+	if own[0].Len() == 0 || own[1].Len() == 0 {
+		t.Fatal("feeds built no blocks")
+	}
+	for name, pre := range map[string][2]dsp.EnvelopePrefix{"own": own, "foreign": feed(other)} {
+		got, err := loc.Locate2DStreamed(context.Background(), rec, s.IMU, pre)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eq := func(what string, a, b float64) {
+			t.Helper()
+			if math.Float64bits(a) != math.Float64bits(b) {
+				t.Errorf("%s prefixes: %s %v, batch %v", name, what, a, b)
+			}
+		}
+		if len(got.ASP.Beacons) != len(want.ASP.Beacons) || len(got.Fixes) != len(want.Fixes) {
+			t.Fatalf("%s prefixes: %d beacons/%d fixes, batch %d/%d", name,
+				len(got.ASP.Beacons), len(got.Fixes), len(want.ASP.Beacons), len(want.Fixes))
+		}
+		for i, b := range want.ASP.Beacons {
+			eq("beacon T1", got.ASP.Beacons[i].T1, b.T1)
+			eq("beacon T2", got.ASP.Beacons[i].T2, b.T2)
+			eq("beacon SNR", got.ASP.Beacons[i].SNR, b.SNR)
+		}
+		eq("Pos.X", got.Pos.X, want.Pos.X)
+		eq("Pos.Y", got.Pos.Y, want.Pos.Y)
+		eq("L", got.L, want.L)
 	}
 }

@@ -149,14 +149,121 @@ func (c *Correlator) Decimation() int { return c.band().d }
 // partial output plus ctx's error are returned. A nil scratch is allowed
 // and degrades to per-call buffers.
 //
+// Block k reads x[k·BlockStep(), k·BlockStep()+SegmentSize()) and
+// writes lags [k·BlockStep()/D, (k+1)·BlockStep()/D): the grid is
+// anchored at lag 0, whatever x's length. pre, when an EnvelopeFeed of
+// this Correlator built it over a prefix of x, supplies the leading
+// blocks: those whose whole input lies inside x are copied instead of
+// recomputed, and the loop runs only the blocks after them. Any other
+// prefix — the zero value, or another Correlator's — is ignored.
+//
 //hyperearvet:zeroalloc
-func (c *Correlator) MatchedEnvelopeCtx(ctx context.Context, env, x []float64, s *SegScratch) ([]float64, error) {
+func (c *Correlator) MatchedEnvelopeCtx(ctx context.Context, env, x []float64, pre EnvelopePrefix, s *SegScratch) ([]float64, error) {
 	if len(x) == 0 || len(c.ref) == 0 {
 		return env[:0], ctx.Err()
 	}
 	d := c.Decimation()
 	env = resizeF64(env, (len(x)+d-1)/d)
-	return env, c.envelopeRange(ctx, env, x, 0, s)
+	from := 0
+	if pre.c == c {
+		per := c.band().step / d
+		from = min(len(pre.lags)/per, c.completeBlocks(len(x))) * per
+		copy(env, pre.lags[:from])
+	}
+	return env, c.envelopeRange(ctx, env, x, from, s)
+}
+
+// BlockStep returns the input samples between the starts of consecutive
+// MatchedEnvelopeCtx blocks: a multiple of Decimation() just under
+// SegmentSize() − RefLen() + 1.
+//
+//hyperearvet:zeroalloc
+func (c *Correlator) BlockStep() int { return c.band().step }
+
+// completeBlocks returns how many of MatchedEnvelopeCtx's blocks over n
+// input samples read no sample past n: their lags are final, the same
+// bits over any input that starts with those n samples.
+//
+//hyperearvet:zeroalloc
+func (c *Correlator) completeBlocks(n int) int {
+	if n < c.SegmentSize() {
+		return 0
+	}
+	return (n-c.SegmentSize())/c.band().step + 1
+}
+
+// EnvelopePrefix is the leading complete blocks of one Correlator's
+// decimated envelope over an input, as an EnvelopeFeed computed them.
+// The zero value is the empty prefix. The lags are shared, read-only.
+type EnvelopePrefix struct {
+	c    *Correlator
+	lags []float64
+}
+
+// Len returns how many decimated lags the prefix holds: a whole number
+// of blocks, BlockStep()/Decimation() lags each.
+func (p EnvelopePrefix) Len() int { return len(p.lags) }
+
+// EnvelopeFeed runs MatchedEnvelopeCtx's blocks over an input that
+// arrives piecewise: each block runs once, as soon as the feed holds its
+// whole input, on the grid MatchedEnvelopeCtx uses. Prefix therefore
+// always equals the leading lags of MatchedEnvelopeCtx over the input so
+// far, or over any input that continues it, bit for bit. The feed keeps
+// at most one block's input. It is not safe for concurrent use; the
+// prefixes it hands out are.
+type EnvelopeFeed struct {
+	c *Correlator
+	// in is the input from the next block's first sample on: block
+	// len(lags)·D/BlockStep() runs once it holds SegmentSize() samples.
+	in []float64
+	// lags holds the complete blocks' decimated lags. It only grows:
+	// nothing a Prefix handed out is ever written again.
+	lags []float64
+	seg  SegScratch
+}
+
+// NewEnvelopeFeed returns an empty feed over this Correlator's blocks.
+func (c *Correlator) NewEnvelopeFeed() *EnvelopeFeed { return &EnvelopeFeed{c: c} }
+
+// Push appends x to the feed's input and runs every block the input now
+// completes.
+//
+//hyperearvet:zeroalloc
+func (f *EnvelopeFeed) Push(x []float64) {
+	if len(f.c.ref) == 0 {
+		return
+	}
+	b, n := f.c.band(), f.c.SegmentSize()
+	p := realPlanFor(n)
+	per := b.step / b.d
+	if cap(f.in) < n {
+		f.in = append(make([]float64, 0, n), f.in...)
+	}
+	for len(x) > 0 {
+		k := min(len(x), n-len(f.in))
+		f.in = append(f.in, x[:k]...)
+		x = x[k:]
+		if len(f.in) < n {
+			return
+		}
+		m := len(f.lags)
+		if cap(f.lags) < m+per {
+			grown := make([]float64, m, 2*m+per)
+			copy(grown, f.lags)
+			f.lags = grown
+		}
+		f.lags = f.lags[:m+per]
+		bandBlock(f.lags[m:], f.in, 0, b, p, f.seg.blockBuf(b, p))
+		f.in = f.in[:copy(f.in, f.in[b.step:])]
+	}
+}
+
+// Prefix returns the complete blocks so far, for MatchedEnvelopeCtx.
+// Later Pushes never write the lags it returns.
+//
+//hyperearvet:zeroalloc
+func (f *EnvelopeFeed) Prefix() EnvelopePrefix {
+	return EnvelopePrefix{c: f.c, lags: f.lags[:len(f.lags):len(f.lags)]}
 }
 
 // MatchedEnvelopeRange fills the decimated envelope env[from:] from x with
@@ -190,12 +297,7 @@ func (c *Correlator) envelopeRange(ctx context.Context, env, x []float64, from i
 		//hyperearvet:allow zeroalloc nil scratch is the caller opting out of reuse; the detector passes a warm SegScratch
 		s = &SegScratch{}
 	}
-	// The buffer holds the block's half spectrum and the in-band bins.
-	h := p.SpectrumLen() + b.inv.Size()
-	if cap(s.spec) < h {
-		s.spec = make([]complex128, h)
-	}
-	buf := s.spec[:h]
+	buf := s.blockBuf(b, p)
 	per := b.step / b.d
 	for m0 := from; m0 < len(env); m0 += per {
 		if err := ctx.Err(); err != nil {
@@ -204,6 +306,18 @@ func (c *Correlator) envelopeRange(ctx context.Context, env, x []float64, from i
 		bandBlock(env, x, m0, b, p, buf)
 	}
 	return nil
+}
+
+// blockBuf returns the scratch bandBlock needs: the block's half
+// spectrum and the in-band bins.
+//
+//hyperearvet:zeroalloc
+func (s *SegScratch) blockBuf(b *bandKernel, p *RealPlan) []complex128 {
+	h := p.SpectrumLen() + b.inv.Size()
+	if cap(s.spec) < h {
+		s.spec = make([]complex128, h)
+	}
+	return s.spec[:h]
 }
 
 // bandBlock is the band-limited analytic matched filter on one

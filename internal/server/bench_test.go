@@ -2,12 +2,15 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
 	"hyperear/internal/core"
+	"hyperear/internal/sessionio"
 )
 
 // BenchmarkServerThroughput drives concurrent multipart /v1/locate
@@ -67,5 +70,52 @@ func doLocate(b *testing.B, client *http.Client, base string, body []byte, conte
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		b.Fatalf("locate returned %d", resp.StatusCode)
+	}
+}
+
+// BenchmarkSessionLocate times a streamed session's locate alone: the
+// shared session is streamed through the handler in 4096-frame chunks
+// and its IMU trace attached, untimed, then each iteration is one POST
+// /v1/sessions/{id}/locate. It drives the HTTP API only, so it times the
+// same request whatever the session keeps between chunks.
+func BenchmarkSessionLocate(b *testing.B) {
+	sess, err := testSession()
+	if err != nil {
+		b.Fatal(err)
+	}
+	phone := sess.Scenario.Phone
+	srv := New(Config{Workers: 1, Pipeline: core.DefaultConfig(sess.Scenario.Source, phone.SampleRate, phone.MicSeparation)})
+	defer srv.FinishShutdown()
+	h := srv.Handler()
+	serve := func(path string, body []byte, want int) *httptest.ResponseRecorder {
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		if rr.Code != want {
+			b.Fatalf("POST %s: status %d, want %d: %s", path, rr.Code, want, rr.Body)
+		}
+		return rr
+	}
+	meta := fmt.Sprintf(`{"sampleRateHz":%g,"micSeparationM":%g}`, phone.SampleRate, phone.MicSeparation)
+	var created sessionCreateResponse
+	if err := json.NewDecoder(serve("/v1/sessions", []byte(meta), http.StatusCreated).Body).Decode(&created); err != nil {
+		b.Fatal(err)
+	}
+	base := "/v1/sessions/" + created.ID
+	m1, m2 := sess.Recording.Mic1, sess.Recording.Mic2
+	for at := 0; at < len(m1); at += 4096 {
+		end := min(at+4096, len(m1))
+		serve(base+"/audio", pcmChunk(m1[at:end], m2[at:end]), http.StatusOK)
+	}
+	var csv bytes.Buffer
+	if err := sessionio.WriteIMU(&csv, sess.IMU); err != nil {
+		b.Fatal(err)
+	}
+	serve(base+"/imu", csv.Bytes(), http.StatusNoContent)
+	serve(base+"/locate", nil, http.StatusOK) // warm pools and plans
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve(base+"/locate", nil, http.StatusOK)
 	}
 }

@@ -27,6 +27,7 @@ import (
 
 	"hyperear/internal/chirp"
 	"hyperear/internal/core"
+	"hyperear/internal/dsp"
 	"hyperear/internal/geom"
 	"hyperear/internal/obs"
 	"hyperear/internal/sessionio"
@@ -212,7 +213,8 @@ func (s *Server) recoverSessions() {
 	now := s.clock()
 	for _, rs := range recovered {
 		s.o.Inc(MSessRecovered)
-		if err := s.sessions.insertRecovered(rs, now); err != nil {
+		loc, _ := s.localizerFor(rs.Meta)
+		if err := s.sessions.insertRecovered(rs, loc, now); err != nil {
 			reason := EvictRecoveredInvalid
 			if errors.Is(err, errTableFull) {
 				reason = EvictRecoveredCapacity
@@ -487,8 +489,10 @@ type locate3DResponse struct {
 }
 
 // runLocate admits, runs and renders one localization over a decoded
-// bundle. mode is "2d" or "3d" (validated by the caller).
-func (s *Server) runLocate(w http.ResponseWriter, r *http.Request, b *sessionio.Bundle, mode string) {
+// bundle. mode is "2d" or "3d" (validated by the caller). pre holds a
+// streamed session's envelope prefixes (zero on the batch path); the
+// Localizer ignores any that its own feeds did not build.
+func (s *Server) runLocate(w http.ResponseWriter, r *http.Request, b *sessionio.Bundle, mode string, pre [2]dsp.EnvelopePrefix) {
 	release, err := s.pool.acquire(r.Context())
 	if err != nil {
 		if errors.Is(err, errQueueFull) || errors.Is(err, errDraining) {
@@ -517,7 +521,7 @@ func (s *Server) runLocate(w http.ResponseWriter, r *http.Request, b *sessionio.
 
 	switch mode {
 	case "2d":
-		res, err := loc.Locate2DContext(ctx, b.Recording, b.IMU)
+		res, err := loc.Locate2DStreamed(ctx, b.Recording, b.IMU, pre)
 		if err != nil {
 			s.writePipelineError(w, r, err)
 			return
@@ -531,7 +535,7 @@ func (s *Server) runLocate(w http.ResponseWriter, r *http.Request, b *sessionio.
 			Diagnostics: diagsJSON(res.Diagnostics),
 		})
 	case "3d":
-		res, err := loc.Locate3DContext(ctx, b.Recording, b.IMU)
+		res, err := loc.Locate3DStreamed(ctx, b.Recording, b.IMU, pre)
 		if err != nil {
 			s.writePipelineError(w, r, err)
 			return
@@ -608,7 +612,7 @@ func (s *Server) handleLocate(w http.ResponseWriter, r *http.Request) {
 	// keeps nothing aliasing the recording, so the decoded sample buffers
 	// go back to the sessionio pool on the way out.
 	defer sessionio.RecycleBundle(b)
-	s.runLocate(w, r, b, mode)
+	s.runLocate(w, r, b, mode, [2]dsp.EnvelopePrefix{})
 }
 
 // --- streaming session endpoints ---
@@ -619,7 +623,8 @@ type sessionCreateResponse struct {
 
 // handleSessionCreate opens a streaming session. The optional JSON body
 // is a sessionio.Meta; its beacon parameters configure the session's
-// stream detectors.
+// stream detector, and the Localizer its locate will run (resolved here,
+// from the same cache) supplies the envelope feeds.
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		s.shed(w, r, errDraining)
@@ -655,7 +660,10 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	if meta.SampleRate > 0 {
 		fs = meta.SampleRate
 	}
-	sess, err := s.sessions.create(meta, src, fs, s.clock())
+	// A meta the pipeline rejects still streams, without feeds; its
+	// locate fails on the same error the batch path reports.
+	loc, _ := s.localizerFor(meta)
+	sess, err := s.sessions.create(meta, src, fs, loc, s.clock())
 	if err != nil {
 		if errors.Is(err, errTableFull) {
 			s.shed(w, r, errQueueFull)
@@ -716,7 +724,7 @@ func (s *Server) handleSessionAudio(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer putBody(body)
-	dets, err := sess.appendAudio(r.Context(), body.Bytes(), s.cfg.MaxSessionSamples, s.clock())
+	dets, buffered, consumed, err := sess.appendAudio(r.Context(), body.Bytes(), s.cfg.MaxSessionSamples, s.clock())
 	if err != nil {
 		if errors.Is(err, errStoreFailed) {
 			s.storeFailed(w, r, err)
@@ -731,16 +739,12 @@ func (s *Server) handleSessionAudio(w http.ResponseWriter, r *http.Request) {
 		s.reject(w, r, code, err.Error())
 		return
 	}
-	resp := audioAppendResponse{Detections: make([]detectionJSON, 0, len(dets))}
+	resp := audioAppendResponse{Detections: make([]detectionJSON, 0, len(dets)), Buffered: buffered, Consumed: consumed}
 	for _, d := range dets {
 		resp.Detections = append(resp.Detections, detectionJSON{
 			Time: d.Time, Index: d.Index, Strength: d.Strength, SNR: d.SNR,
 		})
 	}
-	sess.mu.Lock()
-	resp.Buffered = sess.det1.Buffered()
-	resp.Consumed = sess.det1.Consumed()
-	sess.mu.Unlock()
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -775,6 +779,9 @@ func (s *Server) handleSessionIMU(w http.ResponseWriter, r *http.Request) {
 
 // handleSessionLocate runs the full pipeline over everything the session
 // has accumulated, through the same admission pool as the batch path.
+// The PCM is decoded outside the session lock, and ASP runs only the
+// matched-filter blocks the session's feeds have not (DESIGN.md §8,
+// "Streamed sessions").
 func (s *Server) handleSessionLocate(w http.ResponseWriter, r *http.Request) {
 	mode, err := parseMode(r)
 	if err != nil {
@@ -785,7 +792,7 @@ func (s *Server) handleSessionLocate(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	rec, tr, err := sess.snapshotRecording(s.clock())
+	pcm, pre, tr, err := sess.snapshotLocate(s.clock())
 	if err != nil {
 		code := http.StatusUnprocessableEntity
 		if errors.Is(err, errSessionGone) {
@@ -794,7 +801,9 @@ func (s *Server) handleSessionLocate(w http.ResponseWriter, r *http.Request) {
 		s.reject(w, r, code, err.Error())
 		return
 	}
-	s.runLocate(w, r, &sessionio.Bundle{Recording: rec, IMU: tr, Meta: sess.meta}, mode)
+	b := &sessionio.Bundle{Recording: decodeRecording(pcm, sess.fs), IMU: tr, Meta: sess.meta}
+	defer sessionio.RecycleBundle(b)
+	s.runLocate(w, r, b, mode, pre)
 }
 
 // handleSessionDelete evicts a session explicitly.

@@ -55,37 +55,42 @@ var testSession = sync.OnceValues(func() (*sim.Session, error) {
 })
 
 // testBundle lazily serializes the shared session as a multipart body.
-var testBundle = sync.OnceValues(func() (struct {
-	body        []byte
-	contentType string
-}, error) {
-	var out struct {
-		body        []byte
-		contentType string
-	}
+var testBundle = sync.OnceValues(func() (encodedBundle, error) {
 	s, err := testSession()
 	if err != nil {
-		return out, err
+		return encodedBundle{}, err
 	}
+	return encodeBundle(s)
+})
+
+// encodedBundle is a /v1/locate multipart body and its content type.
+type encodedBundle struct {
+	body        []byte
+	contentType string
+}
+
+// encodeBundle serializes a simulated session as a /v1/locate multipart
+// body: the recording as WAV, the IMU trace as CSV, and the phone's meta.
+func encodeBundle(s *sim.Session) (encodedBundle, error) {
 	var buf bytes.Buffer
 	w := multipart.NewWriter(&buf)
 	aw, err := w.CreateFormFile(sessionio.PartAudio, "audio.wav")
 	if err != nil {
-		return out, err
+		return encodedBundle{}, err
 	}
 	if err := sessionio.WriteRecording(aw, s.Recording); err != nil {
-		return out, err
+		return encodedBundle{}, err
 	}
 	iw, err := w.CreateFormFile(sessionio.PartIMU, "imu.csv")
 	if err != nil {
-		return out, err
+		return encodedBundle{}, err
 	}
 	if err := sessionio.WriteIMU(iw, s.IMU); err != nil {
-		return out, err
+		return encodedBundle{}, err
 	}
 	mw, err := w.CreateFormFile(sessionio.PartMeta, "meta.json")
 	if err != nil {
-		return out, err
+		return encodedBundle{}, err
 	}
 	meta := sessionio.Meta{
 		PhoneName:     s.Scenario.Phone.Name,
@@ -93,15 +98,13 @@ var testBundle = sync.OnceValues(func() (struct {
 		SampleRate:    s.Scenario.Phone.SampleRate,
 	}
 	if err := json.NewEncoder(mw).Encode(meta); err != nil {
-		return out, err
+		return encodedBundle{}, err
 	}
 	if err := w.Close(); err != nil {
-		return out, err
+		return encodedBundle{}, err
 	}
-	out.body = buf.Bytes()
-	out.contentType = w.FormDataContentType()
-	return out, nil
-})
+	return encodedBundle{body: buf.Bytes(), contentType: w.FormDataContentType()}, nil
+}
 
 func bundleRequest(t *testing.T, url string) *http.Request {
 	t.Helper()

@@ -12,6 +12,8 @@ import (
 	"time"
 
 	"hyperear/internal/chirp"
+	"hyperear/internal/core"
+	"hyperear/internal/dsp"
 	"hyperear/internal/imu"
 	"hyperear/internal/mic"
 	"hyperear/internal/obs"
@@ -19,11 +21,14 @@ import (
 	"hyperear/internal/sessionstore"
 )
 
-// session is one live streaming-ingest session: two per-channel
-// StreamDetectors give the client beacon-detection feedback chunk by
-// chunk (the paper's direction-finding UX needs to know the beacon is
-// audible before the user starts sliding), while the raw samples
-// accumulate for the final full-pipeline localization.
+// session is one live streaming-ingest session. Each chunk arrives as
+// interleaved stereo int16 PCM: mic1's StreamDetector gives the client
+// beacon-detection feedback chunk by chunk (the paper's
+// direction-finding UX needs to know the beacon is audible before the
+// user starts sliding), each channel's EnvelopeFeed runs the locate's
+// matched-filter blocks as soon as their input is complete, and the PCM
+// itself is kept for the locate's final pass (DESIGN.md §8, "Streamed
+// sessions").
 type session struct {
 	id   string
 	meta sessionio.Meta
@@ -33,25 +38,30 @@ type session struct {
 	st sessionstore.SessionStore
 	o  *obs.Obs
 
-	// mu serializes every mutable field below: the stream detectors'
-	// push state, the sample accumulators, and the lifecycle marks.
+	// mu serializes every mutable field below: the stream state, the
+	// PCM, and the lifecycle marks.
 	mu sync.Mutex
-	// det1 and det2 are the per-channel stream detectors.
+	// det1 is mic1's stream detector, the client-feedback channel.
 	//
 	// guarded by mu
-	det1, det2 *chirp.StreamDetector
-	// mic1 and mic2 accumulate the raw per-channel samples.
+	det1 *chirp.StreamDetector
+	// feeds run the session Localizer's matched-filter blocks over mic1
+	// and mic2 as the audio arrives; both nil when the Localizer could
+	// not be built (the locate then fails before it would read them).
 	//
 	// guarded by mu
-	mic1, mic2 []float64
+	feeds [2]*dsp.EnvelopeFeed
+	// pcm is the interleaved stereo int16 LE PCM received so far — the
+	// bytes the WAL persists. It only grows: a locate reads a
+	// capacity-capped prefix outside the lock, and nothing writes those
+	// bytes again.
+	//
+	// guarded by mu
+	pcm []byte
 	// trace is the attached inertial trace.
 	//
 	// guarded by mu
 	trace *imu.Trace
-	// detections counts confirmed channel-1 detections.
-	//
-	// guarded by mu
-	detections int
 	// lastTouch is the idle-eviction clock.
 	//
 	// guarded by mu
@@ -67,10 +77,10 @@ type session struct {
 func (s *session) touchLocked(now time.Time) { s.lastTouch = now }
 
 // decodePCM decodes interleaved stereo int16 little-endian PCM into the
-// per-channel float slices (each len(raw)/4 long). Recovery replays the
-// persisted bytes through exactly this decode, which is what makes a
-// resumed session's samples — and with them its locate — bit-identical
-// to the uninterrupted run's.
+// per-channel float slices (each len(raw)/4 long) with the WAV reader's
+// scaling, so a session's samples equal those of the same audio uploaded
+// to /v1/locate, and recovery's replay of the persisted bytes equals the
+// uninterrupted run's.
 func decodePCM(raw []byte, c1, c2 []float64) {
 	for i := range c1 {
 		c1[i] = float64(int16(binary.LittleEndian.Uint16(raw[i*4:]))) / 32767
@@ -78,56 +88,74 @@ func decodePCM(raw []byte, c1, c2 []float64) {
 	}
 }
 
-// appendAudio decodes interleaved stereo int16 little-endian PCM, pushes
-// both channels through the stream detectors, and accumulates the
-// samples. Returns the newly confirmed detections of channel 1 (the
-// client-feedback channel). ctx carries the request's trace IDs into
-// the detectors' push spans.
+// decodeChunk decodes a PCM chunk into pooled per-channel buffers; hand
+// them back with sessionio.RecycleSamples.
+//
+//hyperearvet:pooled
+func decodeChunk(raw []byte) (c1, c2 []float64, err error) {
+	if len(raw) == 0 || len(raw)%4 != 0 {
+		return nil, nil, fmt.Errorf("audio chunk must be interleaved stereo int16 (got %d bytes)", len(raw))
+	}
+	c1 = sessionio.BorrowSamples(len(raw) / 4)
+	c2 = sessionio.BorrowSamples(len(raw) / 4)
+	decodePCM(raw, c1, c2)
+	return c1, c2, nil
+}
+
+// ingestLocked applies one decoded chunk — raw and its channels c1, c2
+// — to the stream state: the PCM grows by raw, mic1 pushes through the
+// feedback detector and both channels through the envelope feeds. The
+// chunk path and recovery's replay of the persisted PCM both run it.
+// It returns mic1's newly confirmed detections, which the detector's
+// next push reuses. Callers hold s.mu.
+func (s *session) ingestLocked(ctx context.Context, raw []byte, c1, c2 []float64) []chirp.Detection {
+	s.pcm = append(s.pcm, raw...)
+	if s.feeds[0] != nil {
+		s.feeds[0].Push(c1)
+		s.feeds[1].Push(c2)
+	}
+	return s.det1.PushContext(ctx, c1)
+}
+
+// appendAudio decodes interleaved stereo int16 little-endian PCM and
+// applies it to the session. It returns channel 1's newly confirmed
+// detections (the client-feedback channel) with the detector's buffered
+// and consumed sample counts, all read under the lock that applied the
+// chunk. ctx carries the request's trace IDs into the detector's push
+// spans.
 //
 // When a store is attached the chunk is WAL-appended before the
 // in-memory state mutates: a crash between the two replays the chunk on
 // boot instead of losing it, and a failed durable write leaves the
 // session exactly as it was.
-func (s *session) appendAudio(ctx context.Context, raw []byte, maxSamples int, now time.Time) ([]chirp.Detection, error) {
-	if len(raw) == 0 || len(raw)%4 != 0 {
-		return nil, fmt.Errorf("audio chunk must be interleaved stereo int16 (got %d bytes)", len(raw))
+func (s *session) appendAudio(ctx context.Context, raw []byte, maxSamples int, now time.Time) (dets []chirp.Detection, buffered, consumed int, err error) {
+	c1, c2, err := decodeChunk(raw)
+	if err != nil {
+		return nil, 0, 0, err
 	}
-	n := len(raw) / 4
-	// The decoded chunks are copied by everything downstream (the sample
-	// accumulator and the stream detectors' carry buffers), so they can
-	// come from — and go straight back to — the sessionio sample pool.
-	c1 := sessionio.BorrowSamples(n)
-	c2 := sessionio.BorrowSamples(n)
 	defer sessionio.RecycleSamples(c1, c2)
-	decodePCM(raw, c1, c2)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.evicted {
-		return nil, errSessionGone
+		return nil, 0, 0, errSessionGone
 	}
-	if len(s.mic1)+n > maxSamples {
-		return nil, fmt.Errorf("%w: session exceeds %d samples", errSessionTooLarge, maxSamples)
+	if len(s.pcm)/4+len(c1) > maxSamples {
+		return nil, 0, 0, fmt.Errorf("%w: session exceeds %d samples", errSessionTooLarge, maxSamples)
 	}
 	if s.st != nil {
 		if err := s.st.AppendAudio(s.id, raw); err != nil {
 			s.o.Inc(MStoreErrors)
-			return nil, fmt.Errorf("%w: %v", errStoreFailed, err)
+			return nil, 0, 0, fmt.Errorf("%w: %v", errStoreFailed, err)
 		}
 	}
-	s.mic1 = append(s.mic1, c1...)
-	s.mic2 = append(s.mic2, c2...)
-	dets := s.det1.PushContext(ctx, c1)
-	s.det2.PushContext(ctx, c2)
-	s.detections += len(dets)
-	s.touchLocked(now)
 	// PushContext reuses its returned slice on the detector's next push;
 	// copy while the lock still excludes that push so the handler can
 	// serialize the detections after unlocking.
-	var out []chirp.Detection
-	if len(dets) > 0 {
-		out = append(out, dets...)
+	if d := s.ingestLocked(ctx, raw, c1, c2); len(d) > 0 {
+		dets = append(dets, d...)
 	}
-	return out, nil
+	s.touchLocked(now)
+	return dets, s.det1.Buffered(), s.det1.Consumed(), nil
 }
 
 // setIMU attaches the session's inertial trace. raw is the CSV the
@@ -150,26 +178,25 @@ func (s *session) setIMU(tr *imu.Trace, raw []byte, now time.Time) error {
 	return nil
 }
 
-// snapshotRecording returns a Recording over the accumulated samples and
-// the IMU trace, for the final localization. The slices are copied so the
-// pipeline can run outside the session lock while more audio arrives.
-func (s *session) snapshotRecording(now time.Time) (*mic.Recording, *imu.Trace, error) {
+// snapshotLocate returns what a locate reads, taken together under the
+// lock: the PCM so far, capped at its length so nothing can write
+// through it, each channel's envelope prefix over that PCM (zero when
+// the session streams without feeds), and the IMU trace. The caller
+// decodes the PCM outside the lock while more audio arrives.
+func (s *session) snapshotLocate(now time.Time) (pcm []byte, pre [2]dsp.EnvelopePrefix, tr *imu.Trace, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.evicted {
-		return nil, nil, errSessionGone
+		return nil, pre, nil, errSessionGone
 	}
-	if len(s.mic1) == 0 {
-		return nil, nil, fmt.Errorf("session has no audio")
+	if len(s.pcm) == 0 {
+		return nil, pre, nil, fmt.Errorf("session has no audio")
 	}
 	if s.trace == nil {
-		return nil, nil, fmt.Errorf("session has no IMU trace")
+		return nil, pre, nil, fmt.Errorf("session has no IMU trace")
 	}
-	rec := &mic.Recording{
-		Fs:        s.fs,
-		Mic1:      append([]float64(nil), s.mic1...),
-		Mic2:      append([]float64(nil), s.mic2...),
-		TrueSNRdB: math.Inf(1),
+	if s.feeds[0] != nil {
+		pre = [2]dsp.EnvelopePrefix{s.feeds[0].Prefix(), s.feeds[1].Prefix()}
 	}
 	if s.st != nil {
 		// The locate event is audit trail, not state the pipeline needs;
@@ -179,7 +206,23 @@ func (s *session) snapshotRecording(now time.Time) (*mic.Recording, *imu.Trace, 
 		}
 	}
 	s.touchLocked(now)
-	return rec, s.trace, nil
+	return s.pcm[:len(s.pcm):len(s.pcm)], pre, s.trace, nil
+}
+
+// decodeRecording decodes a locate's PCM snapshot into a Recording over
+// pooled sample buffers; hand them back with sessionio.RecycleBundle once
+// the response is written.
+//
+//hyperearvet:pooled
+func decodeRecording(pcm []byte, fs float64) *mic.Recording {
+	rec := &mic.Recording{
+		Fs:        fs,
+		Mic1:      sessionio.BorrowSamples(len(pcm) / 4),
+		Mic2:      sessionio.BorrowSamples(len(pcm) / 4),
+		TrueSNRdB: math.Inf(1),
+	}
+	decodePCM(pcm, rec.Mic1, rec.Mic2)
+	return rec
 }
 
 var (
@@ -225,23 +268,31 @@ func newID() (string, error) {
 	return hex.EncodeToString(b[:]), nil
 }
 
-// create registers a new session with per-channel stream detectors built
-// from the beacon parameters.
-func (t *sessionTable) create(meta sessionio.Meta, src chirp.Params, fs float64, now time.Time) (*session, error) {
+// newSession builds a session's stream state: mic1's feedback detector,
+// attached to the table's obs hook so streaming ingest shows up in the
+// same registry and traces as the batch path, and, when loc is non-nil,
+// one envelope feed per channel for loc's locate.
+func (t *sessionTable) newSession(id string, meta sessionio.Meta, src chirp.Params, fs float64, loc *core.Localizer, now time.Time) (*session, error) {
 	det1, err := chirp.NewStreamDetector(src, fs)
 	if err != nil {
 		return nil, err
 	}
-	det2, err := chirp.NewStreamDetector(src, fs)
+	det1.SetObs(t.o)
+	s := &session{id: id, meta: meta, fs: fs, st: t.st, o: t.o, det1: det1, lastTouch: now}
+	if loc != nil {
+		s.feeds = [2]*dsp.EnvelopeFeed{loc.NewEnvelopeFeed(), loc.NewEnvelopeFeed()}
+	}
+	return s, nil
+}
+
+// create registers a new session streaming src at fs. loc is the
+// Localizer its locate will run, nil when that could not be built.
+func (t *sessionTable) create(meta sessionio.Meta, src chirp.Params, fs float64, loc *core.Localizer, now time.Time) (*session, error) {
+	id, err := newID()
 	if err != nil {
 		return nil, err
 	}
-	// The table's obs hook doubles as the detectors' counter/span sink,
-	// so streaming ingest is visible in the same registry and traces as
-	// the batch path.
-	det1.SetObs(t.o)
-	det2.SetObs(t.o)
-	id, err := newID()
+	s, err := t.newSession(id, meta, src, fs, loc, now)
 	if err != nil {
 		return nil, err
 	}
@@ -254,7 +305,6 @@ func (t *sessionTable) create(meta sessionio.Meta, src chirp.Params, fs float64,
 			return nil, fmt.Errorf("%w: %v", errStoreFailed, err)
 		}
 	}
-	s := &session{id: id, meta: meta, fs: fs, st: t.st, o: t.o, det1: det1, det2: det2, lastTouch: now}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if len(t.m) >= t.max {
@@ -324,25 +374,20 @@ func (t *sessionTable) evictLocked(id, reason string) bool {
 }
 
 // insertRecovered rebuilds one persisted session into the live table:
-// fresh per-channel StreamDetectors replay the accumulated PCM (the
-// detectors' chunked==batch equivalence makes the resumed state agree
-// with the uninterrupted run's), the IMU CSV is re-parsed, and the
+// the persisted PCM replays through the chunk path's decode and ingest
+// (the detector's chunked==batch equivalence makes the resumed feedback
+// state agree with the uninterrupted run's, and the envelope feeds'
+// blocks depend on the samples alone), the IMU CSV is re-parsed, and the
 // detector's Consumed accounting is checked against the persisted
-// sample count before the session goes live.
-func (t *sessionTable) insertRecovered(rs sessionstore.Session, now time.Time) error {
+// sample count before the session goes live. loc is as for create.
+func (t *sessionTable) insertRecovered(rs sessionstore.Session, loc *core.Localizer, now time.Time) error {
 	if len(rs.Audio)%4 != 0 {
 		return fmt.Errorf("persisted audio is %d bytes, not whole stereo frames", len(rs.Audio))
 	}
-	det1, err := chirp.NewStreamDetector(rs.Src, rs.FS)
+	s, err := t.newSession(rs.ID, rs.Meta, rs.Src, rs.FS, loc, now)
 	if err != nil {
 		return fmt.Errorf("rebuilding detector: %w", err)
 	}
-	det2, err := chirp.NewStreamDetector(rs.Src, rs.FS)
-	if err != nil {
-		return fmt.Errorf("rebuilding detector: %w", err)
-	}
-	det1.SetObs(t.o)
-	det2.SetObs(t.o)
 	var tr *imu.Trace
 	if rs.IMU != nil {
 		tr, err = sessionio.ReadIMU(bytes.NewReader(rs.IMU))
@@ -350,24 +395,19 @@ func (t *sessionTable) insertRecovered(rs sessionstore.Session, now time.Time) e
 			return fmt.Errorf("re-parsing imu: %w", err)
 		}
 	}
-	n := len(rs.Audio) / 4
-	var mic1, mic2 []float64
-	detections := 0
-	if n > 0 {
-		mic1 = make([]float64, n)
-		mic2 = make([]float64, n)
-		decodePCM(rs.Audio, mic1, mic2)
-		dets := det1.Push(mic1)
-		det2.Push(mic2)
-		detections = len(dets)
-		if det1.Consumed() != n {
-			return fmt.Errorf("detector resumed %d of %d samples", det1.Consumed(), n)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.trace = tr
+	if n := len(rs.Audio) / 4; n > 0 {
+		c1, c2, err := decodeChunk(rs.Audio)
+		if err != nil {
+			return err
 		}
-	}
-	s := &session{
-		id: rs.ID, meta: rs.Meta, fs: rs.FS, st: t.st, o: t.o,
-		det1: det1, det2: det2, mic1: mic1, mic2: mic2,
-		trace: tr, detections: detections, lastTouch: now,
+		s.ingestLocked(context.Background(), rs.Audio, c1, c2)
+		sessionio.RecycleSamples(c1, c2)
+		if s.det1.Consumed() != n {
+			return fmt.Errorf("detector resumed %d of %d samples", s.det1.Consumed(), n)
+		}
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()

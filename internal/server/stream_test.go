@@ -1,0 +1,265 @@
+package server
+
+// Streamed sessions against the batch path: a session's locate reuses
+// the matched-filter blocks its envelope feeds computed chunk by chunk,
+// and its body must equal /v1/locate's for the same samples byte for
+// byte, whatever the chunking, across a restart, and while appends race
+// it.
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"sync"
+	"testing"
+	"time"
+
+	"hyperear/internal/chirp"
+	"hyperear/internal/geom"
+	"hyperear/internal/imu"
+	"hyperear/internal/mic"
+	"hyperear/internal/room"
+	"hyperear/internal/sessionio"
+	"hyperear/internal/sim"
+)
+
+// testSession3D lazily renders a small two-stature session: two slides
+// on each side of a 0.4 m stature change.
+var testSession3D = sync.OnceValues(func() (*sim.Session, error) {
+	return sim.Run(sim.Scenario{
+		Env:            room.MeetingRoom(),
+		Phone:          mic.GalaxyS4(),
+		Source:         chirp.Default(),
+		SpeakerPos:     geom.Vec3{X: 8, Y: 6, Z: 0.5},
+		SpeakerSkewPPM: -20,
+		PhoneStart:     geom.Vec3{X: 4, Y: 6, Z: 1.3},
+		Protocol: sim.Protocol{
+			SlideDist:     0.55,
+			SlideDur:      1.0,
+			HoldDur:       0.45,
+			Slides:        4,
+			Mode:          sim.ModeRuler,
+			StatureChange: -0.4,
+		},
+		IMU:   imu.DefaultConfig(),
+		Noise: room.WhiteNoise{},
+		SNRdB: 18,
+		Seed:  9,
+	})
+})
+
+// streamCase is one simulated session in both wire forms: the batch
+// multipart bundle, and the interleaved stereo int16 PCM the WAV inside
+// it carries, which a streaming client sends chunk by chunk.
+type streamCase struct {
+	mode       string
+	bundle     encodedBundle
+	pcm        []byte
+	imuCSV     []byte
+	createBody string
+}
+
+func newStreamCase(t *testing.T, mode string, s *sim.Session) streamCase {
+	t.Helper()
+	b, err := encodeBundle(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wav, csv bytes.Buffer
+	if err := sessionio.WriteRecording(&wav, s.Recording); err != nil {
+		t.Fatal(err)
+	}
+	if err := sessionio.WriteIMU(&csv, s.IMU); err != nil {
+		t.Fatal(err)
+	}
+	frames := len(s.Recording.Mic1)
+	return streamCase{
+		mode:   mode,
+		bundle: b,
+		pcm:    wav.Bytes()[wav.Len()-4*frames:],
+		imuCSV: csv.Bytes(),
+		createBody: fmt.Sprintf(`{"sampleRateHz":%g,"micSeparationM":%g}`,
+			s.Scenario.Phone.SampleRate, s.Scenario.Phone.MicSeparation),
+	}
+}
+
+// chunks cuts the PCM into chunks of the given frame counts, cycled.
+func (c streamCase) chunks(frames ...int) [][]byte {
+	var out [][]byte
+	for at, i := 0, 0; at < len(c.pcm); i++ {
+		end := min(at+4*frames[i%len(frames)], len(c.pcm))
+		out = append(out, c.pcm[at:end])
+		at = end
+	}
+	return out
+}
+
+// post sends one request and returns the status and body.
+func post(t *testing.T, ts *httptest.Server, path, contentType string, body []byte) (int, []byte) {
+	t.Helper()
+	resp, err := ts.Client().Post(ts.URL+path, contentType, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, out
+}
+
+// batchLocate is the /v1/locate body for the case's bundle.
+func (c streamCase) batchLocate(t *testing.T, ts *httptest.Server) []byte {
+	t.Helper()
+	code, body := post(t, ts, "/v1/locate?mode="+c.mode, c.bundle.contentType, c.bundle.body)
+	if code != http.StatusOK {
+		t.Fatalf("batch locate: status %d: %s", code, body)
+	}
+	return body
+}
+
+// finish attaches the IMU trace and returns the session locate's body.
+func (c streamCase) finish(t *testing.T, ts *httptest.Server, id string) []byte {
+	t.Helper()
+	if code, body := post(t, ts, "/v1/sessions/"+id+"/imu", "text/csv", c.imuCSV); code != http.StatusNoContent {
+		t.Fatalf("imu: status %d: %s", code, body)
+	}
+	code, body := post(t, ts, "/v1/sessions/"+id+"/locate?mode="+c.mode, "", nil)
+	if code != http.StatusOK {
+		t.Fatalf("session locate: status %d: %s", code, body)
+	}
+	return body
+}
+
+// TestSessionLocateMatchesBatch: for a 2D and a 3D session, streamed in
+// 4096-frame chunks, 65536-frame chunks and chunks straddling the ASP's
+// 14320-sample block step, and once more with a restart over a FileStore
+// halfway through (recovery rebuilds the feeds' blocks from the
+// persisted PCM), the session locate body equals the /v1/locate body for
+// the same samples byte for byte.
+func TestSessionLocateMatchesBatch(t *testing.T) {
+	s2, err := testSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s3, err := testSession3D()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts, _ := newTestServer(t, nil)
+	for _, c := range []streamCase{newStreamCase(t, "2d", s2), newStreamCase(t, "3d", s3)} {
+		want := c.batchLocate(t, ts)
+		for name, frames := range map[string][]int{
+			"4096":       {4096},
+			"65536":      {65536},
+			"straddling": {14319, 2, 16383, 1},
+		} {
+			id := createSession(t, ts, c.createBody)
+			for _, chunk := range c.chunks(frames...) {
+				pushAudio(t, ts, id, chunk)
+			}
+			if got := c.finish(t, ts, id); !bytes.Equal(got, want) {
+				t.Errorf("%s/%s: session locate differs from batch\n got: %s\nwant: %s", c.mode, name, got, want)
+			}
+		}
+
+		dir := t.TempDir()
+		st1 := openTestStore(t, dir)
+		_, ts1, _ := newTestServer(t, func(cfg *Config) { cfg.Store = st1; cfg.SweepInterval = time.Hour })
+		chunks := c.chunks(10007)
+		id := createSession(t, ts1, c.createBody)
+		half := len(chunks) / 2
+		for _, chunk := range chunks[:half] {
+			pushAudio(t, ts1, id, chunk)
+		}
+		if err := st1.Close(); err != nil {
+			t.Fatal(err)
+		}
+		st2 := openTestStore(t, dir)
+		_, ts2, reg2 := newTestServer(t, func(cfg *Config) { cfg.Store = st2; cfg.SweepInterval = time.Hour })
+		if got := reg2.Get(MSessRecovered); got != 1 {
+			t.Fatalf("recovered = %d, want 1", got)
+		}
+		for _, chunk := range chunks[half:] {
+			pushAudio(t, ts2, id, chunk)
+		}
+		if got := c.finish(t, ts2, id); !bytes.Equal(got, want) {
+			t.Errorf("%s/restart: session locate differs from batch\n got: %s\nwant: %s", c.mode, got, want)
+		}
+	}
+}
+
+// TestSessionAudioConcurrentConsumed: concurrent appends to one session
+// each report the accounting of their own chunk, read under the lock that
+// applied it — distinct consumed counts, the larger one the total.
+func TestSessionAudioConcurrentConsumed(t *testing.T) {
+	_, ts, _ := newTestServer(t, nil)
+	id := createSession(t, ts, "")
+	chunk := make([]byte, 4*4096)
+	total := 0
+	for round := 0; round < 20; round++ {
+		var got [2]int
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				resp, err := ts.Client().Post(ts.URL+"/v1/sessions/"+id+"/audio", "application/octet-stream", bytes.NewReader(chunk))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer resp.Body.Close()
+				got[i] = decodeJSON[audioAppendResponse](t, resp.Body).Consumed
+			}()
+		}
+		wg.Wait()
+		total += 2 * 4096
+		if got[0] == got[1] || max(got[0], got[1]) != total || min(got[0], got[1]) != total-4096 {
+			t.Fatalf("round %d: consumed %v, want %d and %d", round, got, total-4096, total)
+		}
+	}
+}
+
+// TestSessionLocateRacesAppends runs session locates while appends to
+// the same session keep landing: under -race this checks that the
+// locate's PCM and envelope-prefix reads outside the session lock never
+// meet a write. Every locate succeeds or finds too little audio (422),
+// and the final one, after the last chunk, equals the batch answer.
+func TestSessionLocateRacesAppends(t *testing.T) {
+	s, err := testSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newStreamCase(t, "2d", s)
+	_, ts, _ := newTestServer(t, func(cfg *Config) { cfg.Queue = 8 })
+	want := c.batchLocate(t, ts)
+	id := createSession(t, ts, c.createBody)
+	chunks := c.chunks(4096)
+	pushAudio(t, ts, id, chunks[0])
+	if code, body := post(t, ts, "/v1/sessions/"+id+"/imu", "text/csv", c.imuCSV); code != http.StatusNoContent {
+		t.Fatalf("imu: status %d: %s", code, body)
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for _, chunk := range chunks[1:] {
+			pushAudio(t, ts, id, chunk)
+		}
+	}()
+	for i := 0; i < 3; i++ {
+		code, body := post(t, ts, "/v1/sessions/"+id+"/locate", "", nil)
+		if code != http.StatusOK && code != http.StatusUnprocessableEntity {
+			t.Errorf("racing locate %d: status %d: %s", i, code, body)
+		}
+	}
+	wg.Wait()
+	code, got := post(t, ts, "/v1/sessions/"+id+"/locate", "", nil)
+	if code != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("final locate: status %d, body differs from batch\n got: %s\nwant: %s", code, got, want)
+	}
+}

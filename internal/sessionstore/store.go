@@ -1,6 +1,6 @@
 // Package sessionstore persists the HTTP service's streaming-ingest
 // sessions across process restarts. The server keeps its live table
-// (detectors, decoded samples) in memory exactly as before; a
+// (stream state, received PCM) in memory exactly as before; a
 // SessionStore is the durability layer underneath it: every session
 // mutation becomes an append-only event, and recovery-on-boot replays
 // the events back into the table so an in-flight user survives a deploy
@@ -65,10 +65,11 @@ type SessionStore interface {
 }
 
 // Session is one recovered session: the pipeline parameters plus the
-// raw bytes needed to rebuild the live state (the server re-pushes
-// Audio through fresh StreamDetectors; chunked==batch equivalence makes
-// the rebuilt detector state indistinguishable from the uninterrupted
-// run's).
+// raw bytes needed to rebuild the live state. The server replays Audio
+// through the chunk path's ingest: mic1's feedback StreamDetector
+// (chunked==batch equivalence) and the envelope feeds, whose blocks
+// depend on the samples alone, so the rebuilt session locates exactly
+// as the uninterrupted one would.
 type Session struct {
 	ID   string
 	Meta sessionio.Meta

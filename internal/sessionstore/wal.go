@@ -10,6 +10,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -59,6 +60,8 @@ const (
 	// maxRecordBytes bounds a single frame; anything larger in a length
 	// header is treated as corruption, not an allocation request.
 	maxRecordBytes = 1 << 28
+	// scanChunkBytes is how much of a frame body recovery reads per step.
+	scanChunkBytes = 1 << 20
 )
 
 // Filenames inside the data directory.
@@ -238,19 +241,24 @@ func scanLog(r io.Reader, fn func(rec record)) (valid int64, torn bool, err erro
 			}
 			return valid, false, err
 		}
-		n := binary.LittleEndian.Uint32(hdr[0:])
+		n := int(binary.LittleEndian.Uint32(hdr[0:]))
 		if n < bodyHeaderBytes || n > maxRecordBytes {
 			return valid, true, nil
 		}
-		if cap(body) < int(n) {
-			body = make([]byte, n)
-		}
-		body = body[:n]
-		if _, err := io.ReadFull(br, body); err != nil {
+		// The body grows with the bytes that actually arrive, so a corrupt
+		// length header costs what the file holds, not maxRecordBytes.
+		body = body[:0]
+		for len(body) < n {
+			k := min(n-len(body), scanChunkBytes)
+			body = slices.Grow(body, k)
+			m, err := io.ReadFull(br, body[len(body):len(body)+k])
+			body = body[:len(body)+m]
 			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 				return valid, true, nil
 			}
-			return valid, false, err
+			if err != nil {
+				return valid, false, err
+			}
 		}
 		if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(hdr[4:]) {
 			return valid, true, nil
