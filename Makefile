@@ -95,8 +95,9 @@ servbench-test:
 # CSV (never panics, finite samples, write/read fixed point) and the
 # multipart bundle around them (never panics, consistent bundle), then
 # WAL replay (arbitrary session.wal or snapshot.wal bytes never panic
-# and recover what the Memory oracle holds). Each WAL input costs a
-# store open, so that target minimizes new inputs for at most 1 s. A
+# and recover what the Memory oracle holds, again after a compaction
+# copies their frames). Each WAL input costs three store opens, so that
+# target minimizes new inputs for at most 1 s. A
 # failing input lands in
 # internal/{chirp,sessionio,sessionstore}/testdata/fuzz/<target>/;
 # commit it as a regression input. CI's bench-smoke job runs this.
@@ -139,11 +140,13 @@ crash-soak:
 # ServerThroughput measures locates/sec through the full HTTP service;
 # SessionIngest compares the streaming-append path with and without the
 # session WAL underneath, SessionLocate times a streamed session's locate
-# alone, and WALAppend pins the raw durable append under both fsync
-# policies; DisabledSpan/EnabledSpan pin the per-hook
+# alone, WALAppend pins the raw durable append under both fsync
+# policies, and WALCompact times one compaction of 16 × 2 MiB sessions
+# (its B/op stays flat: frames are copied file to file, not held in
+# memory); DisabledSpan/EnabledSpan pin the per-hook
 # observability overhead (the disabled path must stay 0 B/op) and
 # PromExposition the /metrics scrape-render cost.
-BENCH_RE := CrossCorrelate|Correlator|Envelope|FFTReal|MatchedFilter|Detect|DetectSegmented|Stream|ASP|PipelineLocate2D|ServerThroughput|SessionIngest|SessionLocate|WALAppend|DisabledSpan|EnabledSpan|PromExposition
+BENCH_RE := CrossCorrelate|Correlator|Envelope|FFTReal|MatchedFilter|Detect|DetectSegmented|Stream|ASP|PipelineLocate2D|ServerThroughput|SessionIngest|SessionLocate|WALAppend|WALCompact|DisabledSpan|EnabledSpan|PromExposition
 BENCH_PKGS := ./ ./internal/dsp/ ./internal/chirp/ ./internal/obs/ ./internal/server/ ./internal/sessionstore/
 
 bench:

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
+	"sync"
 )
 
 // This file is the segmented execution mode of the matched filter:
@@ -167,8 +168,11 @@ func (c *Correlator) MatchedEnvelopeCtx(ctx context.Context, env, x []float64, p
 	from := 0
 	if pre.c == c {
 		per := c.band().step / d
-		from = min(len(pre.lags)/per, c.completeBlocks(len(x))) * per
-		copy(env, pre.lags[:from])
+		blocks := pre.blocks[:min(len(pre.blocks), c.completeBlocks(len(x)))]
+		for k, lags := range blocks {
+			copy(env[k*per:], lags)
+		}
+		from = len(blocks) * per
 	}
 	return env, c.envelopeRange(ctx, env, x, from, s)
 }
@@ -196,31 +200,41 @@ func (c *Correlator) completeBlocks(n int) int {
 // decimated envelope over an input, as an EnvelopeFeed computed them.
 // The zero value is the empty prefix. The lags are shared, read-only.
 type EnvelopePrefix struct {
-	c    *Correlator
-	lags []float64
+	c *Correlator
+	// blocks holds one slice of BlockStep()/Decimation() lags per block.
+	blocks [][]float64
 }
 
 // Len returns how many decimated lags the prefix holds: a whole number
 // of blocks, BlockStep()/Decimation() lags each.
-func (p EnvelopePrefix) Len() int { return len(p.lags) }
+func (p EnvelopePrefix) Len() int {
+	if len(p.blocks) == 0 {
+		return 0
+	}
+	return len(p.blocks) * len(p.blocks[0])
+}
 
 // EnvelopeFeed runs MatchedEnvelopeCtx's blocks over an input that
 // arrives piecewise: each block runs once, as soon as the feed holds its
 // whole input, on the grid MatchedEnvelopeCtx uses. Prefix therefore
 // always equals the leading lags of MatchedEnvelopeCtx over the input so
 // far, or over any input that continues it, bit for bit. The feed keeps
-// at most one block's input. It is not safe for concurrent use; the
+// at most one block's input, and borrows the block scratch from a pool
+// only while a block runs. It is not safe for concurrent use; the
 // prefixes it hands out are.
 type EnvelopeFeed struct {
 	c *Correlator
 	// in is the input from the next block's first sample on: block
-	// len(lags)·D/BlockStep() runs once it holds SegmentSize() samples.
+	// len(blocks) runs once it holds SegmentSize() samples.
 	in []float64
-	// lags holds the complete blocks' decimated lags. It only grows:
-	// nothing a Prefix handed out is ever written again.
-	lags []float64
-	seg  SegScratch
+	// blocks holds each complete block's decimated lags in a slice of
+	// its own, sized exactly: no block is ever written or copied again
+	// once appended, so nothing a Prefix handed out changes.
+	blocks [][]float64
 }
+
+// segPool lends EnvelopeFeed.Push its block scratch for one block.
+var segPool = sync.Pool{New: func() any { return new(SegScratch) }}
 
 // NewEnvelopeFeed returns an empty feed over this Correlator's blocks.
 func (c *Correlator) NewEnvelopeFeed() *EnvelopeFeed { return &EnvelopeFeed{c: c} }
@@ -235,7 +249,6 @@ func (f *EnvelopeFeed) Push(x []float64) {
 	}
 	b, n := f.c.band(), f.c.SegmentSize()
 	p := realPlanFor(n)
-	per := b.step / b.d
 	if cap(f.in) < n {
 		f.in = append(make([]float64, 0, n), f.in...)
 	}
@@ -246,14 +259,12 @@ func (f *EnvelopeFeed) Push(x []float64) {
 		if len(f.in) < n {
 			return
 		}
-		m := len(f.lags)
-		if cap(f.lags) < m+per {
-			grown := make([]float64, m, 2*m+per)
-			copy(grown, f.lags)
-			f.lags = grown
-		}
-		f.lags = f.lags[:m+per]
-		bandBlock(f.lags[m:], f.in, 0, b, p, f.seg.blockBuf(b, p))
+		//hyperearvet:allow zeroalloc each complete block's lags are kept in a slice of their own for the feed's life
+		lags := make([]float64, b.step/b.d)
+		s := segPool.Get().(*SegScratch)
+		bandBlock(lags, f.in, 0, b, p, s.blockBuf(b, p))
+		segPool.Put(s)
+		f.blocks = append(f.blocks, lags)
 		f.in = f.in[:copy(f.in, f.in[b.step:])]
 	}
 }
@@ -263,7 +274,7 @@ func (f *EnvelopeFeed) Push(x []float64) {
 //
 //hyperearvet:zeroalloc
 func (f *EnvelopeFeed) Prefix() EnvelopePrefix {
-	return EnvelopePrefix{c: f.c, lags: f.lags[:len(f.lags):len(f.lags)]}
+	return EnvelopePrefix{c: f.c, blocks: f.blocks[:len(f.blocks):len(f.blocks)]}
 }
 
 // MatchedEnvelopeRange fills the decimated envelope env[from:] from x with

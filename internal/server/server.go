@@ -151,13 +151,18 @@ type Server struct {
 	clock func() time.Time
 
 	// locMu guards the localizer cache: building a Localizer renders the
-	// beacon template and FFT plans, so sessions sharing parameters share
-	// the instance (Localizer is safe for concurrent use).
+	// beacon template and FFT plans, so requests sharing parameters share
+	// the instance (Localizer is safe for concurrent use). The cache holds
+	// at most maxLocalizers entries, evicting the least recently used.
 	locMu sync.Mutex
 	// locs is the localizer cache.
 	//
 	// guarded by locMu
-	locs map[locKey]*core.Localizer
+	locs map[locKey]*locEntry
+	// locTick stamps cache hits for least-recently-used eviction.
+	//
+	// guarded by locMu
+	locTick uint64
 
 	janitorStop chan struct{}
 	janitorDone chan struct{}
@@ -172,6 +177,18 @@ type locKey struct {
 	micSep float64
 }
 
+// locEntry is one cached Localizer and its last use.
+type locEntry struct {
+	loc  *core.Localizer
+	used uint64
+}
+
+// maxLocalizers caps the localizer cache. Its keys come from client
+// meta, so without a cap every distinct meta would pin a Localizer for
+// the process's life. A streamed session keeps the Localizer it
+// resolved at create, so eviction never changes what its locate runs.
+const maxLocalizers = 16
+
 // New builds a Server and starts its idle-eviction janitor.
 func New(cfg Config) *Server {
 	cfg = cfg.Normalize()
@@ -181,7 +198,7 @@ func New(cfg Config) *Server {
 		pool:        newPool(cfg.Workers, cfg.Queue, cfg.Obs.Gauge(GQueueDepth)),
 		sessions:    newSessionTable(cfg.MaxSessions, cfg.SessionIdleTimeout, cfg.Store, cfg.Obs),
 		clock:       time.Now,
-		locs:        make(map[locKey]*core.Localizer),
+		locs:        make(map[locKey]*locEntry),
 		janitorStop: make(chan struct{}),
 		janitorDone: make(chan struct{}),
 	}
@@ -431,14 +448,26 @@ func (s *Server) localizerFor(meta sessionio.Meta) (*core.Localizer, error) {
 	key := locKey{src: cfg.Source, fs: cfg.SampleRate, micSep: cfg.MicSeparation}
 	s.locMu.Lock()
 	defer s.locMu.Unlock()
-	if l, ok := s.locs[key]; ok {
-		return l, nil
+	s.locTick++
+	if e, ok := s.locs[key]; ok {
+		e.used = s.locTick
+		return e.loc, nil
 	}
 	l, err := core.NewLocalizer(cfg)
 	if err != nil {
 		return nil, err
 	}
-	s.locs[key] = l
+	if len(s.locs) >= maxLocalizers {
+		var lru locKey
+		oldest := s.locTick
+		for k, e := range s.locs {
+			if e.used < oldest {
+				lru, oldest = k, e.used
+			}
+		}
+		delete(s.locs, lru)
+	}
+	s.locs[key] = &locEntry{loc: l, used: s.locTick}
 	return l, nil
 }
 
@@ -489,10 +518,13 @@ type locate3DResponse struct {
 }
 
 // runLocate admits, runs and renders one localization over a decoded
-// bundle. mode is "2d" or "3d" (validated by the caller). pre holds a
-// streamed session's envelope prefixes (zero on the batch path); the
-// Localizer ignores any that its own feeds did not build.
-func (s *Server) runLocate(w http.ResponseWriter, r *http.Request, b *sessionio.Bundle, mode string, pre [2]dsp.EnvelopePrefix) {
+// bundle. mode is "2d" or "3d" (validated by the caller). loc is a
+// streamed session's own Localizer; when nil (the batch path, or a
+// session whose Localizer could not be built) the bundle's meta resolves
+// one from the cache once admitted. pre holds a streamed session's
+// envelope prefixes (zero on the batch path); the Localizer ignores any
+// that its own feeds did not build.
+func (s *Server) runLocate(w http.ResponseWriter, r *http.Request, b *sessionio.Bundle, mode string, loc *core.Localizer, pre [2]dsp.EnvelopePrefix) {
 	release, err := s.pool.acquire(r.Context())
 	if err != nil {
 		if errors.Is(err, errQueueFull) || errors.Is(err, errDraining) {
@@ -511,12 +543,13 @@ func (s *Server) runLocate(w http.ResponseWriter, r *http.Request, b *sessionio.
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
 
-	loc, err := s.localizerFor(b.Meta)
-	if err != nil {
-		s.o.Inc(MReqCompleted)
-		setOutcome(r.Context(), outcomeFailed)
-		writeJSON(w, http.StatusUnprocessableEntity, errorBody{Error: "pipeline config: " + err.Error()})
-		return
+	if loc == nil {
+		if loc, err = s.localizerFor(b.Meta); err != nil {
+			s.o.Inc(MReqCompleted)
+			setOutcome(r.Context(), outcomeFailed)
+			writeJSON(w, http.StatusUnprocessableEntity, errorBody{Error: "pipeline config: " + err.Error()})
+			return
+		}
 	}
 
 	switch mode {
@@ -612,7 +645,7 @@ func (s *Server) handleLocate(w http.ResponseWriter, r *http.Request) {
 	// keeps nothing aliasing the recording, so the decoded sample buffers
 	// go back to the sessionio pool on the way out.
 	defer sessionio.RecycleBundle(b)
-	s.runLocate(w, r, b, mode, [2]dsp.EnvelopePrefix{})
+	s.runLocate(w, r, b, mode, nil, [2]dsp.EnvelopePrefix{})
 }
 
 // --- streaming session endpoints ---
@@ -624,7 +657,8 @@ type sessionCreateResponse struct {
 // handleSessionCreate opens a streaming session. The optional JSON body
 // is a sessionio.Meta; its beacon parameters configure the session's
 // stream detector, and the Localizer its locate will run (resolved here,
-// from the same cache) supplies the envelope feeds.
+// from the same cache, and kept by the session) supplies the envelope
+// feeds.
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		s.shed(w, r, errDraining)
@@ -778,10 +812,10 @@ func (s *Server) handleSessionIMU(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSessionLocate runs the full pipeline over everything the session
-// has accumulated, through the same admission pool as the batch path.
-// The PCM is decoded outside the session lock, and ASP runs only the
-// matched-filter blocks the session's feeds have not (DESIGN.md §8,
-// "Streamed sessions").
+// has accumulated, through the same admission pool as the batch path, on
+// the Localizer the session resolved at create. The PCM is decoded
+// outside the session lock, and ASP runs only the matched-filter blocks
+// the session's feeds have not (DESIGN.md §8, "Streamed sessions").
 func (s *Server) handleSessionLocate(w http.ResponseWriter, r *http.Request) {
 	mode, err := parseMode(r)
 	if err != nil {
@@ -803,7 +837,7 @@ func (s *Server) handleSessionLocate(w http.ResponseWriter, r *http.Request) {
 	}
 	b := &sessionio.Bundle{Recording: decodeRecording(pcm, sess.fs), IMU: tr, Meta: sess.meta}
 	defer sessionio.RecycleBundle(b)
-	s.runLocate(w, r, b, mode, pre)
+	s.runLocate(w, r, b, mode, sess.loc, pre)
 }
 
 // handleSessionDelete evicts a session explicitly.

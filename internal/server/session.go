@@ -37,6 +37,10 @@ type session struct {
 	// store write failures. Both immutable after construction.
 	st sessionstore.SessionStore
 	o  *obs.Obs
+	// loc is the Localizer the session's locate runs, resolved at
+	// create; nil when it could not be built, and the locate then fails
+	// on the same error /v1/locate reports. Immutable after construction.
+	loc *core.Localizer
 
 	// mu serializes every mutable field below: the stream state, the
 	// PCM, and the lifecycle marks.
@@ -271,14 +275,14 @@ func newID() (string, error) {
 // newSession builds a session's stream state: mic1's feedback detector,
 // attached to the table's obs hook so streaming ingest shows up in the
 // same registry and traces as the batch path, and, when loc is non-nil,
-// one envelope feed per channel for loc's locate.
+// one envelope feed per channel for loc's locate. The session keeps loc.
 func (t *sessionTable) newSession(id string, meta sessionio.Meta, src chirp.Params, fs float64, loc *core.Localizer, now time.Time) (*session, error) {
 	det1, err := chirp.NewStreamDetector(src, fs)
 	if err != nil {
 		return nil, err
 	}
 	det1.SetObs(t.o)
-	s := &session{id: id, meta: meta, fs: fs, st: t.st, o: t.o, det1: det1, lastTouch: now}
+	s := &session{id: id, meta: meta, fs: fs, st: t.st, o: t.o, loc: loc, det1: det1, lastTouch: now}
 	if loc != nil {
 		s.feeds = [2]*dsp.EnvelopeFeed{loc.NewEnvelopeFeed(), loc.NewEnvelopeFeed()}
 	}

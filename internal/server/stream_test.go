@@ -192,6 +192,80 @@ func TestSessionLocateMatchesBatch(t *testing.T) {
 	}
 }
 
+// TestLocalizerCacheBounded: more distinct metas than maxLocalizers
+// leave the localizer cache at its cap, and a session whose Localizer
+// the cache has evicted still locates on it — its feeds' prefixes in
+// use — and answers byte for byte what /v1/locate answers.
+func TestLocalizerCacheBounded(t *testing.T) {
+	s, err := testSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newStreamCase(t, "2d", s)
+	srv, ts, _ := newTestServer(t, func(cfg *Config) { cfg.SweepInterval = time.Hour })
+	want := c.batchLocate(t, ts)
+	id := createSession(t, ts, c.createBody)
+	for _, chunk := range c.chunks(4096) {
+		pushAudio(t, ts, id, chunk)
+	}
+	for i := 0; i < maxLocalizers+3; i++ {
+		createSession(t, ts, fmt.Sprintf(`{"sampleRateHz":%g,"micSeparationM":%g}`,
+			s.Scenario.Phone.SampleRate, 0.2+float64(i)*1e-3))
+	}
+	sess, err := srv.sessions.get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.locMu.Lock()
+	size, tick := len(srv.locs), srv.locTick
+	cached := false
+	for _, e := range srv.locs {
+		cached = cached || e.loc == sess.loc
+	}
+	srv.locMu.Unlock()
+	if size != maxLocalizers {
+		t.Fatalf("localizer cache holds %d entries, want the cap %d", size, maxLocalizers)
+	}
+	if cached || sess.loc == nil {
+		t.Fatalf("session localizer %p still cached (%v): the test must evict it", sess.loc, cached)
+	}
+	if got := c.finish(t, ts, id); !bytes.Equal(got, want) {
+		t.Errorf("evicted session's locate differs from batch\n got: %s\nwant: %s", got, want)
+	}
+	srv.locMu.Lock()
+	defer srv.locMu.Unlock()
+	if srv.locTick != tick {
+		t.Error("the session locate resolved a Localizer from the cache instead of running its own")
+	}
+}
+
+// TestSessionLocalizerFailure422: a session whose Localizer cannot be
+// built still streams, and its locate fails with the body /v1/locate
+// gives for the same parameters.
+func TestSessionLocalizerFailure422(t *testing.T) {
+	s, err := testSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newStreamCase(t, "2d", s)
+	_, ts, _ := newTestServer(t, func(cfg *Config) { cfg.Pipeline.SpeedOfSound = -1 })
+	code, want := post(t, ts, "/v1/locate?mode=2d", c.bundle.contentType, c.bundle.body)
+	if code != http.StatusUnprocessableEntity {
+		t.Fatalf("batch locate with a bad pipeline: status %d, want 422: %s", code, want)
+	}
+	id := createSession(t, ts, c.createBody)
+	for _, chunk := range c.chunks(65536) {
+		pushAudio(t, ts, id, chunk)
+	}
+	if code, body := post(t, ts, "/v1/sessions/"+id+"/imu", "text/csv", c.imuCSV); code != http.StatusNoContent {
+		t.Fatalf("imu: status %d: %s", code, body)
+	}
+	code, got := post(t, ts, "/v1/sessions/"+id+"/locate?mode=2d", "", nil)
+	if code != http.StatusUnprocessableEntity || !bytes.Equal(got, want) {
+		t.Fatalf("session locate: status %d, body %s; want 422 with %s", code, got, want)
+	}
+}
+
 // TestSessionAudioConcurrentConsumed: concurrent appends to one session
 // each report the accounting of their own chunk, read under the lock that
 // applied it — distinct consumed counts, the larger one the total.

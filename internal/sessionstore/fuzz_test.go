@@ -118,10 +118,12 @@ func memoryOracle(t *testing.T, raw []byte, snapshot bool) []Session {
 // FuzzWALReplay feeds arbitrary bytes to recovery as session.wal, or as
 // snapshot.wal when snapshot is set. Open and Recover must not panic;
 // unless Open errors, the recovered sessions equal the Memory oracle over
-// the frames scanLog accepts, and a second Open over the directory the
-// first one truncated recovers them again. Seeds: a real event log, its
-// torn tail, a bad CRC, an oversized length header, a duplicated suffix,
-// and the real log's snapshot.
+// the frames scanLog accepts, a second Open over the directory the first
+// one truncated recovers them again, and so does a third after that
+// store compacts — copying every recovered frame out of the fuzzed file
+// into a new snapshot. Seeds: a real event log, its torn tail, a bad
+// CRC, an oversized length header, a duplicated suffix, and the real
+// log's snapshot.
 func FuzzWALReplay(f *testing.F) {
 	log, frames := realLog(f)
 	f.Add(log, false)
@@ -169,9 +171,26 @@ func FuzzWALReplay(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st.Close()
 		if !reflect.DeepEqual(again, got) {
 			t.Fatalf("second recovery %+v, first %+v", again, got)
+		}
+		if err := st.Compact(); err != nil {
+			t.Fatalf("compacting the recovered store: %v", err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		st, err = Open(dir, opts)
+		if err != nil {
+			t.Fatalf("reopening the compacted directory: %v", err)
+		}
+		compacted, err := st.Recover()
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Close()
+		if !reflect.DeepEqual(compacted, got) {
+			t.Fatalf("recovery after compaction %+v, first %+v", compacted, got)
 		}
 	})
 }

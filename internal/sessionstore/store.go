@@ -8,13 +8,16 @@
 //
 // Two implementations ship:
 //
-//   - Memory: the events applied to a process-local map. No durability —
-//     it is the property-test oracle (FileStore recovery must agree with
-//     it for any event sequence) and a stand-in for tests.
+//   - Memory: the events applied to a process-local map that holds
+//     every payload byte. No durability — it is the property-test
+//     oracle (FileStore recovery must agree with it for any event
+//     sequence) and a stand-in for tests.
 //   - FileStore: an append-only write-ahead log of CRC-framed records
 //     with periodic compacting snapshots and a configurable fsync
-//     policy. See wal.go for the framing and DESIGN.md §11 "Durability"
-//     for the recovery sequence.
+//     policy. It keeps no payload in memory: its state records where
+//     each session's audio and IMU frames lie in its two files, and
+//     compaction and Recover read them from there. See wal.go for the
+//     framing and DESIGN.md §11 "Durability" for the recovery sequence.
 //
 // The server's default remains no store at all (nil interface): sessions
 // live only in the process-memory table, today's behavior.
@@ -109,6 +112,10 @@ const (
 	MFsyncs = "server.store.fsyncs"
 	// MSnapshots counts WAL compactions into a snapshot.
 	MSnapshots = "server.store.snapshots"
+	// MCompactionFailures counts inline compactions that failed. The
+	// append that triggered one still succeeds (its record is already
+	// logged), and the next append past the threshold retries.
+	MCompactionFailures = "server.store.compaction_failures"
 	// MReplayed counts records applied during recovery; MSkipped those
 	// ignored as duplicates (seq at or below the snapshot watermark).
 	MReplayed = "server.store.replayed"
@@ -126,57 +133,13 @@ const (
 // never seen (or has already evicted).
 var errUnknownSession = fmt.Errorf("sessionstore: unknown session")
 
-// applyCreate/applyAudio/... are the single replay semantics shared by
-// Memory, FileStore's live application, and FileStore's recovery: a
-// create resets any prior state under the id, appends accumulate, evict
-// deletes.
-func applyCreate(state map[string]*Session, s Session) {
-	cp := s.clone()
-	state[s.ID] = &cp
-}
-
-func applyAudio(state map[string]*Session, id string, raw []byte) error {
-	s := state[id]
-	if s == nil {
-		return errUnknownSession
-	}
-	s.Audio = append(s.Audio, raw...)
-	return nil
-}
-
-func applyIMU(state map[string]*Session, id string, csv []byte) error {
-	s := state[id]
-	if s == nil {
-		return errUnknownSession
-	}
-	s.IMU = append(s.IMU[:0], csv...)
-	return nil
-}
-
-func applyLocate(state map[string]*Session, id string) error {
-	s := state[id]
-	if s == nil {
-		return errUnknownSession
-	}
-	s.Locates++
-	return nil
-}
-
-// recoverState renders a state map as the sorted deep-copied recovery
-// result.
-func recoverState(state map[string]*Session) []Session {
-	out := make([]Session, 0, len(state))
-	for _, s := range state {
-		out = append(out, s.clone())
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// Memory is the in-process SessionStore: the shared event semantics
-// applied to a map, with no durability. It is the oracle the WAL
-// property tests compare FileStore recovery against, and a cheap
-// drop-in for tests that need a non-nil store.
+// Memory is the in-process SessionStore: the session events applied to
+// a map that holds every payload byte, with no durability. A create
+// resets any prior state under the id, appends accumulate, evict
+// deletes; FileStore's frame-location state mirrors these semantics
+// (fileState.apply). Memory is the oracle the WAL property tests compare
+// FileStore recovery against, and a cheap drop-in for tests that need a
+// non-nil store.
 type Memory struct {
 	mu    sync.Mutex
 	state map[string]*Session
@@ -191,14 +154,19 @@ func NewMemory() *Memory {
 func (m *Memory) Recover() ([]Session, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return recoverState(m.state), nil
+	out := make([]Session, 0, len(m.state))
+	for _, s := range m.state {
+		out = append(out, s.clone())
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out, nil
 }
 
 // Create implements SessionStore.
 func (m *Memory) Create(id string, meta sessionio.Meta, src chirp.Params, fs float64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	applyCreate(m.state, Session{ID: id, Meta: meta, Src: src, FS: fs})
+	m.state[id] = &Session{ID: id, Meta: meta, Src: src, FS: fs}
 	return nil
 }
 
@@ -206,21 +174,36 @@ func (m *Memory) Create(id string, meta sessionio.Meta, src chirp.Params, fs flo
 func (m *Memory) AppendAudio(id string, raw []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return applyAudio(m.state, id, raw)
+	s := m.state[id]
+	if s == nil {
+		return errUnknownSession
+	}
+	s.Audio = append(s.Audio, raw...)
+	return nil
 }
 
 // SetIMU implements SessionStore.
 func (m *Memory) SetIMU(id string, csv []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return applyIMU(m.state, id, csv)
+	s := m.state[id]
+	if s == nil {
+		return errUnknownSession
+	}
+	s.IMU = append(s.IMU[:0], csv...)
+	return nil
 }
 
 // NoteLocate implements SessionStore.
 func (m *Memory) NoteLocate(id string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return applyLocate(m.state, id)
+	s := m.state[id]
+	if s == nil {
+		return errUnknownSession
+	}
+	s.Locates++
+	return nil
 }
 
 // Evict implements SessionStore.

@@ -2,6 +2,7 @@ package sessionstore
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -40,9 +41,12 @@ import (
 // watermark of the last event it folded in, and recovery skips WAL
 // records at or below it — so the crash window between "snapshot
 // renamed" and "WAL truncated" (or an outright duplicated log suffix)
-// replays to the same state. Recovery stops at the first frame whose
-// length is implausible or whose CRC disagrees — a torn tail after
-// SIGKILL — and truncates the log back to the last valid frame.
+// replays to the same state. Snapshot replay ignores sequence numbers:
+// a snapshot's create records carry 0, and its audio and IMU frames are
+// the log's own frames copied verbatim, sequence numbers included.
+// Recovery stops at the first frame whose length is implausible or whose
+// CRC disagrees — a torn tail after SIGKILL — and truncates the log back
+// to the last valid frame.
 const (
 	recCreate byte = 1 // payload: createPayload JSON
 	recAudio  byte = 2 // payload: raw interleaved stereo int16 LE PCM
@@ -145,7 +149,10 @@ func (o Options) normalize() Options {
 
 // FileStore is the durable SessionStore: an append-only WAL under a
 // data directory, compacted into a snapshot when it grows past
-// Options.SnapshotBytes. Safe for concurrent use.
+// Options.SnapshotBytes. It holds no payload bytes between calls: its
+// state records where each session's frames lie in snapshot.wal and
+// session.wal, and the files themselves hold the bytes. Safe for
+// concurrent use.
 type FileStore struct {
 	dir  string
 	opts Options
@@ -153,10 +160,16 @@ type FileStore struct {
 
 	// mu serializes the log, the state map, and the counters below.
 	mu sync.Mutex
-	// wal is the open log file, positioned at walBytes.
+	// wal is the open log file, positioned at walBytes; frames in it are
+	// read back with ReadAt.
 	//
 	// guarded by mu
 	wal *os.File
+	// snap is snapshot.wal open for reading, nil until a snapshot exists.
+	// After a compaction it is the renamed tmp file's own descriptor.
+	//
+	// guarded by mu
+	snap *os.File
 	// walBytes is the valid log length (everything before it framed and
 	// CRC-clean).
 	//
@@ -166,10 +179,12 @@ type FileStore struct {
 	//
 	// guarded by mu
 	nextSeq uint64
-	// state is the replayed session map the next snapshot is cut from.
+	// state is every live session's create parameters, locate count and
+	// frame locations: what the next snapshot is cut from and what
+	// Recover reads back.
 	//
 	// guarded by mu
-	state map[string]*Session
+	state fileState
 	// dirty marks unsynced appends under FsyncInterval/FsyncNever.
 	//
 	// guarded by mu
@@ -182,10 +197,45 @@ type FileStore struct {
 	//
 	// guarded by mu
 	enc []byte
+	// snapW is compaction's one write buffer, reset onto each new
+	// snapshot file; copied frames are read straight into it.
+	//
+	// guarded by mu
+	snapW *bufio.Writer
 
 	syncStop chan struct{}
 	syncDone chan struct{}
 }
+
+// frameFile names the file a frame lies in.
+type frameFile uint8
+
+const (
+	inWAL frameFile = iota
+	inSnapshot
+)
+
+// frameLoc is where one whole frame — header, CRC and body — lies.
+type frameLoc struct {
+	off  int64
+	size uint32 // frameHeaderBytes + body length; 0 marks no frame
+	file frameFile
+}
+
+// fileSession is one live session as FileStore holds it: the create
+// parameters and locate count, and the locations of its audio frames in
+// append order and of its latest IMU frame. The payloads stay on disk.
+type fileSession struct {
+	meta    sessionio.Meta
+	src     chirp.Params
+	fs      float64
+	locates uint64
+	audio   []frameLoc
+	imu     frameLoc
+}
+
+// fileState maps session id to its live state.
+type fileState map[string]*fileSession
 
 // createPayload is the JSON body of a create record. Snapshots reuse it
 // with the session's running Locates count folded in.
@@ -196,12 +246,15 @@ type createPayload struct {
 	Locates uint64         `json:"locates,omitempty"`
 }
 
-// record is one decoded WAL frame.
+// record is one decoded WAL frame and where it lies in the file it was
+// read from or written to.
 type record struct {
 	seq     uint64
 	typ     byte
 	id      string
 	payload []byte
+	off     int64
+	size    uint32
 }
 
 // appendFrame appends the framed record to dst and returns it.
@@ -272,30 +325,41 @@ func scanLog(r io.Reader, fn func(rec record)) (valid int64, torn bool, err erro
 			typ:     body[8],
 			id:      string(body[bodyHeaderBytes : bodyHeaderBytes+idLen]),
 			payload: body[bodyHeaderBytes+idLen:],
+			off:     valid,
+			size:    uint32(frameHeaderBytes + n),
 		})
 		valid += int64(frameHeaderBytes) + int64(n)
 	}
 }
 
-// applyRecord folds one replayed record into state. Records for unknown
-// sessions (their create compacted away by a later evict, or a
+// apply folds one record, whose frame lies in file in, into the state:
+// Memory's event semantics over frame locations. Live appends and replay
+// both run it, so live and recovered state cannot drift. Records for
+// unknown sessions (their create compacted away by a later evict, or a
 // duplicated suffix) are skipped, not errors: replay is convergent.
-func applyRecord(state map[string]*Session, rec record) error {
+func (st fileState) apply(rec record, in frameFile) error {
+	loc := frameLoc{off: rec.off, size: rec.size, file: in}
 	switch rec.typ {
 	case recCreate:
 		var p createPayload
 		if err := json.Unmarshal(rec.payload, &p); err != nil {
 			return fmt.Errorf("sessionstore: create payload: %w", err)
 		}
-		applyCreate(state, Session{ID: rec.id, Meta: p.Meta, Src: p.Src, FS: p.FS, Locates: p.Locates})
+		st[rec.id] = &fileSession{meta: p.Meta, src: p.Src, fs: p.FS, locates: p.Locates}
 	case recAudio:
-		applyAudio(state, rec.id, rec.payload)
+		if s := st[rec.id]; s != nil {
+			s.audio = append(s.audio, loc)
+		}
 	case recIMU:
-		applyIMU(state, rec.id, rec.payload)
+		if s := st[rec.id]; s != nil {
+			s.imu = loc
+		}
 	case recLocate:
-		applyLocate(state, rec.id)
+		if s := st[rec.id]; s != nil {
+			s.locates++
+		}
 	case recEvict:
-		delete(state, rec.id)
+		delete(st, rec.id)
 	}
 	// Unknown types are skipped for forward compatibility.
 	return nil
@@ -306,10 +370,10 @@ func applyRecord(state map[string]*Session, rec record) error {
 // last valid frame — and leaves the log open for appends. See DESIGN.md
 // §11 "Durability" for the full recovery sequence.
 //
-// The state map and log position are assembled in locals and handed to
-// the FileStore fully formed: no other goroutine can see the store
-// until Open returns.
-func Open(dir string, opts Options) (*FileStore, error) {
+// The state map, files and log position are assembled in locals and
+// handed to the FileStore fully formed: no other goroutine can see the
+// store until Open returns.
+func Open(dir string, opts Options) (_ *FileStore, err error) {
 	opts = opts.normalize()
 	o := opts.Obs
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -319,23 +383,35 @@ func Open(dir string, opts Options) (*FileStore, error) {
 	// the previous snapshot + WAL are still authoritative.
 	os.Remove(filepath.Join(dir, snapshotTmp))
 
-	state := make(map[string]*Session)
+	var snap, wal *os.File
+	defer func() {
+		if err != nil {
+			for _, fh := range []*os.File{snap, wal} {
+				if fh != nil {
+					fh.Close()
+				}
+			}
+		}
+	}()
+	state := make(fileState)
 
 	// 1. Snapshot: its header record carries the seq watermark of the
-	// last WAL event folded in.
+	// last WAL event folded in. It stays open: Recover and compaction
+	// read its frames back.
 	var watermark uint64
-	if sf, err := os.Open(filepath.Join(dir, snapshotFile)); err == nil {
-		_, torn, serr := scanLog(sf, func(rec record) {
+	snap, err = os.Open(filepath.Join(dir, snapshotFile))
+	switch {
+	case err == nil:
+		_, torn, serr := scanLog(snap, func(rec record) {
 			if rec.typ == recSnapshot {
 				if len(rec.payload) == 8 {
 					watermark = binary.LittleEndian.Uint64(rec.payload)
 				}
 				return
 			}
-			applyRecord(state, rec)
+			state.apply(rec, inSnapshot)
 			o.Inc(MReplayed)
 		})
-		sf.Close()
 		if serr != nil {
 			return nil, fmt.Errorf("sessionstore: snapshot: %w", serr)
 		}
@@ -345,13 +421,15 @@ func Open(dir string, opts Options) (*FileStore, error) {
 			// prefix and count it rather than refusing to boot.
 			o.Inc(MTruncations)
 		}
-	} else if !errors.Is(err, os.ErrNotExist) {
+	case errors.Is(err, os.ErrNotExist):
+		err = nil
+	default:
 		return nil, fmt.Errorf("sessionstore: %w", err)
 	}
 
 	// 2. WAL: replay events newer than the watermark, then truncate any
 	// torn tail so appends continue from a clean frame boundary.
-	wal, err := os.OpenFile(filepath.Join(dir, walFile), os.O_RDWR|os.O_CREATE, 0o644)
+	wal, err = os.OpenFile(filepath.Join(dir, walFile), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("sessionstore: %w", err)
 	}
@@ -361,14 +439,13 @@ func Open(dir string, opts Options) (*FileStore, error) {
 			o.Inc(MSkipped)
 			return
 		}
-		applyRecord(state, rec)
+		state.apply(rec, inWAL)
 		o.Inc(MReplayed)
 		if rec.seq > maxSeq {
 			maxSeq = rec.seq
 		}
 	})
 	if serr != nil {
-		wal.Close()
 		return nil, fmt.Errorf("sessionstore: wal: %w", serr)
 	}
 	if torn {
@@ -376,12 +453,10 @@ func Open(dir string, opts Options) (*FileStore, error) {
 	}
 	if st, err := wal.Stat(); err == nil && st.Size() != valid {
 		if err := wal.Truncate(valid); err != nil {
-			wal.Close()
 			return nil, fmt.Errorf("sessionstore: truncating torn wal tail: %w", err)
 		}
 	}
 	if _, err := wal.Seek(valid, io.SeekStart); err != nil {
-		wal.Close()
 		return nil, fmt.Errorf("sessionstore: %w", err)
 	}
 	o.Gauge(GWALBytes).Set(valid)
@@ -392,6 +467,7 @@ func Open(dir string, opts Options) (*FileStore, error) {
 		opts:     opts,
 		o:        o,
 		wal:      wal,
+		snap:     snap,
 		walBytes: valid,
 		nextSeq:  maxSeq + 1,
 		state:    state,
@@ -456,7 +532,7 @@ func (f *FileStore) append(typ byte, id string, payload []byte) error {
 			return errUnknownSession
 		}
 	}
-	seq := f.nextSeq
+	seq, off := f.nextSeq, f.walBytes
 	f.enc = appendFrame(f.enc[:0], seq, typ, id, payload)
 	n, err := f.wal.Write(f.enc)
 	if err != nil {
@@ -479,7 +555,8 @@ func (f *FileStore) append(typ byte, id string, payload []byte) error {
 	} else {
 		f.dirty = true
 	}
-	if err := applyRecord(f.state, record{seq: seq, typ: typ, id: id, payload: payload}); err != nil {
+	rec := record{seq: seq, typ: typ, id: id, payload: payload, off: off, size: uint32(len(f.enc))}
+	if err := f.state.apply(rec, inWAL); err != nil {
 		return err
 	}
 	f.o.Inc(MAppends)
@@ -493,8 +570,11 @@ func (f *FileStore) append(typ byte, id string, payload []byte) error {
 	f.o.Gauge(GWALBytes).Set(f.walBytes)
 	f.o.Gauge(GSessions).Set(int64(len(f.state)))
 	if f.opts.SnapshotBytes > 0 && f.walBytes > f.opts.SnapshotBytes {
+		// The record is logged and applied: a failed compaction must not
+		// fail the append, or a client retry would log it twice. The log
+		// stays past the threshold, so the next append retries.
 		if err := f.compactLocked(); err != nil {
-			return fmt.Errorf("sessionstore: compaction: %w", err)
+			f.o.Inc(MCompactionFailures)
 		}
 	}
 	return nil
@@ -509,13 +589,13 @@ func (f *FileStore) Create(id string, meta sessionio.Meta, src chirp.Params, fs 
 	return f.append(recCreate, id, payload)
 }
 
-// AppendAudio implements SessionStore. raw is copied; the caller may
-// recycle it on return.
+// AppendAudio implements SessionStore. raw goes to the log only; the
+// caller may recycle it on return.
 func (f *FileStore) AppendAudio(id string, raw []byte) error {
 	return f.append(recAudio, id, raw)
 }
 
-// SetIMU implements SessionStore. csv is copied.
+// SetIMU implements SessionStore. csv goes to the log only.
 func (f *FileStore) SetIMU(id string, csv []byte) error {
 	return f.append(recIMU, id, csv)
 }
@@ -530,15 +610,83 @@ func (f *FileStore) Evict(id, reason string) error {
 	return f.append(recEvict, id, []byte(reason))
 }
 
-// Recover implements SessionStore: the live sessions as deep copies,
-// sorted by ID.
+// Recover implements SessionStore: the live sessions sorted by ID, their
+// audio and IMU read back from the frames the state locates, each
+// frame's CRC checked again.
 func (f *FileStore) Recover() ([]Session, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
 		return nil, errClosed
 	}
-	return recoverState(f.state), nil
+	ids := f.sortedIDsLocked()
+	out := make([]Session, 0, len(ids))
+	var frame []byte
+	var err error
+	for _, id := range ids {
+		s := f.state[id]
+		rs := Session{ID: id, Meta: s.meta, Src: s.src, FS: s.fs, Locates: s.locates}
+		n := 0
+		for _, loc := range s.audio {
+			n += int(loc.size) - frameHeaderBytes - bodyHeaderBytes - len(id)
+		}
+		if n > 0 {
+			rs.Audio = make([]byte, 0, n)
+		}
+		for _, loc := range s.audio {
+			if frame, err = f.readFrameLocked(frame, loc); err != nil {
+				return nil, err
+			}
+			rs.Audio = append(rs.Audio, framePayload(frame, id)...)
+		}
+		if s.imu.size > 0 {
+			if frame, err = f.readFrameLocked(frame, s.imu); err != nil {
+				return nil, err
+			}
+			if p := framePayload(frame, id); len(p) > 0 {
+				rs.IMU = bytes.Clone(p)
+			}
+		}
+		out = append(out, rs)
+	}
+	return out, nil
+}
+
+// sortedIDsLocked returns the live session ids in order; callers hold
+// f.mu.
+func (f *FileStore) sortedIDsLocked() []string {
+	ids := make([]string, 0, len(f.state))
+	for id := range f.state {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	return ids
+}
+
+// fileLocked returns the open file a frame lies in; callers hold f.mu.
+func (f *FileStore) fileLocked(loc frameLoc) *os.File {
+	if loc.file == inSnapshot {
+		return f.snap
+	}
+	return f.wal
+}
+
+// readFrameLocked reads the whole frame at loc into buf, grown as
+// needed, and checks its CRC; callers hold f.mu.
+func (f *FileStore) readFrameLocked(buf []byte, loc frameLoc) ([]byte, error) {
+	buf = slices.Grow(buf[:0], int(loc.size))[:loc.size]
+	if _, err := f.fileLocked(loc).ReadAt(buf, loc.off); err != nil {
+		return nil, fmt.Errorf("sessionstore: reading frame at %d: %w", loc.off, err)
+	}
+	if crc32.ChecksumIEEE(buf[frameHeaderBytes:]) != binary.LittleEndian.Uint32(buf[4:]) {
+		return nil, fmt.Errorf("sessionstore: frame at %d changed on disk", loc.off)
+	}
+	return buf, nil
+}
+
+// framePayload returns the payload of a whole frame of session id.
+func framePayload(frame []byte, id string) []byte {
+	return frame[frameHeaderBytes+bodyHeaderBytes+len(id):]
 }
 
 // Flush forces unsynced appends to durable media.
@@ -575,7 +723,11 @@ func (f *FileStore) Compact() error {
 }
 
 // compactLocked cuts a snapshot of the current state and truncates the
-// WAL. The sequence tolerates a crash at any step:
+// WAL. The create records are re-encoded with the running locate
+// counts; every audio and IMU frame the state locates is copied
+// verbatim, header and CRC included, from the open snapshot or WAL
+// through the one write buffer. The sequence tolerates a crash at any
+// step:
 //
 //  1. the full state is framed into snapshot.wal.tmp and fsynced
 //     (crash here: tmp is ignored on the next Open);
@@ -583,60 +735,46 @@ func (f *FileStore) Compact() error {
 //     (crash here: the new snapshot's watermark makes every WAL record
 //     a skipped duplicate — same state);
 //  3. the WAL is truncated to zero.
+//
+// The state points at the new snapshot's frames only once the rename
+// has succeeded; a compaction that fails before it leaves the state on
+// the old snapshot and the WAL, whose descriptors stay open.
 func (f *FileStore) compactLocked() error {
-	watermark := f.nextSeq - 1
 	tmpPath := filepath.Join(f.dir, snapshotTmp)
-	tmp, err := os.OpenFile(tmpPath, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	tmp, err := os.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	w := bufio.NewWriterSize(tmp, 1<<16)
-	var hdr [8]byte
-	binary.LittleEndian.PutUint64(hdr[:], watermark)
-	buf := appendFrame(nil, 0, recSnapshot, "", hdr[:])
-	if _, err := w.Write(buf); err != nil {
+	ids := f.sortedIDsLocked()
+	frames, err := f.writeSnapshotLocked(tmp, ids)
+	if err == nil {
+		err = os.Rename(tmpPath, filepath.Join(f.dir, snapshotFile))
+	}
+	if err != nil {
 		tmp.Close()
-		return err
-	}
-	ids := make([]string, 0, len(f.state))
-	for id := range f.state {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		s := f.state[id]
-		payload, err := json.Marshal(createPayload{Meta: s.Meta, Src: s.Src, FS: s.FS, Locates: s.Locates})
-		if err != nil {
-			tmp.Close()
-			return err
-		}
-		buf = appendFrame(buf[:0], 0, recCreate, id, payload)
-		if len(s.Audio) > 0 {
-			buf = appendFrame(buf, 0, recAudio, id, s.Audio)
-		}
-		if s.IMU != nil {
-			buf = appendFrame(buf, 0, recIMU, id, s.IMU)
-		}
-		if _, err := w.Write(buf); err != nil {
-			tmp.Close()
-			return err
-		}
-	}
-	if err := w.Flush(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmpPath, filepath.Join(f.dir, snapshotFile)); err != nil {
+		os.Remove(tmpPath)
 		return err
 	}
 	syncDir(f.dir)
+
+	// Renamed: the snapshot holds every frame the state locates, at the
+	// offsets writeSnapshotLocked laid them out at.
+	if f.snap != nil {
+		f.snap.Close()
+	}
+	f.snap = tmp
+	for i, id := range ids {
+		s, at := f.state[id], frames[i]
+		for j, loc := range s.audio {
+			s.audio[j] = frameLoc{off: at, size: loc.size, file: inSnapshot}
+			at += int64(loc.size)
+		}
+		if s.imu.size > 0 {
+			s.imu = frameLoc{off: at, size: s.imu.size, file: inSnapshot}
+			at += int64(s.imu.size)
+		}
+	}
+
 	if err := f.wal.Truncate(0); err != nil {
 		return err
 	}
@@ -653,6 +791,79 @@ func (f *FileStore) compactLocked() error {
 	return nil
 }
 
+// writeSnapshotLocked writes the snapshot of the sessions ids to dst and
+// fsyncs it: the watermark header, then per session its create record
+// and its audio and IMU frames copied verbatim. frames[i] is the offset
+// of ids[i]'s first copied frame; the rest follow it back to back.
+// Callers hold f.mu.
+func (f *FileStore) writeSnapshotLocked(dst *os.File, ids []string) ([]int64, error) {
+	if f.snapW == nil {
+		f.snapW = bufio.NewWriterSize(dst, 1<<16)
+	} else {
+		f.snapW.Reset(dst)
+	}
+	w := f.snapW
+	var wm [8]byte
+	binary.LittleEndian.PutUint64(wm[:], f.nextSeq-1)
+	f.enc = appendFrame(f.enc[:0], 0, recSnapshot, "", wm[:])
+	if _, err := w.Write(f.enc); err != nil {
+		return nil, err
+	}
+	at := int64(len(f.enc))
+	frames := make([]int64, len(ids))
+	for i, id := range ids {
+		s := f.state[id]
+		payload, err := json.Marshal(createPayload{Meta: s.meta, Src: s.src, FS: s.fs, Locates: s.locates})
+		if err != nil {
+			return nil, err
+		}
+		f.enc = appendFrame(f.enc[:0], 0, recCreate, id, payload)
+		if _, err := w.Write(f.enc); err != nil {
+			return nil, err
+		}
+		at += int64(len(f.enc))
+		frames[i] = at
+		for _, loc := range s.audio {
+			if err := f.copyFrameLocked(w, loc); err != nil {
+				return nil, err
+			}
+			at += int64(loc.size)
+		}
+		if s.imu.size > 0 {
+			if err := f.copyFrameLocked(w, s.imu); err != nil {
+				return nil, err
+			}
+			at += int64(s.imu.size)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		return nil, err
+	}
+	return frames, dst.Sync()
+}
+
+// copyFrameLocked appends the frame at loc to w verbatim, reading it
+// from its file straight into w's free buffer space; callers hold f.mu.
+func (f *FileStore) copyFrameLocked(w *bufio.Writer, loc frameLoc) error {
+	src := f.fileLocked(loc)
+	for off, end := loc.off, loc.off+int64(loc.size); off < end; {
+		if w.Available() == 0 {
+			if err := w.Flush(); err != nil {
+				return err
+			}
+		}
+		b := w.AvailableBuffer()[:min(int64(w.Available()), end-off)]
+		if _, err := src.ReadAt(b, off); err != nil {
+			return fmt.Errorf("sessionstore: reading frame at %d: %w", loc.off, err)
+		}
+		if _, err := w.Write(b); err != nil {
+			return err
+		}
+		off += int64(len(b))
+	}
+	return nil
+}
+
 // Close flushes and closes the log. Later calls fail with a closed
 // error.
 func (f *FileStore) Close() error {
@@ -664,6 +875,9 @@ func (f *FileStore) Close() error {
 	ferr := f.flushLocked()
 	f.closed = true
 	cerr := f.wal.Close()
+	if f.snap != nil {
+		f.snap.Close()
+	}
 	stop := f.syncStop
 	f.mu.Unlock()
 	if stop != nil {

@@ -2,11 +2,14 @@ package sessionstore
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -443,6 +446,203 @@ func TestSnapshotCompaction(t *testing.T) {
 	}
 }
 
+// TestCompactionFailureKeepsAppend: an inline compaction that fails
+// must not fail the append that triggered it — the record is already in
+// the log, and a client retry would log it twice. Two obstacles fail
+// every compaction: a non-empty directory where the tmp file goes (the
+// first step fails) and one where snapshot.wal goes (the tmp file is
+// written and synced, then the rename fails, so the state must still
+// locate every frame in the WAL). The appends succeed, each failure is
+// counted, a reopen once the obstacle is gone recovers them, and the
+// next append past the threshold compacts. Every recovery equals the
+// Memory oracle.
+func TestCompactionFailureKeepsAppend(t *testing.T) {
+	for _, blocked := range []string{snapshotTmp, snapshotFile} {
+		t.Run(blocked, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			opts := Options{Fsync: FsyncNever, SnapshotBytes: 256, Obs: obs.New(nil, reg)}
+			dir := t.TempDir()
+			f := mustOpen(t, dir, opts)
+			defer func() { f.Close() }()
+			obstacle := filepath.Join(dir, blocked)
+			if err := os.MkdirAll(filepath.Join(obstacle, "blocker"), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			oracle := NewMemory()
+			src := chirp.Default()
+			if err := f.Create("a", testMeta(1), src, 48000); err != nil {
+				t.Fatal(err)
+			}
+			oracle.Create("a", testMeta(1), src, 48000)
+			created := reg.Get(MCompactionFailures)
+			appendBoth := func(i int) {
+				t.Helper()
+				chunk := bytes.Repeat([]byte{byte(i)}, 128)
+				if err := f.AppendAudio("a", chunk); err != nil {
+					t.Fatalf("append %d with compaction failing: %v", i, err)
+				}
+				oracle.AppendAudio("a", chunk)
+			}
+			for i := 0; i < 4; i++ {
+				appendBoth(i)
+			}
+			// The create frame and one chunk already pass the threshold, so
+			// every append tries to compact.
+			if got := reg.Get(MCompactionFailures) - created; got != 4 {
+				t.Fatalf("%s rose by %d over 4 appends, want one per append", MCompactionFailures, got)
+			}
+			if got := reg.Get(MSnapshots); got != 0 {
+				t.Fatalf("snapshots = %d with %s blocked", got, blocked)
+			}
+			if _, err := os.Stat(filepath.Join(dir, snapshotTmp)); blocked == snapshotFile && !os.IsNotExist(err) {
+				t.Fatalf("a failed rename must remove the tmp file: stat %v", err)
+			}
+			want := recovered(t, oracle)
+			if got := recovered(t, f); !reflect.DeepEqual(got, want) {
+				t.Fatalf("live state diverged from oracle:\n got %+v\nwant %+v", got, want)
+			}
+			if err := os.RemoveAll(obstacle); err != nil {
+				t.Fatal(err)
+			}
+			f = reopen(t, f, opts)
+			if got := recovered(t, f); !reflect.DeepEqual(got, want) {
+				t.Fatalf("recovered state diverged from oracle:\n got %+v\nwant %+v", got, want)
+			}
+
+			failures := reg.Get(MCompactionFailures)
+			appendBoth(4)
+			if reg.Get(MSnapshots) != 1 || reg.Get(MCompactionFailures) != failures {
+				t.Fatalf("unblocked append: snapshots %d, failures %d→%d; want the retry to compact",
+					reg.Get(MSnapshots), failures, reg.Get(MCompactionFailures))
+			}
+			if got, want := recovered(t, f), recovered(t, oracle); !reflect.DeepEqual(got, want) {
+				t.Fatalf("post-compaction state diverged from oracle:\n got %+v\nwant %+v", got, want)
+			}
+			f = reopen(t, f, opts)
+			if got, want := recovered(t, f), recovered(t, oracle); !reflect.DeepEqual(got, want) {
+				t.Fatalf("reopened post-compaction state diverged from oracle:\n got %+v\nwant %+v", got, want)
+			}
+		})
+	}
+}
+
+// TestFileStoreHoldsNoPayload pins the bytes the store holds: 32 MiB of
+// audio across four sessions, with inline compaction at the default
+// threshold, may grow the live heap by 2 MiB at most, and its second
+// 16 MiB by 1 MiB at most — the payload lives in the files.
+// Recovery still equals the Memory oracle fed the same chunks.
+func TestFileStoreHoldsNoPayload(t *testing.T) {
+	const (
+		sessions   = 4
+		chunkBytes = 16 << 10
+		chunks     = (32 << 20) / chunkBytes
+		seed       = 7
+	)
+	reg := obs.NewRegistry()
+	f := mustOpen(t, t.TempDir(), Options{Fsync: FsyncNever, Obs: obs.New(nil, reg)})
+	defer f.Close()
+	src := chirp.Default()
+	ids := make([]string, sessions)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("s%d", i)
+		if err := f.Create(ids[i], testMeta(i), src, 48000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	heap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	chunk := make([]byte, chunkBytes)
+	rng := rand.New(rand.NewSource(seed))
+	base := heap()
+	var half int64
+	for k := 0; k < chunks; k++ {
+		rng.Read(chunk)
+		if err := f.AppendAudio(ids[k%sessions], chunk); err != nil {
+			t.Fatal(err)
+		}
+		if k == chunks/2-1 {
+			half = heap() - base
+		}
+	}
+	grown := heap() - base
+	t.Logf("heap grew %d KiB, %d KiB of it over the first half", grown>>10, half>>10)
+	if grown > 2<<20 {
+		t.Errorf("store heap grew %d KiB over %d MiB of audio, want ≤ 2048 KiB", grown>>10, chunks*chunkBytes>>20)
+	}
+	if grown-half > 1<<20 {
+		t.Errorf("the second half of the audio grew the heap %d KiB (first half %d KiB): held bytes scale with the audio", (grown-half)>>10, half>>10)
+	}
+	if reg.Get(MSnapshots) < 3 {
+		t.Errorf("snapshots = %d, want inline compaction to run", reg.Get(MSnapshots))
+	}
+
+	oracle := NewMemory()
+	for i, id := range ids {
+		oracle.Create(id, testMeta(i), src, 48000)
+	}
+	rng = rand.New(rand.NewSource(seed))
+	for k := 0; k < chunks; k++ {
+		rng.Read(chunk)
+		oracle.AppendAudio(ids[k%sessions], chunk)
+	}
+	if got, want := recovered(t, f), recovered(t, oracle); !reflect.DeepEqual(got, want) {
+		t.Fatal("recovered state diverged from the oracle")
+	}
+}
+
+// TestConcatenatedSnapshotRecovers: snapshot.wal may hold a session's
+// audio as one concatenated frame with sequence 0, as snapshots were
+// once cut. Such a directory, with a WAL holding one record the
+// watermark covers and one it does not, recovers to the same sessions,
+// and still does after a compaction copies its frames.
+func TestConcatenatedSnapshotRecovers(t *testing.T) {
+	dir := t.TempDir()
+	src := chirp.Default()
+	create, err := json.Marshal(createPayload{Meta: testMeta(1), Src: src, FS: 48000, Locates: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wm [8]byte
+	binary.LittleEndian.PutUint64(wm[:], 5)
+	snap := appendFrame(nil, 0, recSnapshot, "", wm[:])
+	snap = appendFrame(snap, 0, recCreate, "a", create)
+	snap = appendFrame(snap, 0, recAudio, "a", []byte{1, 2, 3, 4, 5, 6, 7, 8})
+	snap = appendFrame(snap, 0, recIMU, "a", []byte("ax\n1\n"))
+	wal := appendFrame(nil, 5, recAudio, "a", []byte{5, 6, 7, 8})
+	wal = appendFrame(wal, 6, recAudio, "a", []byte{9, 9, 9, 9})
+	if err := os.WriteFile(filepath.Join(dir, snapshotFile), snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, walFile), wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := []Session{{
+		ID: "a", Meta: testMeta(1), Src: src, FS: 48000, Locates: 2,
+		Audio: []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 9, 9, 9},
+		IMU:   []byte("ax\n1\n"),
+	}}
+	opts := Options{Fsync: FsyncNever}
+	f := mustOpen(t, dir, opts)
+	if got := recovered(t, f); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered %+v, want %+v", got, want)
+	}
+	if err := f.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if got := recovered(t, f); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after compaction %+v, want %+v", got, want)
+	}
+	f = reopen(t, f, opts)
+	defer f.Close()
+	if got := recovered(t, f); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reopened after compaction %+v, want %+v", got, want)
+	}
+}
+
 // BenchmarkWALAppend pins the per-chunk append cost of the durable
 // path: a 4 KiB audio chunk framed, CRC'd and written, under the two
 // non-ticker fsync policies.
@@ -472,5 +672,37 @@ func BenchmarkWALAppend(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkWALCompact times one compaction of 16 sessions × 2 MiB of
+// audio held as 16 KiB chunks: every frame is copied from the open files
+// through the store's one write buffer, so B/op stays flat whatever the
+// audio held.
+func BenchmarkWALCompact(b *testing.B) {
+	f, err := Open(b.TempDir(), Options{Fsync: FsyncNever, SnapshotBytes: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer f.Close()
+	chunk := bytes.Repeat([]byte{0x5a}, 16<<10)
+	for i := 0; i < 16; i++ {
+		id := fmt.Sprintf("bench-%02d", i)
+		if err := f.Create(id, testMeta(i), chirp.Default(), 48000); err != nil {
+			b.Fatal(err)
+		}
+		for k := 0; k < (2<<20)/len(chunk); k++ {
+			if err := f.AppendAudio(id, chunk); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.SetBytes(16 << 21)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := f.Compact(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
