@@ -146,7 +146,7 @@ crash-soak:
 # memory); DisabledSpan/EnabledSpan pin the per-hook
 # observability overhead (the disabled path must stay 0 B/op) and
 # PromExposition the /metrics scrape-render cost.
-BENCH_RE := CrossCorrelate|Correlator|Envelope|FFTReal|MatchedFilter|Detect|DetectSegmented|Stream|ASP|PipelineLocate2D|ServerThroughput|SessionIngest|SessionLocate|WALAppend|WALCompact|DisabledSpan|EnabledSpan|PromExposition
+BENCH_RE := FFTReal|MatchedFilter|Detect|DetectSegmented|Stream|ASP|PipelineLocate2D|ServerThroughput|SessionIngest|SessionLocate|WALAppend|WALCompact|DisabledSpan|EnabledSpan|PromExposition
 BENCH_PKGS := ./ ./internal/dsp/ ./internal/chirp/ ./internal/obs/ ./internal/server/ ./internal/sessionstore/
 
 bench:

@@ -9,12 +9,10 @@ package hyperear
 
 import (
 	"context"
-	"math"
 	"strings"
 	"testing"
 
 	"hyperear/internal/core"
-	"hyperear/internal/dsp"
 	"hyperear/internal/experiment"
 	"hyperear/internal/imu"
 	"hyperear/internal/obs"
@@ -288,35 +286,6 @@ func BenchmarkPipelineLocate2DObserved(b *testing.B) {
 	}
 	if got, want := accepted+rejected, uint64(movements); got != want {
 		b.Fatalf("slide tallies = %d, want %d movements", got, want)
-	}
-}
-
-// benchCorrelateInput builds the matched-filter workload the detector
-// runs per channel: one second of audio against the 40 ms template.
-func benchCorrelateInput() (x, ref []float64) {
-	x = make([]float64, 44100)
-	ref = make([]float64, 1764)
-	for i := range x {
-		x[i] = math.Sin(float64(i) * 0.127)
-	}
-	for i := range ref {
-		ref[i] = math.Cos(float64(i) * 0.211)
-	}
-	return x, ref
-}
-
-// BenchmarkCrossCorrelatePlan is the plan-cached, scratch-pooled
-// monolithic correlation on that workload; with a reused destination it
-// runs allocation-free in steady state (see -benchmem, and
-// TestPlanPathZeroAllocs in internal/dsp), entirely on packed half-size
-// transforms.
-func BenchmarkCrossCorrelatePlan(b *testing.B) {
-	x, ref := benchCorrelateInput()
-	dst := dsp.CrossCorrelateInto(nil, x, ref)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst = dsp.CrossCorrelateInto(dst, x, ref)
 	}
 }
 

@@ -141,12 +141,26 @@ func TestAutocorrelationSharpness(t *testing.T) {
 	x := make([]float64, 8192)
 	copy(x[1000:], ref)
 	r := dsp.CrossCorrelate(x, ref)
-	peak := dsp.FindPeak(r, 0, len(r), 30)
-	if peak.Index != 1000 {
-		t.Fatalf("autocorrelation peak at %d, want 1000", peak.Index)
+	best := 0
+	for i := range r {
+		if r[i] > r[best] {
+			best = i
+		}
 	}
-	if peak.PeakToSidelobe < 3 {
-		t.Errorf("peak-to-sidelobe ratio %v, want > 3", peak.PeakToSidelobe)
+	if best != 1000 {
+		t.Fatalf("autocorrelation peak at %d, want 1000", best)
+	}
+	// Peak-to-sidelobe ratio: the interpolated peak against the largest
+	// correlation more than 30 lags away from it.
+	_, peak := dsp.ParabolicInterp(r, best)
+	var sidelobe float64
+	for i, v := range r {
+		if i < best-30 || i > best+30 {
+			sidelobe = math.Max(sidelobe, math.Abs(v))
+		}
+	}
+	if psr := math.Abs(peak) / sidelobe; psr < 3 {
+		t.Errorf("peak-to-sidelobe ratio %v, want > 3", psr)
 	}
 }
 

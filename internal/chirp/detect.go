@@ -130,7 +130,9 @@ func NewDetectorFiltered(p Params, fs float64, gain func(freqHz float64) float64
 // Prefix lets DetectIntoCtx skip them.
 func (d *Detector) NewEnvelopeFeed() *dsp.EnvelopeFeed { return d.corr.NewEnvelopeFeed() }
 
-// Reference exposes the matched-filter template (for tests and plots).
+// Reference returns a copy of the matched-filter template. No production
+// path calls it: the detector tests here and internal/core's replay of
+// the pre-band-kernel detector read the template through it.
 func (d *Detector) Reference() []float64 {
 	out := make([]float64, len(d.ref))
 	copy(out, d.ref)

@@ -117,42 +117,21 @@ func NewStreamDetector(p Params, fs float64) (*StreamDetector, error) {
 func (s *StreamDetector) Buffered() int { return len(s.buf) }
 
 // Consumed reports the total number of samples pushed since the start of
-// the stream (or the last Reset), including samples already processed and
-// dropped from the buffer.
+// the stream, including samples already processed and dropped from the
+// buffer.
 func (s *StreamDetector) Consumed() int { return s.absOffset + len(s.buf) }
 
-// Reset returns the detector to its start-of-stream state while keeping
-// the expensive immutable setup (template, spectrum cache, FFT sizing),
-// so a service can pool one detector per session slot instead of
-// rebuilding it per connection. Buffers are retained at capacity and
-// timestamps restart at zero.
-func (s *StreamDetector) Reset() {
-	s.buf = s.buf[:0]
-	s.absOffset = 0
-	s.emitted = s.emitted[:0]
-	s.env = s.env[:0]
-	s.envValid = 0
-	s.dets = s.dets[:0]
-	s.out = s.out[:0]
-}
-
-// Push appends a chunk of samples and returns any newly confirmed
+// PushContext appends a chunk of samples and returns any newly confirmed
 // detections, in time order, with absolute stream timestamps. The
-// returned slice is reused by the next Push/Flush call — callers that
-// keep detections past that point must copy them out (every current
-// caller appends into its own storage immediately).
+// returned slice is reused by the next call — callers that keep
+// detections past that point must copy them out (every current caller
+// appends into its own storage immediately).
 //
-//hyperearvet:zeroalloc
-func (s *StreamDetector) Push(chunk []float64) []Detection {
-	return s.PushContext(context.Background(), chunk)
-}
-
-// PushContext is Push carrying a request context: when an obs hook is
-// attached and at least one detection pass runs, the pass is wrapped in
-// a "chirp.stream.push" span that inherits the context's trace IDs, so
-// streaming ingest shows up in the same trace as the locate call that
-// consumes the session. Chunks too small to trigger a pass emit no span
-// (the common per-callback case stays counter-only).
+// When an obs hook is attached and at least one detection pass runs, the
+// pass is wrapped in a "chirp.stream.push" span that inherits ctx's trace
+// IDs, so streaming ingest shows up in the same trace as the locate call
+// that consumes the session. Chunks too small to trigger a pass emit no
+// span (the common per-callback case stays counter-only).
 //
 //hyperearvet:zeroalloc
 func (s *StreamDetector) PushContext(ctx context.Context, chunk []float64) []Detection {
@@ -173,20 +152,6 @@ func (s *StreamDetector) PushContext(ctx context.Context, chunk []float64) []Det
 		return nil
 	}
 	return out
-}
-
-// Flush processes whatever remains in the buffer (end of stream) and
-// returns the final detections. Like Push, the returned slice is reused
-// by later calls.
-func (s *StreamDetector) Flush() []Detection {
-	if len(s.buf) < len(s.det.ref) {
-		return nil
-	}
-	s.out = s.process(true, s.out[:0])
-	if len(s.out) == 0 {
-		return nil
-	}
-	return s.out
 }
 
 // alreadyEmitted reports whether a detection at absolute time abs is a

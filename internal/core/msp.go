@@ -73,9 +73,6 @@ type Segment struct {
 	Start, End int
 }
 
-// Len returns the segment length in samples.
-func (s Segment) Len() int { return s.End - s.Start }
-
 // MSPResult is the preprocessed motion data.
 type MSPResult struct {
 	// Fs is the IMU sampling rate.
@@ -183,27 +180,20 @@ func preprocessIMU(ctx context.Context, tr *imu.Trace, cfg MSPConfig, s *Scratch
 	return &m.res, nil
 }
 
-// integrateYawDev integrates the z-gyro to a yaw deviation series after
-// removing the gyro's zero-rate bias. The bias is estimated by fitting a
-// linear trend to the raw integrated yaw over every *stationary* sample
-// (outside the movement segments): hand tremor contributes bounded,
-// zero-mean yaw at those samples while the bias grows linearly, so a fit
-// spanning the whole session separates them far better than averaging one
-// short window. Only the before/after *difference* of the result within a
-// slide enters the TDoA correction, so the intercept is irrelevant.
+// integrateYawDevInto integrates the z-gyro to a yaw deviation series in
+// out after removing the gyro's zero-rate bias; raw and moving are
+// caller-provided staging (all three len(gyroZ)). The bias is estimated
+// by fitting a linear trend to the raw integrated yaw over every
+// *stationary* sample (outside the movement segments): hand tremor
+// contributes bounded, zero-mean yaw at those samples while the bias
+// grows linearly, so a fit spanning the whole session separates them far
+// better than averaging one short window. Only the before/after
+// *difference* of the result within a slide enters the TDoA correction,
+// so the intercept is irrelevant.
 //
 // The assumption is zero net commanded rotation — true for slide sessions
 // (the user holds the in-direction orientation). Rotation sweeps violate
 // it, but the SDF path integrates raw gyro itself and never reads YawDev.
-func integrateYawDev(gyroZ []float64, fs float64, segs []Segment) []float64 {
-	n := len(gyroZ)
-	out := make([]float64, n)
-	integrateYawDevInto(out, make([]float64, n), make([]bool, n), gyroZ, fs, segs)
-	return out
-}
-
-// integrateYawDevInto is integrateYawDev writing into out, with raw and
-// moving as caller-provided staging (all three len(gyroZ)).
 //
 //hyperearvet:zeroalloc
 func integrateYawDevInto(out, raw []float64, moving []bool, gyroZ []float64, fs float64, segs []Segment) {
@@ -277,16 +267,9 @@ func (m *MSPResult) meanYawDev(lo, hi float64) float64 {
 	return s / float64(i1-i0)
 }
 
-// slidingMean is the forward-looking window mean of eq. (3):
-// P(t) = (1/W)·Σ_{n=t..t+W-1} x[n], truncated at the tail.
-func slidingMean(x []float64, w int) []float64 {
-	out := make([]float64, len(x))
-	slidingMeanInto(out, x, w)
-	return out
-}
-
-// slidingMeanInto is slidingMean writing into out (len(x)); out must not
-// alias x.
+// slidingMeanInto writes into out (len(x)) the forward-looking window
+// mean of eq. (3): P(t) = (1/W)·Σ_{n=t..t+W-1} x[n], truncated at the
+// tail. out must not alias x.
 //
 //hyperearvet:zeroalloc
 func slidingMeanInto(out, x []float64, w int) {
@@ -309,13 +292,9 @@ func slidingMeanInto(out, x []float64, w int) {
 	}
 }
 
-// segment finds movements: a movement starts when power exceeds thresh and
-// ends after quiet consecutive sub-threshold samples (§V-A-2).
-func segment(power []float64, thresh float64, quiet int) []Segment {
-	return segmentInto(nil, power, thresh, quiet)
-}
-
-// segmentInto is segment appending to segs (pass segs[:0] to reuse).
+// segmentInto finds movements, appending them to segs (pass segs[:0] to
+// reuse): a movement starts when power exceeds thresh and ends after
+// quiet consecutive sub-threshold samples (§V-A-2).
 //
 //hyperearvet:zeroalloc
 func segmentInto(segs []Segment, power []float64, thresh float64, quiet int) []Segment {

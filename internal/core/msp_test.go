@@ -85,12 +85,6 @@ func TestSegmentBriefDipDoesNotSplit(t *testing.T) {
 	}
 }
 
-func TestSegmentLen(t *testing.T) {
-	if (Segment{Start: 3, End: 10}).Len() != 7 {
-		t.Error("Segment.Len wrong")
-	}
-}
-
 // TestPreprocessIMUFindsSlides reproduces the Figure 8 behavior: a session
 // of back-and-forth slides segments into exactly that many movements.
 func TestPreprocessIMUFindsSlides(t *testing.T) {
@@ -160,4 +154,23 @@ func TestPreprocessIMUStationaryHasNoSegments(t *testing.T) {
 	if len(msp.Segments) != 0 {
 		t.Errorf("stationary trace segmented into %+v", msp.Segments)
 	}
+}
+
+// integrateYawDev, slidingMean and segment are allocating forms of the
+// MSP kernels, for tests that check the kernels on plain slices.
+func integrateYawDev(gyroZ []float64, fs float64, segs []Segment) []float64 {
+	n := len(gyroZ)
+	out := make([]float64, n)
+	integrateYawDevInto(out, make([]float64, n), make([]bool, n), gyroZ, fs, segs)
+	return out
+}
+
+func slidingMean(x []float64, w int) []float64 {
+	out := make([]float64, len(x))
+	slidingMeanInto(out, x, w)
+	return out
+}
+
+func segment(power []float64, thresh float64, quiet int) []Segment {
+	return segmentInto(nil, power, thresh, quiet)
 }

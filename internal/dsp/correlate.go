@@ -11,10 +11,11 @@ import "math"
 // Lags where ref extends past the end of x use the available overlap only
 // (zero padding), matching the behavior of a streaming correlator.
 //
-// The FFTs run over cached plans and pooled scratch (see Plan); callers on
-// a hot path that can reuse an output buffer should prefer
-// CrossCorrelateInto, and callers correlating many signals against one
-// fixed template should hold a Correlator.
+// No production path calls it: detection runs the segmented band kernel
+// (Correlator.MatchedEnvelopeCtx) and the Doppler figure CrossCorrelateInto.
+// It is the whole-signal reference that tests here and in internal/chirp
+// and internal/core (the detector oracles, the pre-band-kernel detector
+// replay) compare the shipping kernels against.
 func CrossCorrelate(x, ref []float64) []float64 {
 	if len(x) == 0 || len(ref) == 0 {
 		return nil
@@ -24,11 +25,16 @@ func CrossCorrelate(x, ref []float64) []float64 {
 
 // Envelope returns the magnitude of the analytic signal of x (Hilbert
 // envelope), sqrt(x² + H(x)²) with the Hilbert transform H(x) computed
-// by rotating the positive-frequency half spectrum by -90°. Matched-filter outputs for band-pass signals oscillate at the
-// carrier frequency under a smooth envelope; peak-picking the envelope
-// avoids locking onto the wrong carrier cycle — essential for
-// near-ultrasonic chirps, whose carrier period (≈50 µs at 20 kHz) is far
-// larger than the sub-sample timing budget.
+// by rotating the positive-frequency half spectrum by -90°. Matched-filter
+// outputs for band-pass signals oscillate at the carrier frequency under a
+// smooth envelope; peak-picking the envelope avoids locking onto the wrong
+// carrier cycle — essential for near-ultrasonic chirps, whose carrier
+// period (≈50 µs at 20 kHz) is far larger than the sub-sample timing
+// budget.
+//
+// No production path calls it (the Doppler figure uses EnvelopeInto); it
+// is the whole-signal envelope that the segmented kernel's tests here and
+// the detector oracles in internal/chirp and internal/core compare against.
 func Envelope(x []float64) []float64 {
 	if len(x) == 0 {
 		return nil
@@ -37,8 +43,9 @@ func Envelope(x []float64) []float64 {
 }
 
 // CrossCorrelateDirect is the O(N·M) reference implementation of
-// CrossCorrelate, used in tests to validate the FFT path and in benchmarks
-// as the naive baseline.
+// CrossCorrelate. No production path calls it: tests use it to validate
+// the FFT paths (TestCrossCorrelateMatchesDirect and its random-length,
+// exact-power-of-two and windowed variants).
 func CrossCorrelateDirect(x, ref []float64) []float64 {
 	if len(x) == 0 || len(ref) == 0 {
 		return nil
@@ -52,58 +59,6 @@ func CrossCorrelateDirect(x, ref []float64) []float64 {
 		out[k] = s
 	}
 	return out
-}
-
-// NormalizedPeak describes a correlation maximum.
-type NormalizedPeak struct {
-	// Index is the integer sample lag of the maximum.
-	Index int
-	// Offset is the sub-sample refinement in (-0.5, 0.5); the true peak is
-	// at Index+Offset samples.
-	Offset float64
-	// Value is the correlation value at the (interpolated) peak.
-	Value float64
-	// PeakToSidelobe is the ratio of the peak to the highest correlation
-	// outside an exclusion window around it; large values mean a confident
-	// detection.
-	PeakToSidelobe float64
-}
-
-// FindPeak locates the maximum of r in [lo, hi) (clamped to the slice),
-// refines it with parabolic interpolation, and computes a peak-to-sidelobe
-// ratio with an exclusion window of excl samples around the peak.
-func FindPeak(r []float64, lo, hi, excl int) NormalizedPeak {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > len(r) {
-		hi = len(r)
-	}
-	if lo >= hi {
-		return NormalizedPeak{Index: -1}
-	}
-	best := lo
-	for i := lo + 1; i < hi; i++ {
-		if r[i] > r[best] {
-			best = i
-		}
-	}
-	off, val := ParabolicInterp(r, best)
-	// Sidelobe level outside the exclusion window.
-	sidelobe := 0.0
-	for i := lo; i < hi; i++ {
-		if i >= best-excl && i <= best+excl {
-			continue
-		}
-		if a := math.Abs(r[i]); a > sidelobe {
-			sidelobe = a
-		}
-	}
-	psr := math.Inf(1)
-	if sidelobe > 0 {
-		psr = math.Abs(val) / sidelobe
-	}
-	return NormalizedPeak{Index: best, Offset: off, Value: val, PeakToSidelobe: psr}
 }
 
 // ParabolicInterp fits a parabola through r[i-1], r[i], r[i+1] and returns

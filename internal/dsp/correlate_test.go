@@ -64,42 +64,6 @@ func TestCorrelationShiftProperty(t *testing.T) {
 	}
 }
 
-func TestFindPeak(t *testing.T) {
-	r := make([]float64, 100)
-	r[40], r[41], r[42] = 0.5, 1.0, 0.5
-	p := FindPeak(r, 0, len(r), 5)
-	if p.Index != 41 {
-		t.Errorf("peak index = %d, want 41", p.Index)
-	}
-	if math.Abs(p.Offset) > 1e-9 {
-		t.Errorf("symmetric peak offset = %v, want 0", p.Offset)
-	}
-	if !math.IsInf(p.PeakToSidelobe, 1) {
-		t.Errorf("no sidelobes: PSR = %v, want +Inf", p.PeakToSidelobe)
-	}
-}
-
-func TestFindPeakWindowAndSidelobe(t *testing.T) {
-	r := make([]float64, 100)
-	r[10] = 5 // outside the search window
-	r[50] = 2
-	r[80] = 1 // sidelobe
-	p := FindPeak(r, 30, 100, 3)
-	if p.Index != 50 {
-		t.Errorf("peak index = %d, want 50", p.Index)
-	}
-	if math.Abs(p.PeakToSidelobe-2) > 1e-9 {
-		t.Errorf("PSR = %v, want 2", p.PeakToSidelobe)
-	}
-}
-
-func TestFindPeakEmptyWindow(t *testing.T) {
-	p := FindPeak([]float64{1, 2, 3}, 5, 2, 1)
-	if p.Index != -1 {
-		t.Errorf("empty window should return Index=-1, got %d", p.Index)
-	}
-}
-
 func TestParabolicInterpExactVertex(t *testing.T) {
 	// Sample a parabola with vertex at x = 10.3 and verify recovery.
 	vertex := 10.3
@@ -175,37 +139,5 @@ func TestCubicInterpValueEndpoints(t *testing.T) {
 	}
 	if got := CubicInterpValue(0, 1, 2, 3, 1); math.Abs(got-2) > 1e-12 {
 		t.Errorf("t=1: %v, want 2", got)
-	}
-}
-
-func BenchmarkCrossCorrelateFFT(b *testing.B) {
-	rng := rand.New(rand.NewSource(6))
-	x := make([]float64, 44100) // one second of audio
-	ref := make([]float64, 1764)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	for i := range ref {
-		ref[i] = rng.NormFloat64()
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		CrossCorrelate(x, ref)
-	}
-}
-
-func BenchmarkCrossCorrelateDirect(b *testing.B) {
-	rng := rand.New(rand.NewSource(6))
-	x := make([]float64, 8192)
-	ref := make([]float64, 512)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	for i := range ref {
-		ref[i] = rng.NormFloat64()
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		CrossCorrelateDirect(x, ref)
 	}
 }

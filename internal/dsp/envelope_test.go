@@ -96,15 +96,3 @@ func TestEnvelopePeakAtBurstCenter(t *testing.T) {
 		t.Errorf("envelope peak at %d, want ≈%d", best, center)
 	}
 }
-
-func BenchmarkEnvelope(b *testing.B) {
-	rng := rand.New(rand.NewSource(14))
-	x := make([]float64, 1<<16)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Envelope(x)
-	}
-}

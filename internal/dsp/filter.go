@@ -20,10 +20,6 @@ func (f *FIR) Taps() []float64 {
 // Len returns the number of taps.
 func (f *FIR) Len() int { return len(f.taps) }
 
-// GroupDelay returns the filter's group delay in samples ((N-1)/2 for the
-// linear-phase designs produced by this package).
-func (f *FIR) GroupDelay() float64 { return float64(len(f.taps)-1) / 2 }
-
 // NewLowPass designs a linear-phase low-pass FIR with the windowed-sinc
 // method: cutoff in Hz, fs in Hz, ntaps odd (incremented if even). A
 // Hamming window shapes the sidelobes.
@@ -40,7 +36,7 @@ func NewLowPass(cutoff, fs float64, ntaps int) (*FIR, error) {
 	taps := make([]float64, ntaps)
 	fc := cutoff / fs // normalized (cycles/sample)
 	mid := float64(ntaps-1) / 2
-	win := hammingWindow(ntaps)
+	win := Hamming(ntaps)
 	var sum float64
 	for i := range taps {
 		t := float64(i) - mid
@@ -51,21 +47,6 @@ func NewLowPass(cutoff, fs float64, ntaps int) (*FIR, error) {
 	for i := range taps {
 		taps[i] /= sum
 	}
-	return &FIR{taps: taps}, nil
-}
-
-// NewHighPass designs a linear-phase high-pass FIR by spectral inversion of
-// the corresponding low-pass.
-func NewHighPass(cutoff, fs float64, ntaps int) (*FIR, error) {
-	lp, err := NewLowPass(cutoff, fs, ntaps)
-	if err != nil {
-		return nil, err
-	}
-	taps := lp.taps
-	for i := range taps {
-		taps[i] = -taps[i]
-	}
-	taps[(len(taps)-1)/2] += 1
 	return &FIR{taps: taps}, nil
 }
 
@@ -112,18 +93,6 @@ func (f *FIR) Apply(x []float64) []float64 {
 	return out
 }
 
-// Response returns the filter's magnitude response at frequency freq Hz for
-// sampling rate fs, evaluated exactly from the tap coefficients.
-func (f *FIR) Response(freq, fs float64) float64 {
-	w := 2 * math.Pi * freq / fs
-	var re, im float64
-	for i, t := range f.taps {
-		re += t * math.Cos(w*float64(i))
-		im -= t * math.Sin(w*float64(i))
-	}
-	return math.Hypot(re, im)
-}
-
 func directConvolve(x, h []float64) []float64 {
 	out := make([]float64, len(x)+len(h)-1)
 	for i, xi := range x {
@@ -163,17 +132,13 @@ func sinc(x float64) float64 {
 	return math.Sin(px) / px
 }
 
-// MovingAverage applies the simple moving average (SMA) filter the paper
-// uses for inertial noise removal (§V-A-1): y[t] is the unweighted mean of
-// the previous n samples x[t-n+1..t]. The first n-1 outputs average the
-// available prefix. n=4 at 100 Hz gives the paper's ≈15 Hz -3 dB cutoff.
-func MovingAverage(x []float64, n int) []float64 {
-	return MovingAverageInto(nil, x, n)
-}
-
-// MovingAverageInto is MovingAverage writing into dst (grown/reused as
-// needed) and returning it. dst must not alias x: the filter reads
-// x[i-n] after position i-n has been written.
+// MovingAverageInto applies the simple moving average (SMA) filter the
+// paper uses for inertial noise removal (§V-A-1), writing into dst
+// (grown/reused as needed) and returning it: y[t] is the unweighted mean
+// of the previous n samples x[t-n+1..t]. The first n-1 outputs average
+// the available prefix. n=4 at 100 Hz gives the paper's ≈15 Hz -3 dB
+// cutoff. dst must not alias x: the filter reads x[i-n] after position
+// i-n has been written.
 //
 //hyperearvet:zeroalloc
 func MovingAverageInto(dst, x []float64, n int) []float64 {

@@ -18,11 +18,11 @@ import (
 // forward form is decimation in time: it takes its input in bit-reversed
 // order and leaves the spectrum in natural order. The inverse form is
 // decimation in frequency: it takes a natural-order spectrum and leaves
-// the unscaled inverse in bit-reversed order. Callers that can place or
-// read samples through rev as they copy them — the packed real path,
-// RealPlan — run either direction with no separate permutation pass;
-// Forward and Inverse add one in-place swap pass to keep the
-// natural-order contract.
+// the unscaled inverse in bit-reversed order. Callers place or read
+// samples through rev as they copy them — the packed real path, RealPlan,
+// and the band-limited matched filter — so no separate permutation pass
+// runs; only the Forward oracle adds one to keep a natural-order
+// contract.
 //
 // Stages run over blocks of length L = first·4^s. The forward form's
 // first stage and the inverse form's last are twiddle-free: radix-4 at
@@ -116,7 +116,10 @@ func twiddle(j, l int) complex128 {
 func (p *Plan) Size() int { return p.n }
 
 // Forward computes the in-place forward DFT of x. len(x) must equal
-// p.Size().
+// p.Size(). No production path calls it: it is the complex reference
+// TestRealPlanForwardMatchesComplexPlan pins RealPlan.ForwardReal against
+// and the forward half of TestPlanRoundTripAllSizes, itself checked by
+// TestPlanMatchesNaiveDFT.
 //
 //hyperearvet:zeroalloc
 func (p *Plan) Forward(x []complex128) {
@@ -135,25 +138,6 @@ func (p *Plan) Forward(x []complex128) {
 		}
 	}
 	p.ditStages(x)
-}
-
-// Inverse computes the in-place inverse DFT of x, including the 1/N
-// scaling. len(x) must equal p.Size(). The scaling rides along in the
-// swap pass that restores natural order.
-//
-//hyperearvet:zeroalloc
-func (p *Plan) Inverse(x []complex128) {
-	p.checkLen(x)
-	p.inverseBitReversed(x)
-	s := 1 / float64(p.n)
-	for i, j := range p.rev {
-		if int(j) < i {
-			continue
-		}
-		a, b := x[i], x[j]
-		x[i] = complex(real(b)*s, imag(b)*s)
-		x[j] = complex(real(a)*s, imag(a)*s)
-	}
 }
 
 // inverseBitReversed runs the whole inverse decimation-in-frequency
@@ -281,13 +265,6 @@ func mulConj(a, w complex128) complex128 {
 // overwrite anyway. Returning them keeps the steady state allocation-free.
 
 var complexPool = sync.Pool{New: func() any { s := make([]complex128, 0, 4096); return &s }}
-
-// getComplex transfers ownership of a pooled buffer to its caller, who
-// must putComplex it back.
-//
-//hyperearvet:pooled
-//hyperearvet:zeroalloc
-func getComplex(n int) *[]complex128 { return getComplexPrefix(n, 0) }
 
 // getComplexPrefix returns a pooled buffer of length n whose elements from
 // written onward are zeroed. Callers that overwrite a known prefix [0,
@@ -530,6 +507,10 @@ func (c *Correlator) correlateAt(dst, x []float64, n int) {
 // reuses one fixed transform size, so the template spectrum is computed
 // exactly once for the whole stream.
 //
+// No production path calls it: TestCorrelateCircularIntoMatchesDirect and
+// TestRealKernelsZeroAllocs use it to check correlateAt's circular mode
+// against a direct sum and its steady state for allocations.
+//
 //hyperearvet:zeroalloc
 func (c *Correlator) CorrelateCircularInto(dst, x []float64, n int) {
 	if len(dst) == 0 {
@@ -549,7 +530,10 @@ func (c *Correlator) CorrelateCircularInto(dst, x []float64, n int) {
 }
 
 // CrossCorrelate computes CrossCorrelate(x, ref) using the cached
-// reference spectrum.
+// reference spectrum. No production path calls it: through it,
+// TestCorrelatorMatchesCrossCorrelate and TestCorrelatorCopiesTemplate
+// check the cached-spectrum path (CrossCorrelateInto, which the Doppler
+// figure runs) against the free CrossCorrelate.
 func (c *Correlator) CrossCorrelate(x []float64) []float64 {
 	if len(x) == 0 || len(c.ref) == 0 {
 		return nil

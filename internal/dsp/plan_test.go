@@ -32,6 +32,9 @@ func TestPlanForCachesBySize(t *testing.T) {
 	}
 }
 
+// TestPlanRoundTripAllSizes: the unscaled bit-reversed inverse the
+// band-limited matched filter runs undoes Forward at every size up to
+// 2^10, 1 included.
 func TestPlanRoundTripAllSizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for n := 1; n <= 1024; n <<= 1 {
@@ -46,9 +49,9 @@ func TestPlanRoundTripAllSizes(t *testing.T) {
 			orig[i] = x[i]
 		}
 		p.Forward(x)
-		p.Inverse(x)
-		for i := range x {
-			if d := cAbs(x[i] - orig[i]); d > 1e-10 {
+		p.inverseBitReversed(x)
+		for i := range orig {
+			if d := cAbs(x[p.rev[i]]/complex(float64(n), 0) - orig[i]); d > 1e-10 {
 				t.Fatalf("n=%d: round trip error %g at %d", n, d, i)
 			}
 		}
@@ -105,9 +108,11 @@ func oracleBins(n int, rng *rand.Rand) []int {
 }
 
 // TestPlanMatchesNaiveDFT is the kernel-independent oracle for every FFT
-// entry point — Plan.Forward, Plan.Inverse, RealPlan.ForwardReal (full and
-// zero-padded input) and RealPlan.InverseReal (full and truncated
-// output) — at every power of two from 2 to 2^16. Odd and even log2 n
+// kernel form — Plan.Forward (the complex reference), the unscaled
+// bit-reversed inverse the band-limited matched filter runs,
+// RealPlan.ForwardReal (full and zero-padded input) and
+// RealPlan.InverseReal (full and truncated output) — at every power of
+// two from 2 to 2^16. Odd and even log2 n
 // exercise both kernel shapes (a leading radix-2 stage or none), and the
 // range covers the production block sizes 2^13–2^15.
 func TestPlanMatchesNaiveDFT(t *testing.T) {
@@ -132,10 +137,10 @@ func TestPlanMatchesNaiveDFT(t *testing.T) {
 		fwd := append([]complex128(nil), x...)
 		p.Forward(fwd)
 		inv := append([]complex128(nil), x...)
-		p.Inverse(inv)
+		p.inverseBitReversed(inv)
 		for _, k := range bins {
 			check("Forward", k, fwd[k], o.bin(x, k, true))
-			check("Inverse", k, inv[k], o.bin(x, k, false)/complex(float64(n), 0))
+			check("inverseBitReversed", k, inv[p.rev[k]], o.bin(x, k, false))
 		}
 
 		// Real forward: full-length input, then one sample short (the
@@ -341,55 +346,5 @@ func TestPlanPathZeroAllocs(t *testing.T) {
 		if allocs := testing.AllocsPerRun(50, tc.fn); allocs > 0.5 {
 			t.Errorf("%s: %.2f allocs/run, want 0 in steady state", tc.name, allocs)
 		}
-	}
-}
-
-func BenchmarkCrossCorrelatePlanInto(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	x := make([]float64, 44100)
-	ref := make([]float64, 1764)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	for i := range ref {
-		ref[i] = rng.NormFloat64()
-	}
-	dst := CrossCorrelateInto(nil, x, ref)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst = CrossCorrelateInto(dst, x, ref)
-	}
-}
-
-func BenchmarkCorrelatorCrossCorrelate(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	x := make([]float64, 44100)
-	ref := make([]float64, 1764)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	for i := range ref {
-		ref[i] = rng.NormFloat64()
-	}
-	c := NewCorrelator(ref)
-	dst := c.CrossCorrelateInto(nil, x)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst = c.CrossCorrelateInto(dst, x)
-	}
-}
-
-func BenchmarkEnvelopeInto(b *testing.B) {
-	x := make([]float64, 44100)
-	for i := range x {
-		x[i] = math.Sin(float64(i) * 0.3)
-	}
-	dst := EnvelopeInto(nil, x)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst = EnvelopeInto(dst, x)
 	}
 }

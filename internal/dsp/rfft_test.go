@@ -270,7 +270,7 @@ func TestCorrelateCircularIntoRejectsMisuse(t *testing.T) {
 // contract — the region past the caller's written prefix must come back
 // zeroed even when the pool hands out a dirty buffer.
 func TestGetComplexPrefixClearsTail(t *testing.T) {
-	p := getComplex(64)
+	p := getComplexPrefix(64, 0)
 	for i := range *p {
 		(*p)[i] = complex(1, 1)
 	}

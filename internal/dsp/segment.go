@@ -179,7 +179,8 @@ func (c *Correlator) MatchedEnvelopeCtx(ctx context.Context, env, x []float64, p
 
 // BlockStep returns the input samples between the starts of consecutive
 // MatchedEnvelopeCtx blocks: a multiple of Decimation() just under
-// SegmentSize() − RefLen() + 1.
+// SegmentSize() − RefLen() + 1. No production path calls it: the feed
+// tests in internal/chirp lay out block boundaries with it.
 //
 //hyperearvet:zeroalloc
 func (c *Correlator) BlockStep() int { return c.band().step }
@@ -206,7 +207,9 @@ type EnvelopePrefix struct {
 }
 
 // Len returns how many decimated lags the prefix holds: a whole number
-// of blocks, BlockStep()/Decimation() lags each.
+// of blocks, BlockStep()/Decimation() lags each. No production path calls
+// it: the feed tests in internal/chirp and internal/core check block
+// counts with it.
 func (p EnvelopePrefix) Len() int {
 	if len(p.blocks) == 0 {
 		return 0

@@ -2,24 +2,13 @@ package dsp
 
 import "math"
 
-// Hann returns an n-point Hann window.
-func Hann(n int) []float64 {
-	return cosineWindow(n, 0.5, 0.5, 0)
-}
-
 // Hamming returns an n-point Hamming window.
 func Hamming(n int) []float64 {
-	return cosineWindow(n, 0.54, 0.46, 0)
+	return cosineWindow(n, 0.54, 0.46)
 }
 
-// Blackman returns an n-point Blackman window.
-func Blackman(n int) []float64 {
-	return cosineWindow(n, 0.42, 0.5, 0.08)
-}
-
-func hammingWindow(n int) []float64 { return Hamming(n) }
-
-func cosineWindow(n int, a0, a1, a2 float64) []float64 {
+// cosineWindow returns the n-point window a0 - a1·cos(2πi/(n-1)).
+func cosineWindow(n int, a0, a1 float64) []float64 {
 	w := make([]float64, n)
 	if n == 1 {
 		w[0] = 1
@@ -27,7 +16,7 @@ func cosineWindow(n int, a0, a1, a2 float64) []float64 {
 	}
 	for i := range w {
 		x := 2 * math.Pi * float64(i) / float64(n-1)
-		w[i] = a0 - a1*math.Cos(x) + a2*math.Cos(2*x)
+		w[i] = a0 - a1*math.Cos(x)
 	}
 	return w
 }
@@ -44,37 +33,10 @@ func RMS(x []float64) float64 {
 	return math.Sqrt(s / float64(len(x)))
 }
 
-// Energy returns Σ x[i]².
-func Energy(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += v * v
-	}
-	return s
-}
-
-// DB converts a linear amplitude ratio to decibels (20·log10).
-func DB(ratio float64) float64 { return 20 * math.Log10(ratio) }
-
-// PowerDB converts a linear power ratio to decibels (10·log10).
-func PowerDB(ratio float64) float64 { return 10 * math.Log10(ratio) }
-
-// FromDB converts decibels to a linear amplitude ratio.
-func FromDB(db float64) float64 { return math.Pow(10, db/20) }
-
-// SNRdB computes the signal-to-noise ratio in dB of two waveforms by their
-// RMS levels. Returns +Inf if noise is silent.
-func SNRdB(signal, noise []float64) float64 {
-	ns := RMS(noise)
-	if ns == 0 {
-		return math.Inf(1)
-	}
-	return DB(RMS(signal) / ns)
-}
-
 // Goertzel evaluates the DFT magnitude of x at a single frequency freq for
-// sampling rate fs. Cheaper than a full FFT when only a few bins matter
-// (used by tests to probe filter responses on real signals).
+// sampling rate fs. No production path calls it: it is the spectral probe
+// shared by the tests of several packages (the FIR filters here, the chirp
+// band limits in internal/chirp, the noise spectra in internal/room).
 func Goertzel(x []float64, freq, fs float64) float64 {
 	w := 2 * math.Pi * freq / fs
 	coeff := 2 * math.Cos(w)
@@ -89,36 +51,4 @@ func Goertzel(x []float64, freq, fs float64) float64 {
 		power = 0
 	}
 	return math.Sqrt(power)
-}
-
-// Mean returns the arithmetic mean of x (0 for empty input).
-func Mean(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range x {
-		s += v
-	}
-	return s / float64(len(x))
-}
-
-// Detrend subtracts the mean from x in place and returns x.
-func Detrend(x []float64) []float64 {
-	m := Mean(x)
-	for i := range x {
-		x[i] -= m
-	}
-	return x
-}
-
-// MaxAbs returns the maximum absolute value in x.
-func MaxAbs(x []float64) float64 {
-	var m float64
-	for _, v := range x {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
 }

@@ -43,19 +43,6 @@ func runAblation(opt Options, label, paper string, seedOff int64, mutate func(*t
 	return Condition{Label: label, Errors: errs, Failed: failed, Paper: paper}
 }
 
-// RunAblations benchmarks the design choices the paper motivates: SFO
-// correction, the eq. (4) drift correction, in-direction operation, and
-// aggregation width. Each figure pairs the full system with one component
-// removed on the standard 5 m ruler workload.
-func RunAblations(opt Options) []Figure {
-	return []Figure{
-		RunAblationSFO(opt),
-		RunAblationDrift(opt),
-		RunAblationDirection(opt),
-		RunAblationAggregation(opt),
-	}
-}
-
 // RunAblationSFO compares localization with and without SFO correction
 // under a fixed 60 ppm speaker clock skew.
 func RunAblationSFO(opt Options) Figure {

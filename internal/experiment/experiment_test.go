@@ -56,7 +56,7 @@ func TestPlaceInRoom(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 50; i++ {
 		p, s := placeInRoom(env, 7, 1.2, 0.5, rng)
-		if !env.Contains(p) || !env.Contains(s) {
+		if !inRoom(env, p) || !inRoom(env, s) {
 			t.Fatalf("placement outside room: %v %v", p, s)
 		}
 		if d := p.XY().Dist(s.XY()); d < 6.99 || d > 7.01 {
@@ -66,6 +66,13 @@ func TestPlaceInRoom(t *testing.T) {
 			t.Fatalf("heights %v %v", p.Z, s.Z)
 		}
 	}
+}
+
+// inRoom reports whether p lies inside env's box.
+func inRoom(env room.Environment, p geom.Vec3) bool {
+	return p.X >= 0 && p.X <= env.Size.X &&
+		p.Y >= 0 && p.Y <= env.Size.Y &&
+		p.Z >= 0 && p.Z <= env.Size.Z
 }
 
 func TestPlaceInRoomFallback(t *testing.T) {

@@ -2,75 +2,17 @@ package geom
 
 import "math"
 
-// Mat3 is a 3x3 rotation (or general linear) matrix in row-major order.
+// Mat3 is a 3x3 rotation matrix in row-major order. No production path
+// uses it: Quat.Mat and Mat3.Apply are the matrix reference that
+// TestQuatMatchesMatrix checks Quat.Apply against.
 type Mat3 [3][3]float64
 
-// Identity3 returns the 3x3 identity matrix.
-func Identity3() Mat3 {
-	return Mat3{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}}
-}
-
-// Mul returns the matrix product m*n.
-func (m Mat3) Mul(n Mat3) Mat3 {
-	var r Mat3
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			for k := 0; k < 3; k++ {
-				r[i][j] += m[i][k] * n[k][j]
-			}
-		}
-	}
-	return r
-}
-
-// Apply returns m*v.
+// Apply returns m*v, the matrix side of TestQuatMatchesMatrix.
 func (m Mat3) Apply(v Vec3) Vec3 {
 	return Vec3{
 		m[0][0]*v.X + m[0][1]*v.Y + m[0][2]*v.Z,
 		m[1][0]*v.X + m[1][1]*v.Y + m[1][2]*v.Z,
 		m[2][0]*v.X + m[2][1]*v.Y + m[2][2]*v.Z,
-	}
-}
-
-// Transpose returns mᵀ, which for a rotation matrix is its inverse.
-func (m Mat3) Transpose() Mat3 {
-	var r Mat3
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			r[i][j] = m[j][i]
-		}
-	}
-	return r
-}
-
-// RotZ returns the rotation about the world z-axis by theta radians
-// (counterclockwise looking down the +z axis).
-func RotZ(theta float64) Mat3 {
-	s, c := math.Sincos(theta)
-	return Mat3{
-		{c, -s, 0},
-		{s, c, 0},
-		{0, 0, 1},
-	}
-}
-
-// RotX returns the rotation about the x-axis by theta radians.
-func RotX(theta float64) Mat3 {
-	s, c := math.Sincos(theta)
-	return Mat3{
-		{1, 0, 0},
-		{0, c, -s},
-		{0, s, c},
-	}
-}
-
-// RotY returns the rotation about the y-axis by theta radians.
-func RotY(theta float64) Mat3 {
-	s, c := math.Sincos(theta)
-	return Mat3{
-		{c, 0, s},
-		{0, 1, 0},
-		{-s, 0, c},
 	}
 }
 
@@ -129,7 +71,8 @@ func (q Quat) Apply(v Vec3) Vec3 {
 	return v.Add(t.Scale(q.W)).Add(u.Cross(t))
 }
 
-// Mat returns the equivalent rotation matrix.
+// Mat returns the equivalent rotation matrix. No production path calls
+// it: it is TestQuatMatchesMatrix's reference for Quat.Apply.
 func (q Quat) Mat() Mat3 {
 	w, x, y, z := q.W, q.X, q.Y, q.Z
 	return Mat3{

@@ -6,42 +6,6 @@ import (
 	"testing/quick"
 )
 
-func mat3AlmostEq(a, b Mat3, tol float64) bool {
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			if math.Abs(a[i][j]-b[i][j]) > tol {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-func TestRotZ(t *testing.T) {
-	r := RotZ(math.Pi / 2)
-	got := r.Apply(Vec3{1, 0, 0})
-	if !vec3AlmostEq(got, Vec3{0, 1, 0}, eps) {
-		t.Errorf("RotZ(π/2)·x = %v, want y", got)
-	}
-}
-
-func TestRotXY(t *testing.T) {
-	if got := RotX(math.Pi / 2).Apply(Vec3{0, 1, 0}); !vec3AlmostEq(got, Vec3{0, 0, 1}, eps) {
-		t.Errorf("RotX(π/2)·y = %v, want z", got)
-	}
-	if got := RotY(math.Pi / 2).Apply(Vec3{0, 0, 1}); !vec3AlmostEq(got, Vec3{1, 0, 0}, eps) {
-		t.Errorf("RotY(π/2)·z = %v, want x", got)
-	}
-}
-
-func TestMat3TransposeIsInverse(t *testing.T) {
-	r := RotZ(0.7).Mul(RotX(0.3)).Mul(RotY(-1.1))
-	id := r.Mul(r.Transpose())
-	if !mat3AlmostEq(id, Identity3(), 1e-12) {
-		t.Errorf("R·Rᵀ != I: %v", id)
-	}
-}
-
 func TestQuatMatchesMatrix(t *testing.T) {
 	axis := Vec3{1, 2, 3}
 	angle := 0.9

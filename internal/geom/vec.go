@@ -1,7 +1,7 @@
 // Package geom provides the small amount of 2D/3D geometry HyperEar needs:
-// vectors, rotations (matrices and quaternions), body/world frame
-// transforms, and the TDoA hyperbola utilities used throughout the paper's
-// Section II analysis (region counts, region densities).
+// vectors, quaternion rotations, body/world frame transforms, and the
+// TDoA hyperbola utilities used throughout the paper's Section II
+// analysis (region counts, region densities).
 package geom
 
 import (
@@ -23,9 +23,6 @@ func (v Vec2) Sub(w Vec2) Vec2 { return Vec2{v.X - w.X, v.Y - w.Y} }
 // Scale returns s*v.
 func (v Vec2) Scale(s float64) Vec2 { return Vec2{s * v.X, s * v.Y} }
 
-// Dot returns the dot product v·w.
-func (v Vec2) Dot(w Vec2) float64 { return v.X*w.X + v.Y*w.Y }
-
 // Norm returns |v|.
 func (v Vec2) Norm() float64 { return math.Hypot(v.X, v.Y) }
 
@@ -46,9 +43,6 @@ func (v Vec2) Rotate(theta float64) Vec2 {
 	s, c := math.Sincos(theta)
 	return Vec2{c*v.X - s*v.Y, s*v.X + c*v.Y}
 }
-
-// Angle returns atan2(v.Y, v.X) in radians.
-func (v Vec2) Angle() float64 { return math.Atan2(v.Y, v.X) }
 
 // String implements fmt.Stringer.
 func (v Vec2) String() string { return fmt.Sprintf("(%.4f, %.4f)", v.X, v.Y) }
@@ -99,9 +93,6 @@ func (v Vec3) XY() Vec2 { return Vec2{v.X, v.Y} }
 
 // String implements fmt.Stringer.
 func (v Vec3) String() string { return fmt.Sprintf("(%.4f, %.4f, %.4f)", v.X, v.Y, v.Z) }
-
-// Lerp linearly interpolates between a and b: a + t*(b-a).
-func Lerp(a, b Vec3, t float64) Vec3 { return a.Add(b.Sub(a).Scale(t)) }
 
 // Clamp restricts x to [lo, hi].
 func Clamp(x, lo, hi float64) float64 {

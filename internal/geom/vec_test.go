@@ -26,9 +26,6 @@ func TestVec2Basics(t *testing.T) {
 	if got := a.Norm(); !almostEq(got, 5, eps) {
 		t.Errorf("Norm = %v, want 5", got)
 	}
-	if got := a.Dot(b); !almostEq(got, 5, eps) {
-		t.Errorf("Dot = %v, want 5", got)
-	}
 	if got := a.Dist(b); !almostEq(got, math.Sqrt(16+4), eps) {
 		t.Errorf("Dist = %v", got)
 	}
@@ -79,20 +76,6 @@ func TestVec3CrossOrthogonalProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestLerp(t *testing.T) {
-	a := Vec3{0, 0, 0}
-	b := Vec3{2, 4, 6}
-	if got := Lerp(a, b, 0.5); !vec3AlmostEq(got, Vec3{1, 2, 3}, eps) {
-		t.Errorf("Lerp(0.5) = %v", got)
-	}
-	if got := Lerp(a, b, 0); !vec3AlmostEq(got, a, eps) {
-		t.Errorf("Lerp(0) = %v", got)
-	}
-	if got := Lerp(a, b, 1); !vec3AlmostEq(got, b, eps) {
-		t.Errorf("Lerp(1) = %v", got)
 	}
 }
 

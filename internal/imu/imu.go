@@ -60,12 +60,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// IdealConfig returns a noiseless sensor (for tests isolating other error
-// sources).
-func IdealConfig() Config {
-	return Config{SampleRate: 100}
-}
-
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	if c.SampleRate < 10 || c.SampleRate > 10000 {
@@ -97,32 +91,6 @@ type Trace struct {
 
 // Len returns the number of samples.
 func (t *Trace) Len() int { return len(t.Accel) }
-
-// LinearAccel returns Accel - Gravity per sample: the gravity-compensated
-// body-frame acceleration MSP starts from.
-func (t *Trace) LinearAccel() []geom.Vec3 {
-	out := make([]geom.Vec3, len(t.Accel))
-	for i := range out {
-		out[i] = t.Accel[i].Sub(t.Gravity[i])
-	}
-	return out
-}
-
-// Axis extracts one body axis (0=x, 1=y, 2=z) from a vector series.
-func Axis(vs []geom.Vec3, axis int) []float64 {
-	out := make([]float64, len(vs))
-	for i, v := range vs {
-		switch axis {
-		case 0:
-			out[i] = v.X
-		case 1:
-			out[i] = v.Y
-		default:
-			out[i] = v.Z
-		}
-	}
-	return out
-}
 
 // Sample simulates the IMU over the whole trajectory.
 func Sample(traj motion.Trajectory, cfg Config) (*Trace, error) {

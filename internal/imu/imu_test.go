@@ -33,13 +33,13 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestSampleNilTrajectory(t *testing.T) {
-	if _, err := Sample(nil, IdealConfig()); err == nil {
+	if _, err := Sample(nil, Config{SampleRate: 100}); err == nil {
 		t.Error("nil trajectory should error")
 	}
 }
 
 func TestRestingPhoneReadsGravity(t *testing.T) {
-	tr, err := Sample(hold(1), IdealConfig())
+	tr, err := Sample(hold(1), Config{SampleRate: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestSlideAccelerationProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := Sample(traj, IdealConfig())
+	tr, err := Sample(traj, Config{SampleRate: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestSlideAccelerationProfile(t *testing.T) {
 func TestConstantBiasProducesLinearVelocityDrift(t *testing.T) {
 	// With a pure constant bias, integrated velocity error grows linearly
 	// in time — the premise of the paper's eq. (4) correction.
-	cfg := IdealConfig()
+	cfg := Config{SampleRate: 100}
 	cfg.AccelBiasStd = 0.05
 	cfg.Seed = 5
 	tr, err := Sample(hold(2), cfg)
@@ -119,7 +119,7 @@ func TestYawIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := Sample(traj, IdealConfig())
+	tr, err := Sample(traj, Config{SampleRate: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestGravimeterTracksTilt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := Sample(traj, IdealConfig())
+	tr, err := Sample(traj, Config{SampleRate: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestGravimeterTracksTilt(t *testing.T) {
 }
 
 func TestNoiseStatistics(t *testing.T) {
-	cfg := IdealConfig()
+	cfg := Config{SampleRate: 100}
 	cfg.AccelNoiseStd = 0.03
 	cfg.Seed = 6
 	tr, err := Sample(hold(30), cfg)
@@ -194,4 +194,30 @@ func TestAxisExtraction(t *testing.T) {
 	if got := Axis(vs, 2); got[0] != 3 || got[1] != 6 {
 		t.Errorf("Axis z = %v", got)
 	}
+}
+
+// LinearAccel returns Accel - Gravity per sample: the gravity-compensated
+// body-frame acceleration MSP starts from.
+func (t *Trace) LinearAccel() []geom.Vec3 {
+	out := make([]geom.Vec3, len(t.Accel))
+	for i := range out {
+		out[i] = t.Accel[i].Sub(t.Gravity[i])
+	}
+	return out
+}
+
+// Axis extracts one body axis (0=x, 1=y, 2=z) from a vector series.
+func Axis(vs []geom.Vec3, axis int) []float64 {
+	out := make([]float64, len(vs))
+	for i, v := range vs {
+		switch axis {
+		case 0:
+			out[i] = v.X
+		case 1:
+			out[i] = v.Y
+		default:
+			out[i] = v.Z
+		}
+	}
+	return out
 }

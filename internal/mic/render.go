@@ -57,14 +57,6 @@ type Recording struct {
 	TrueSNRdB float64
 }
 
-// Channel returns channel i (1 or 2).
-func (r *Recording) Channel(i int) []float64 {
-	if i == 1 {
-		return r.Mic1
-	}
-	return r.Mic2
-}
-
 // Render synthesizes the stereo recording for cfg.
 func Render(cfg RenderConfig) (*Recording, error) {
 	if err := cfg.Env.Validate(); err != nil {

@@ -281,13 +281,6 @@ func TestRenderQuantizationGrid(t *testing.T) {
 	}
 }
 
-func TestRenderChannelAccessor(t *testing.T) {
-	r := &Recording{Mic1: []float64{1}, Mic2: []float64{2}}
-	if r.Channel(1)[0] != 1 || r.Channel(2)[0] != 2 {
-		t.Error("Channel accessor mismatch")
-	}
-}
-
 func TestRenderAttenuationWithDistance(t *testing.T) {
 	env := room.FreeField()
 	p := cleanPhone()

@@ -86,12 +86,6 @@ func (b *Builder) RotateTo(yaw, dur float64) *Builder {
 	return b
 }
 
-// Pos returns the phone position after the phases added so far.
-func (b *Builder) Pos() geom.Vec3 { return b.pos }
-
-// Yaw returns the phone yaw after the phases added so far.
-func (b *Builder) Yaw() float64 { return b.yaw }
-
 // Build returns the assembled trajectory, or an error if any phase was
 // invalid.
 func (b *Builder) Build() (Trajectory, error) {

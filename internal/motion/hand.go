@@ -49,9 +49,6 @@ func NewTremor(rng *rand.Rand, posAmp, rotAmpDeg float64) *Tremor {
 	return tr
 }
 
-// NoTremor returns the zero perturbation (slide-ruler mode).
-func NoTremor() *Tremor { return &Tremor{} }
-
 func evalHarmonics(hs []harmonic, t float64) (val, vel, acc float64) {
 	for _, h := range hs {
 		w := 2 * math.Pi * h.freq
@@ -73,28 +70,11 @@ func (tr *Tremor) offset(t float64) (pos, vel, acc geom.Vec3, rot, rotRate float
 	for axis := 0; axis < 3; axis++ {
 		p[axis], v[axis], a[axis] = evalHarmonics(tr.pos[axis], t)
 	}
-	rot, rotRate, _ = evalHarmonics3(tr.rot, t)
+	rot, rotRate, _ = evalHarmonics(tr.rot, t)
 	return geom.Vec3{X: p[0], Y: p[1], Z: p[2]},
 		geom.Vec3{X: v[0], Y: v[1], Z: v[2]},
 		geom.Vec3{X: a[0], Y: a[1], Z: a[2]},
 		rot, rotRate
-}
-
-func evalHarmonics3(hs []harmonic, t float64) (val, vel, acc float64) {
-	return evalHarmonics(hs, t)
-}
-
-// MaxRotation returns the worst-case magnitude of the rotation wobble in
-// radians (sum of harmonic amplitudes), used by slide-quality gating tests.
-func (tr *Tremor) MaxRotation() float64 {
-	if tr == nil {
-		return 0
-	}
-	var s float64
-	for _, h := range tr.rot {
-		s += math.Abs(h.amp)
-	}
-	return s
 }
 
 // Shaky wraps a base trajectory with a tremor perturbation. Position

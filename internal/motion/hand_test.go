@@ -14,12 +14,12 @@ func TestNoTremorIsIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shaky := &Shaky{Base: base, Tremor: NoTremor()}
+	shaky := &Shaky{Base: base, Tremor: &Tremor{}}
 	for _, tt := range []float64{0, 0.25, 0.5, 1} {
 		a := base.Pose(tt)
 		bb := shaky.Pose(tt)
 		if a.Pos.Sub(bb.Pos).Norm() > 1e-12 || a.Vel.Sub(bb.Vel).Norm() > 1e-12 {
-			t.Errorf("t=%v: NoTremor changed the pose", tt)
+			t.Errorf("t=%v: a zero tremor changed the pose", tt)
 		}
 	}
 }
@@ -92,12 +92,6 @@ func TestTremorRotationWobble(t *testing.T) {
 	if maxDev > geom.Radians(40) {
 		t.Errorf("wobble %v deg too large for 10 deg amplitude", geom.Degrees(maxDev))
 	}
-	if tr.MaxRotation() == 0 {
-		t.Error("MaxRotation should be positive")
-	}
-	if NoTremor().MaxRotation() != 0 {
-		t.Error("NoTremor MaxRotation should be 0")
-	}
 }
 
 func TestTremorDeterministicPerSeed(t *testing.T) {
@@ -115,8 +109,5 @@ func TestNilTremorOffset(t *testing.T) {
 	p, v, a, r, rr := tr.offset(1)
 	if p.Norm() != 0 || v.Norm() != 0 || a.Norm() != 0 || r != 0 || rr != 0 {
 		t.Error("nil tremor must be a no-op")
-	}
-	if tr.MaxRotation() != 0 {
-		t.Error("nil tremor MaxRotation must be 0")
 	}
 }

@@ -86,7 +86,7 @@ func TestSpanEmitsEventAndDuration(t *testing.T) {
 
 func TestRegistryCountersAndHistograms(t *testing.T) {
 	reg := NewRegistry()
-	reg.Inc("a")
+	reg.Add("a", 1)
 	reg.Add("a", 4)
 	reg.Add("b.x", 2)
 	reg.Add("b.y", 3)

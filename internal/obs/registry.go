@@ -59,10 +59,10 @@ func (r *Registry) counter(name string) *atomic.Uint64 {
 // Add adds n to the named counter.
 func (r *Registry) Add(name string, n uint64) { r.counter(name).Add(n) }
 
-// Inc adds 1 to the named counter.
-func (r *Registry) Inc(name string) { r.counter(name).Add(1) }
-
-// Get returns the named counter's current value (0 if never touched).
+// Get returns the named counter's current value (0 if never touched). No
+// production path calls it (exposition reads a Snapshot): it is how the
+// tests of several packages (internal/obs, internal/server,
+// internal/sessionstore) read one counter.
 func (r *Registry) Get(name string) uint64 {
 	r.mu.RLock()
 	c := r.counters[name]
@@ -377,7 +377,10 @@ func (r *Registry) Snapshot() Snapshot {
 	return s
 }
 
-// SumPrefix totals every counter whose name starts with prefix.
+// SumPrefix totals every counter whose name starts with prefix. No
+// production path calls it: the root package's pipeline tests and
+// benchmarks total the per-reason slide rejections with it, and the
+// internal/obs tests check per-worker counter totals.
 func (s Snapshot) SumPrefix(prefix string) uint64 {
 	var total uint64
 	for name, v := range s.Counters {

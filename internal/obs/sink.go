@@ -53,22 +53,13 @@ func (s *MemSink) Emit(e Event) {
 	s.mu.Unlock()
 }
 
-// Events returns a copy of everything emitted so far.
+// Events returns a copy of everything emitted so far. No production path
+// calls it: it is how the span tests of several packages (the root
+// package, internal/obs, internal/server) read what a pipeline emitted.
 func (s *MemSink) Events() []Event {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]Event, len(s.events))
 	copy(out, s.events)
-	return out
-}
-
-// Stages returns the emitted stage names in emission order.
-func (s *MemSink) Stages() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, len(s.events))
-	for i, e := range s.events {
-		out[i] = e.Stage
-	}
 	return out
 }

@@ -91,13 +91,6 @@ func (e Environment) SpeedOfSound() float64 {
 	return 331.3 * math.Sqrt(1+e.TemperatureC/273.15)
 }
 
-// Contains reports whether p lies inside the room.
-func (e Environment) Contains(p geom.Vec3) bool {
-	return p.X >= 0 && p.X <= e.Size.X &&
-		p.Y >= 0 && p.Y <= e.Size.Y &&
-		p.Z >= 0 && p.Z <= e.Size.Z
-}
-
 // Path is one acoustic propagation path from a (possibly image) source.
 type Path struct {
 	// Image is the image-source position; the path delay to a receiver at

@@ -52,19 +52,6 @@ func TestSpeedOfSound(t *testing.T) {
 	}
 }
 
-func TestContains(t *testing.T) {
-	e := MeetingRoom()
-	if !e.Contains(geom.Vec3{X: 5, Y: 5, Z: 1}) {
-		t.Error("interior point should be contained")
-	}
-	if e.Contains(geom.Vec3{X: -1, Y: 5, Z: 1}) {
-		t.Error("exterior point should not be contained")
-	}
-	if e.Contains(geom.Vec3{X: 5, Y: 5, Z: 10}) {
-		t.Error("point above ceiling should not be contained")
-	}
-}
-
 func TestPathsLoSOnly(t *testing.T) {
 	e := FreeField()
 	src := geom.Vec3{X: 3, Y: 4, Z: 1.5}

@@ -47,6 +47,10 @@ const (
 	// mutating request; best-effort events (locate audit, evictions)
 	// only tally here.
 	MStoreErrors = "server.store.errors"
+
+	// MEncodeErrors counts responses whose body JSON refused to encode;
+	// each was answered 500 instead.
+	MEncodeErrors = "server.responses.encode_errors"
 )
 
 // Eviction reason codes appended to MSessEvictedPrefix. The

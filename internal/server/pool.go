@@ -85,6 +85,3 @@ func (p *pool) acquire(ctx context.Context) (release func(), err error) {
 func (p *pool) drain() {
 	p.drainMu.Do(func() { close(p.done) })
 }
-
-// bound returns the admission bound (workers + queue).
-func (p *pool) bound() int { return cap(p.tickets) }

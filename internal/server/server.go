@@ -15,12 +15,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"mime"
 	"mime/multipart"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,7 +48,8 @@ type Config struct {
 	// RequestTimeout is the per-request pipeline deadline.
 	RequestTimeout time.Duration
 	// MaxBodyBytes caps any single request body (multipart bundle or
-	// audio chunk).
+	// audio chunk); Normalize caps it at the largest payload one session
+	// store record holds.
 	MaxBodyBytes int64
 	// MaxSessionSamples caps the per-channel audio a streaming session
 	// may accumulate.
@@ -109,6 +110,8 @@ func (c Config) Normalize() Config {
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 64 << 20
+	} else if c.MaxBodyBytes > sessionstore.MaxPayloadBytes {
+		c.MaxBodyBytes = sessionstore.MaxPayloadBytes
 	}
 	if c.MaxSessionSamples <= 0 {
 		c.MaxSessionSamples = 48000 * 120 // two minutes at 48 kHz
@@ -247,10 +250,6 @@ func (s *Server) recoverSessions() {
 // Handler returns the root handler (mount at /).
 func (s *Server) Handler() http.Handler { return s.handler }
 
-// QueueBound returns the admission bound (workers + queue), the level
-// the queue-depth gauge's high-watermark must never exceed.
-func (s *Server) QueueBound() int { return s.pool.bound() }
-
 // BeginDrain starts graceful shutdown: readiness flips to 503, queued
 // waiters are shed with 503, and no new work is admitted. Work already
 // running is unaffected — the caller's http.Server.Shutdown waits for
@@ -290,11 +289,6 @@ func (s *Server) janitor() {
 	}
 }
 
-// TickWindow advances the rolling latency window by one capture, as the
-// janitor does every SweepInterval; exported for tests driving a
-// synthetic clock.
-func (s *Server) TickWindow(now time.Time) { s.window.Tick(now) }
-
 func (s *Server) buildMux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/locate", s.handleLocate)
@@ -331,19 +325,30 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// writeJSON answers with status code and v as an indented JSON body. It
+// encodes before it writes the status: a value json refuses (a NaN
+// field) answers 500 with an error body, counted under MEncodeErrors,
+// rather than the status with an empty body.
+func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		s.o.Inc(MEncodeErrors)
+		code = http.StatusInternalServerError
+		buf.Reset()
+		enc.Encode(errorBody{Error: "encoding response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	w.Write(buf.Bytes())
 }
 
 // reject tallies and writes a pre-admission client error.
 func (s *Server) reject(w http.ResponseWriter, r *http.Request, code int, msg string) {
 	s.o.Inc(MReqRejected)
 	setOutcome(r.Context(), outcomeRejected)
-	writeJSON(w, code, errorBody{Error: msg})
+	s.writeJSON(w, code, errorBody{Error: msg})
 }
 
 // storeFailed writes a durable-write failure: the session's state did
@@ -353,7 +358,7 @@ func (s *Server) reject(w http.ResponseWriter, r *http.Request, code int, msg st
 func (s *Server) storeFailed(w http.ResponseWriter, r *http.Request, err error) {
 	setOutcome(r.Context(), outcomeFailed)
 	w.Header().Set("Retry-After", "5")
-	writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
+	s.writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
 }
 
 // shed writes an admission refusal with Retry-After.
@@ -362,13 +367,13 @@ func (s *Server) shed(w http.ResponseWriter, r *http.Request, err error) {
 		s.o.Inc(MReqShedPrefix + "draining")
 		setOutcome(r.Context(), outcomeShedPrefix+"draining")
 		w.Header().Set("Retry-After", "5")
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
+		s.writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
 		return
 	}
 	s.o.Inc(MReqShedPrefix + "queue_full")
 	setOutcome(r.Context(), outcomeShedPrefix+"queue_full")
 	w.Header().Set("Retry-After", "1")
-	writeJSON(w, http.StatusTooManyRequests, errorBody{Error: errQueueFull.Error()})
+	s.writeJSON(w, http.StatusTooManyRequests, errorBody{Error: errQueueFull.Error()})
 }
 
 // bodyPool recycles request-body buffers across requests; a locate
@@ -422,10 +427,9 @@ func putBody(buf *bytes.Buffer) {
 
 // --- localizer cache ---
 
-// localizerFor returns the shared Localizer for the request's effective
-// parameters: the server's pipeline defaults with any nonzero meta
-// overrides applied.
-func (s *Server) localizerFor(meta sessionio.Meta) (*core.Localizer, error) {
+// pipelineFor returns a request's effective pipeline parameters: the
+// server's pipeline defaults with any nonzero meta overrides applied.
+func (s *Server) pipelineFor(meta sessionio.Meta) core.Config {
 	cfg := s.cfg.Pipeline
 	if meta.SampleRate > 0 {
 		cfg.SampleRate = meta.SampleRate
@@ -445,6 +449,13 @@ func (s *Server) localizerFor(meta sessionio.Meta) (*core.Localizer, error) {
 	if meta.ChirpPeriodS > 0 {
 		cfg.Source.Period = meta.ChirpPeriodS
 	}
+	return cfg
+}
+
+// localizerFor returns the shared Localizer for the request's effective
+// parameters (pipelineFor).
+func (s *Server) localizerFor(meta sessionio.Meta) (*core.Localizer, error) {
+	cfg := s.pipelineFor(meta)
 	key := locKey{src: cfg.Source, fs: cfg.SampleRate, micSep: cfg.MicSeparation}
 	s.locMu.Lock()
 	defer s.locMu.Unlock()
@@ -509,7 +520,7 @@ type locate3DResponse struct {
 	L1            float64    `json:"l1"`
 	L2            float64    `json:"l2"`
 	H             float64    `json:"h"`
-	BetaRad       float64    `json:"betaRad"`
+	BetaRad       *float64   `json:"betaRad"` // null when β is undefined
 	Fixes         [2]int     `json:"fixes"`
 	Movements     int        `json:"movements"`
 	Beacons       int        `json:"beacons"`
@@ -534,7 +545,7 @@ func (s *Server) runLocate(w http.ResponseWriter, r *http.Request, b *sessionio.
 		// Client gave up while queued.
 		s.o.Inc(MReqCanceled)
 		setOutcome(r.Context(), outcomeCanceled)
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
+		s.writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
 		return
 	}
 	defer release()
@@ -547,7 +558,7 @@ func (s *Server) runLocate(w http.ResponseWriter, r *http.Request, b *sessionio.
 		if loc, err = s.localizerFor(b.Meta); err != nil {
 			s.o.Inc(MReqCompleted)
 			setOutcome(r.Context(), outcomeFailed)
-			writeJSON(w, http.StatusUnprocessableEntity, errorBody{Error: "pipeline config: " + err.Error()})
+			s.writeJSON(w, http.StatusUnprocessableEntity, errorBody{Error: "pipeline config: " + err.Error()})
 			return
 		}
 	}
@@ -561,7 +572,7 @@ func (s *Server) runLocate(w http.ResponseWriter, r *http.Request, b *sessionio.
 		}
 		s.o.Inc(MReqCompleted)
 		setOutcome(r.Context(), outcomeCompleted)
-		writeJSON(w, http.StatusOK, locate2DResponse{
+		s.writeJSON(w, http.StatusOK, locate2DResponse{
 			Mode: "2d", Pos: res.Pos, L: res.L,
 			Fixes: len(res.Fixes), Movements: len(res.Movements),
 			Beacons: len(res.ASP.Beacons), SFOPPM: res.ASP.SFOPPM,
@@ -573,11 +584,17 @@ func (s *Server) runLocate(w http.ResponseWriter, r *http.Request, b *sessionio.
 			s.writePipelineError(w, r, err)
 			return
 		}
+		// β is NaN when the stature triangle cannot exist; JSON has no
+		// NaN, so it goes out as null.
+		var beta *float64
+		if !math.IsNaN(res.Beta) {
+			beta = &res.Beta
+		}
 		s.o.Inc(MReqCompleted)
 		setOutcome(r.Context(), outcomeCompleted)
-		writeJSON(w, http.StatusOK, locate3DResponse{
+		s.writeJSON(w, http.StatusOK, locate3DResponse{
 			Mode: "3d", ProjectedDist: res.ProjectedDist, ProjectedPos: res.ProjectedPos,
-			L1: res.L1, L2: res.L2, H: res.H, BetaRad: res.Beta,
+			L1: res.L1, L2: res.L2, H: res.H, BetaRad: beta,
 			Fixes:     [2]int{len(res.Fixes[0]), len(res.Fixes[1])},
 			Movements: len(res.Movements),
 			Beacons:   len(res.ASP.Beacons), SFOPPM: res.ASP.SFOPPM,
@@ -595,12 +612,12 @@ func (s *Server) writePipelineError(w http.ResponseWriter, r *http.Request, err 
 		s.o.Inc(MReqCanceled)
 		setOutcome(r.Context(), outcomeCanceled)
 		w.Header().Set("Retry-After", "5")
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
+		s.writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
 		return
 	}
 	s.o.Inc(MReqCompleted)
 	setOutcome(r.Context(), outcomeFailed)
-	writeJSON(w, http.StatusUnprocessableEntity, errorBody{Error: err.Error()})
+	s.writeJSON(w, http.StatusUnprocessableEntity, errorBody{Error: err.Error()})
 }
 
 func parseMode(r *http.Request) (string, error) {
@@ -677,27 +694,11 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	src := s.cfg.Pipeline.Source
-	if meta.ChirpLowHz > 0 {
-		src.Low = meta.ChirpLowHz
-	}
-	if meta.ChirpHighHz > 0 {
-		src.High = meta.ChirpHighHz
-	}
-	if meta.ChirpDurS > 0 {
-		src.Duration = meta.ChirpDurS
-	}
-	if meta.ChirpPeriodS > 0 {
-		src.Period = meta.ChirpPeriodS
-	}
-	fs := s.cfg.Pipeline.SampleRate
-	if meta.SampleRate > 0 {
-		fs = meta.SampleRate
-	}
+	cfg := s.pipelineFor(meta)
 	// A meta the pipeline rejects still streams, without feeds; its
 	// locate fails on the same error the batch path reports.
 	loc, _ := s.localizerFor(meta)
-	sess, err := s.sessions.create(meta, src, fs, loc, s.clock())
+	sess, err := s.sessions.create(meta, cfg.Source, cfg.SampleRate, loc, s.clock())
 	if err != nil {
 		if errors.Is(err, errTableFull) {
 			s.shed(w, r, errQueueFull)
@@ -710,7 +711,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		s.reject(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusCreated, sessionCreateResponse{ID: sess.id})
+	s.writeJSON(w, http.StatusCreated, sessionCreateResponse{ID: sess.id})
 }
 
 func (s *Server) parseMetaBody(w http.ResponseWriter, r *http.Request, raw []byte) (sessionio.Meta, bool) {
@@ -779,7 +780,7 @@ func (s *Server) handleSessionAudio(w http.ResponseWriter, r *http.Request) {
 			Time: d.Time, Index: d.Index, Strength: d.Strength, SNR: d.SNR,
 		})
 	}
-	writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, http.StatusOK, resp)
 }
 
 // handleSessionIMU attaches the session's IMU trace (the sessionio CSV
@@ -867,7 +868,7 @@ type metricsJSON struct {
 // and the human-readable table under ?format=text.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if s.o == nil || s.o.Registry() == nil {
-		writeJSON(w, http.StatusOK, struct{}{})
+		s.writeJSON(w, http.StatusOK, struct{}{})
 		return
 	}
 	snap := s.o.Registry().Snapshot()
@@ -889,19 +890,5 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			body.Rolling[name] = quantiles(h)
 		}
 	}
-	writeJSON(w, http.StatusOK, body)
-}
-
-// RetryAfterSeconds parses a Retry-After header value written by this
-// server (always integral seconds); helper for clients and tests.
-func RetryAfterSeconds(h http.Header) (int, bool) {
-	v := h.Get("Retry-After")
-	if v == "" {
-		return 0, false
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, false
-	}
-	return n, true
+	s.writeJSON(w, http.StatusOK, body)
 }

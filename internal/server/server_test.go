@@ -8,10 +8,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -25,6 +27,7 @@ import (
 	"hyperear/internal/obs"
 	"hyperear/internal/room"
 	"hyperear/internal/sessionio"
+	"hyperear/internal/sessionstore"
 	"hyperear/internal/sim"
 )
 
@@ -183,6 +186,89 @@ func TestLocate2D(t *testing.T) {
 	}
 	if got := reg.Get(MReqCompleted); got != 1 {
 		t.Errorf("completed = %d, want 1", got)
+	}
+}
+
+// TestLocate3DUndefinedBeta: a hand-mode session whose stature triangle
+// cannot exist still answers 200 with a body that decodes, β as null.
+// The session is trial 7 of Fig. 17 at 1 m under -trials 12 -seed 1.
+func TestLocate3DUndefinedBeta(t *testing.T) {
+	s, err := sim.Run(sim.Scenario{
+		Env:            room.MeetingRoom(),
+		Phone:          mic.GalaxyS4(),
+		Source:         chirp.Default(),
+		SpeakerPos:     geom.Vec3{X: 9.084889695048695, Y: 7.8380087866271735, Z: 0.5},
+		SpeakerSkewPPM: -8.680218100144089,
+		PhoneStart:     geom.Vec3{X: 8.350122209685752, Y: 8.516327843158404, Z: 1.0503319120466246},
+		Protocol: sim.Protocol{
+			SlideDist:     0.55,
+			SlideDur:      1.0,
+			HoldDur:       0.45,
+			Slides:        10,
+			Mode:          sim.ModeHand,
+			StatureChange: 0.4197494144047273,
+		},
+		IMU:   imu.DefaultConfig(),
+		Noise: room.WhiteNoise{},
+		SNRdB: 15,
+		Seed:  359074445092262394,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := encodeBundle(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts, _ := newTestServer(t, nil)
+	resp, err := ts.Client().Post(ts.URL+"/v1/locate?mode=3d", b.contentType, bytes.NewReader(b.body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	var res locate3DResponse
+	if err := json.Unmarshal(body, &res); err != nil {
+		t.Fatalf("body does not decode: %v\n%s", err, body)
+	}
+	if res.Mode != "3d" || res.BetaRad != nil {
+		t.Fatalf("want mode 3d with betaRad null, got %s", body)
+	}
+}
+
+// TestWriteJSONEncodeFailure500: a value json refuses answers 500 with a
+// JSON error body and counts under MEncodeErrors; an encodable value
+// goes out with its status as indented JSON.
+func TestWriteJSONEncodeFailure500(t *testing.T) {
+	srv, _, reg := newTestServer(t, nil)
+	rec := httptest.NewRecorder()
+	srv.writeJSON(rec, http.StatusOK, locate2DResponse{L: math.NaN()})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", rec.Code)
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+		t.Errorf("Content-Type %q", ct)
+	}
+	if e := decodeJSON[errorBody](t, rec.Body); e.Error == "" {
+		t.Error("500 body carries no error")
+	}
+	if got := reg.Get(MEncodeErrors); got != 1 {
+		t.Errorf("%s = %d, want 1", MEncodeErrors, got)
+	}
+
+	rec = httptest.NewRecorder()
+	srv.writeJSON(rec, http.StatusCreated, errorBody{Error: "x"})
+	if want := "{\n  \"error\": \"x\"\n}\n"; rec.Code != http.StatusCreated || rec.Body.String() != want {
+		t.Errorf("got %d %q, want 201 %q", rec.Code, rec.Body.String(), want)
+	}
+	if got := reg.Get(MEncodeErrors); got != 1 {
+		t.Errorf("%s = %d after an encodable value, want 1", MEncodeErrors, got)
 	}
 }
 
@@ -818,4 +904,53 @@ func TestConfigNormalizeWorkers(t *testing.T) {
 			t.Errorf("%s: Pipeline.Parallelism %d, want it left at %d", c.name, got.Pipeline.Parallelism, c.par)
 		}
 	}
+}
+
+// TestConfigNormalizeMaxBody: MaxBodyBytes defaults to 64 MiB and is
+// capped at the largest payload one session store record holds, so an
+// over-limit chunk is refused with 413 instead of failing in the store.
+func TestConfigNormalizeMaxBody(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		in, want int64
+	}{
+		{"default", 0, 64 << 20},
+		{"negative", -1, 64 << 20},
+		{"explicit", 1 << 20, 1 << 20},
+		{"at the record cap", sessionstore.MaxPayloadBytes, sessionstore.MaxPayloadBytes},
+		{"over the record cap", 1 << 30, sessionstore.MaxPayloadBytes},
+	} {
+		if got := (Config{MaxBodyBytes: c.in}).Normalize().MaxBodyBytes; got != c.want {
+			t.Errorf("%s: MaxBodyBytes %d, want %d", c.name, got, c.want)
+		}
+	}
+}
+
+// QueueBound returns the admission bound (workers + queue), the level
+// the queue-depth gauge's high-watermark must never exceed.
+func (s *Server) QueueBound() int { return cap(s.pool.tickets) }
+
+// TickWindow advances the rolling latency window by one capture, as the
+// janitor does every SweepInterval, for tests driving a synthetic clock.
+func (s *Server) TickWindow(now time.Time) { s.window.Tick(now) }
+
+// len returns the live session count.
+func (t *sessionTable) len() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.m)
+}
+
+// RetryAfterSeconds parses a Retry-After header value written by the
+// server (always integral seconds).
+func RetryAfterSeconds(h http.Header) (int, bool) {
+	v := h.Get("Retry-After")
+	if v == "" {
+		return 0, false
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil {
+		return 0, false
+	}
+	return n, true
 }

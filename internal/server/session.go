@@ -453,10 +453,3 @@ func (t *sessionTable) shutdown() {
 		t.evictLocked(id, EvictShutdown)
 	}
 }
-
-// len returns the live session count.
-func (t *sessionTable) len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.m)
-}

@@ -99,7 +99,7 @@ type sloResponse struct {
 // objective (see sloResponse).
 func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
 	if s.window == nil {
-		writeJSON(w, http.StatusOK, struct{}{})
+		s.writeJSON(w, http.StatusOK, struct{}{})
 		return
 	}
 	rolling, win := s.window.Rolling(s.clock())
@@ -124,5 +124,5 @@ func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
 			resp.Stages[stage] = quantiles(h)
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, http.StatusOK, resp)
 }

@@ -78,7 +78,11 @@ func TestTracePropagationLocate(t *testing.T) {
 		}
 	}
 	if root == nil {
-		t.Fatalf("no server.request root span among %v", sink.Stages())
+		var names []string
+		for _, e := range evs {
+			names = append(names, e.Stage)
+		}
+		t.Fatalf("no server.request root span among %v", names)
 	}
 	if root.TraceID != trace {
 		t.Errorf("root TraceID = %q, want header's %q", root.TraceID, trace)

@@ -145,7 +145,9 @@ type Memory struct {
 	state map[string]*Session
 }
 
-// NewMemory returns an empty in-memory store.
+// NewMemory returns an empty in-memory store. No production path calls
+// it: it is the oracle of this package's WAL tests and the non-nil store
+// of internal/server's recovery tests.
 func NewMemory() *Memory {
 	return &Memory{state: make(map[string]*Session)}
 }

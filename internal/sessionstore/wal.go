@@ -62,8 +62,12 @@ const (
 	frameHeaderBytes = 8
 	bodyHeaderBytes  = 10 // seq + type + idLen
 	// maxRecordBytes bounds a single frame; anything larger in a length
-	// header is treated as corruption, not an allocation request.
+	// header is treated as corruption, not an allocation request, so
+	// append refuses to log such a frame.
 	maxRecordBytes = 1 << 28
+	// MaxPayloadBytes is the largest AppendAudio or SetIMU payload one
+	// frame holds whatever the session id (at most 255 bytes).
+	MaxPayloadBytes = maxRecordBytes - bodyHeaderBytes - 255
 	// scanChunkBytes is how much of a frame body recovery reads per step.
 	scanChunkBytes = 1 << 20
 )
@@ -480,9 +484,6 @@ func Open(dir string, opts Options) (_ *FileStore, err error) {
 	return f, nil
 }
 
-// Dir returns the store's data directory.
-func (f *FileStore) Dir() string { return f.dir }
-
 func (f *FileStore) syncLoop() {
 	defer close(f.syncDone)
 	t := time.NewTicker(f.opts.FsyncInterval)
@@ -511,6 +512,11 @@ func (f *FileStore) syncLoop() {
 func (f *FileStore) append(typ byte, id string, payload []byte) error {
 	if len(id) == 0 || len(id) > 255 {
 		return fmt.Errorf("sessionstore: session id length %d out of range [1,255]", len(id))
+	}
+	// Recovery takes a longer frame for a torn tail and truncates it, so
+	// logging one would lose an acknowledged record at the next boot.
+	if n := bodyHeaderBytes + len(id) + len(payload); n > maxRecordBytes {
+		return fmt.Errorf("sessionstore: %d-byte record exceeds the %d-byte frame limit", n, maxRecordBytes)
 	}
 	start := time.Now()
 	f.mu.Lock()
@@ -709,17 +715,6 @@ func (f *FileStore) flushLocked() error {
 	f.dirty = false
 	f.o.Inc(MFsyncs)
 	return nil
-}
-
-// Compact forces a snapshot + WAL truncation regardless of size;
-// exported for tests and operational tooling.
-func (f *FileStore) Compact() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed {
-		return errClosed
-	}
-	return f.compactLocked()
 }
 
 // compactLocked cuts a snapshot of the current state and truncates the

@@ -347,6 +347,55 @@ func TestPropertyMemoryOracle(t *testing.T) {
 	}
 }
 
+// TestOversizedAppendRefused: a record longer than recovery accepts is
+// refused before it touches the log — the WAL length and the state stay
+// as they were, later appends still land, and a reopened store equals
+// the Memory oracle.
+func TestOversizedAppendRefused(t *testing.T) {
+	src := chirp.Default()
+	opts := Options{Fsync: FsyncNever}
+	oracle := NewMemory()
+	f := mustOpen(t, t.TempDir(), opts)
+	defer func() { f.Close() }()
+	both := func(what string, fn func(SessionStore) error) {
+		t.Helper()
+		if err := fn(f); err != nil {
+			t.Fatalf("%s: file store: %v", what, err)
+		}
+		if err := fn(oracle); err != nil {
+			t.Fatalf("%s: memory: %v", what, err)
+		}
+	}
+	both("create", func(s SessionStore) error { return s.Create("s", testMeta(1), src, 48000) })
+	both("append", func(s SessionStore) error { return s.AppendAudio("s", []byte{1, 2, 3, 4}) })
+
+	walBytes := f.walBytes
+	// The smallest payload whose frame body exceeds maxRecordBytes. The
+	// buffer is never written, so it costs address space, not memory.
+	over := make([]byte, maxRecordBytes-bodyHeaderBytes-len("s")+1)
+	if err := f.AppendAudio("s", over); err == nil {
+		t.Fatal("oversized AppendAudio succeeded")
+	}
+	if err := f.SetIMU("s", over); err == nil {
+		t.Fatal("oversized SetIMU succeeded")
+	}
+	if f.walBytes != walBytes {
+		t.Fatalf("WAL grew from %d to %d bytes on refused appends", walBytes, f.walBytes)
+	}
+	if st, err := os.Stat(filepath.Join(f.Dir(), walFile)); err != nil || st.Size() != walBytes {
+		t.Fatalf("session.wal: %v, want %d bytes", st, walBytes)
+	}
+	both("append after refusal", func(s SessionStore) error { return s.AppendAudio("s", []byte{5, 6, 7, 8}) })
+	if got, want := recovered(t, f), recovered(t, oracle); !reflect.DeepEqual(got, want) {
+		t.Fatalf("live state diverged from oracle:\n got %+v\nwant %+v", got, want)
+	}
+
+	f = reopen(t, f, opts)
+	if got, want := recovered(t, f), recovered(t, oracle); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered state diverged from oracle:\n got %+v\nwant %+v", got, want)
+	}
+}
+
 func TestParseFsyncPolicy(t *testing.T) {
 	cases := []struct {
 		in       string
@@ -705,4 +754,17 @@ func BenchmarkWALCompact(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// Dir returns the store's data directory.
+func (f *FileStore) Dir() string { return f.dir }
+
+// Compact forces a snapshot + WAL truncation regardless of size.
+func (f *FileStore) Compact() error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.closed {
+		return errClosed
+	}
+	return f.compactLocked()
 }

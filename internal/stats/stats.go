@@ -105,24 +105,6 @@ func (c *CDF) At(x float64) float64 {
 	return float64(i) / float64(len(c.sorted))
 }
 
-// Quantile returns the q-th quantile (0-1).
-func (c *CDF) Quantile(q float64) float64 {
-	return Percentile(c.sorted, q*100)
-}
-
-// Len returns the sample count.
-func (c *CDF) Len() int { return len(c.sorted) }
-
-// Table renders the CDF evaluated at the given x grid as aligned text rows
-// "x  P(X<=x)" — the textual equivalent of the paper's CDF figures.
-func (c *CDF) Table(grid []float64, unit string, scale float64) string {
-	var b strings.Builder
-	for _, x := range grid {
-		fmt.Fprintf(&b, "  %7.2f %-4s %6.3f\n", x*scale, unit, c.At(x))
-	}
-	return b.String()
-}
-
 // AsciiPlot draws a coarse text rendering of the CDF over [0, xMax] with
 // the given width and height — enough to eyeball the shape against the
 // paper's figures in terminal output.
