@@ -89,7 +89,8 @@ servbench-test:
 	cd servbench && $(GO) vet ./... && $(GO) test ./...
 
 # Short native-fuzz budget, 60 s in total: the stream detector's chunk
-# invariance (Push + Flush over any chunking == Detect), then the upload
+# invariance (Push over any chunking == Detect over the final blocks,
+# bit for bit), then the upload
 # decoders POST /v1/locate feeds untrusted bytes: WAV (never panics,
 # output fits the input), meta.json (never panics, round-trips), the IMU
 # CSV (never panics, finite samples, write/read fixed point) and the
@@ -134,19 +135,20 @@ crash-soak:
 # DESIGN.md "Performance architecture"). FFTReal times the packed-real
 # forward + inverse round trip at the 2^13-2^15 block sizes production
 # runs; MatchedFilter the segmented band-limited envelope kernel over a
-# session; Detect/Stream cover the batch and overlap-save detection hot
-# paths; ASP is the per-locate detection stage (both channels) on the
+# session; Detect/Stream cover the batch and block-final stream detection
+# hot paths; ASP is the per-locate detection stage (both channels) on the
 # 5-slide bench session; PipelineLocate2D tracks end-to-end latency;
-# ServerThroughput measures locates/sec through the full HTTP service;
-# SessionIngest compares the streaming-append path with and without the
-# session WAL underneath, SessionLocate times a streamed session's locate
+# ServerThroughput measures locates/sec through the full HTTP service,
+# and ReadBundleMultipart its multipart WAV+CSV+meta decode alone;
+# SessionIngest streams a session's audio chunk by chunk with and without
+# the session WAL underneath, SessionLocate times a streamed session's locate
 # alone, WALAppend pins the raw durable append under both fsync
 # policies, and WALCompact times one compaction of 16 × 2 MiB sessions
 # (its B/op stays flat: frames are copied file to file, not held in
 # memory); DisabledSpan/EnabledSpan pin the per-hook
 # observability overhead (the disabled path must stay 0 B/op) and
 # PromExposition the /metrics scrape-render cost.
-BENCH_RE := FFTReal|MatchedFilter|Detect|DetectSegmented|Stream|ASP|PipelineLocate2D|ServerThroughput|SessionIngest|SessionLocate|WALAppend|WALCompact|DisabledSpan|EnabledSpan|PromExposition
+BENCH_RE := FFTReal|MatchedFilter|Detect|DetectSegmented|Stream|ASP|PipelineLocate2D|ServerThroughput|ReadBundleMultipart|SessionIngest|SessionLocate|WALAppend|WALCompact|DisabledSpan|EnabledSpan|PromExposition
 BENCH_PKGS := ./ ./internal/dsp/ ./internal/chirp/ ./internal/obs/ ./internal/server/ ./internal/sessionstore/
 
 bench:

@@ -60,16 +60,8 @@ func NewDetector(p Params, fs float64) (*Detector, error) {
 // timing of near-ultrasonic beacons through a rolled-off microphone. A
 // nil gain yields the flat template.
 func NewDetectorShaped(p Params, fs float64, gain func(freqHz float64) float64) (*Detector, error) {
-	if err := p.Validate(); err != nil {
+	if err := p.ValidateAt(fs); err != nil {
 		return nil, err
-	}
-	// Require a 10% guard band over Nyquist: a chirp apex within a few
-	// hundred hertz of fs/2 aliases through any realistic anti-alias
-	// filter (this is why the 18-21.5 kHz inaudible beacon needs the
-	// phones' 48 kHz capture mode, not the default 44.1 kHz).
-	if fs < 2.2*p.High {
-		return nil, fmt.Errorf("chirp: sampling rate %v Hz too low for a %v Hz chirp (need ≥ %v)",
-			fs, p.High, 2.2*p.High)
 	}
 	ref := p.ReferenceShaped(fs, gain)
 	return &Detector{
@@ -80,6 +72,22 @@ func NewDetectorShaped(p Params, fs float64, gain func(freqHz float64) float64) 
 		Threshold:     5,
 		MinSeparation: p.Period / 2,
 	}, nil
+}
+
+// ValidateAt is Validate plus the sampling-rate check every Detector
+// makes: a 10% guard band over Nyquist. A chirp apex within a few
+// hundred hertz of fs/2 aliases through any realistic anti-alias filter
+// (this is why the 18-21.5 kHz inaudible beacon needs the phones' 48 kHz
+// capture mode, not the default 44.1 kHz).
+func (p Params) ValidateAt(fs float64) error {
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	if fs < 2.2*p.High {
+		return fmt.Errorf("chirp: sampling rate %v Hz too low for a %v Hz chirp (need ≥ %v)",
+			fs, p.High, 2.2*p.High)
+	}
+	return nil
 }
 
 // NewDetectorFiltered builds a Detector whose matched-filter template has
@@ -186,10 +194,10 @@ func (d *Detector) Detect(x []float64) []Detection {
 }
 
 // DetectInto is Detect appending into dst (reset to length 0 first) with
-// caller-owned scratch. Hot loops — the streaming detector, ASP's two
-// channels on every locate — reuse one scratch per channel and run the
-// whole detection pass without heap allocations once warm. A nil scratch
-// is allowed and degrades to per-call buffers.
+// caller-owned scratch. Hot loops — ASP's two channels on every locate —
+// reuse one scratch per channel and run the whole detection pass without
+// heap allocations once warm. A nil scratch is allowed and degrades to
+// per-call buffers.
 //
 //hyperearvet:zeroalloc
 func (d *Detector) DetectInto(dst []Detection, x []float64, s *DetectScratch) []Detection {
@@ -199,8 +207,8 @@ func (d *Detector) DetectInto(dst []Detection, x []float64, s *DetectScratch) []
 
 // DetectIntoCtx is DetectInto with mid-recording cancellation. The
 // matched filter's decimated envelope runs as fixed-size overlap-save
-// blocks (dsp.Correlator.MatchedEnvelopeCtx — the same kernel the
-// streaming detector extends incrementally), and ctx is checked before
+// blocks (dsp.Correlator.MatchedEnvelopeCtx — the blocks the streaming
+// detector's feed runs as audio arrives), and ctx is checked before
 // every block, so a canceled locate aborts between blocks instead of
 // finishing a session-length pass. On cancellation the partial dst plus
 // ctx's error are returned.
@@ -226,36 +234,36 @@ func (d *Detector) DetectIntoCtx(ctx context.Context, dst []Detection, x []float
 	if err != nil {
 		return dst, err
 	}
-	return d.detectCore(dst, x, s.env, s), nil
+	return d.detectCore(dst, x, 0, s.env, 0, 0, len(x), s), nil
 }
 
-// detectCore is the shared threshold/NMS/timing pass over the samples x
-// and their matched filter's decimated Hilbert envelope env: env[m] is
-// the envelope at lag D·m, D = Decimation(). The floor, the candidates
-// and non-maximum suppression all run on env; each accepted peak is then
-// timed at full rate from exact sums over x. The batch path and the
-// streaming detector — which extends env incrementally via overlap-save —
-// each call it on their own buffers.
+// detectCore is the shared threshold/NMS/timing pass over a window of
+// the matched filter's decimated Hilbert envelope: env[m] is the
+// envelope at lag off + D·m of the recording, D = Decimation(). The
+// floor, the candidates and non-maximum suppression all run on env; each
+// accepted peak whose lag lies in [lo, hi) is then timed at full rate
+// from exact sums over x, the recording's samples from index xoff on,
+// which must hold every sample that timing reads (timingReach). Indices
+// and times are the recording's. The batch path passes the whole
+// recording and its envelope with every lag; the streaming detector
+// passes the window around one final block and that block's lags.
 //
 //hyperearvet:zeroalloc
-func (d *Detector) detectCore(dst []Detection, x, env []float64, s *DetectScratch) []Detection {
+func (d *Detector) detectCore(dst []Detection, x []float64, xoff int, env []float64, off, lo, hi int, s *DetectScratch) []Detection {
 	dec := d.corr.Decimation()
 	var floor float64
 	floor, s.absSamp = correlationFloor(env, s.absSamp)
 	if floor == 0 {
 		floor = 1e-30
 	}
-	minSep := int(d.MinSeparation * d.fs)
-	if minSep < 1 {
-		minSep = 1
-	}
+	minSep := d.minSepSamples()
 
 	// Collect envelope local maxima above the threshold, at their lags.
 	cands := s.cands[:0]
 	thresh := d.Threshold * floor
 	for i := 1; i < len(env)-1; i++ {
 		if env[i] >= env[i-1] && env[i] > env[i+1] && env[i] > thresh {
-			cands = append(cands, envCand{i * dec, env[i]})
+			cands = append(cands, envCand{off + i*dec, env[i]})
 		}
 	}
 	s.cands = cands
@@ -306,17 +314,16 @@ func (d *Detector) detectCore(dst []Detection, x, env []float64, s *DetectScratc
 	// scans every lobe within the separation window that reaches
 	// narrowScanRel of the candidate, D lags either side of its samples,
 	// and keeps the highest full-rate envelope lag.
-	carrier := (d.params.Low + d.params.High) / 2
-	bandwidth := d.params.High - d.params.Low
-	wideband := carrier/bandwidth <= 2
-	half := int(d.fs/carrier) + 1 + dec
-
+	wideband, half := d.timingRule()
 	for _, c := range accepted {
+		if c.idx < lo || c.idx >= hi {
+			continue
+		}
 		var p windowPeak
 		if wideband {
-			p = d.peakIn(x, c.idx-half, c.idx+half, false, s)
+			p = d.peakIn(x, xoff, c.idx-half, c.idx+half, false, s)
 		} else {
-			mc, k := c.idx/dec, minSep/dec
+			mc, k := (c.idx-off)/dec, minSep/dec
 			last, lobe := min(mc+k, len(env)-1), narrowScanRel*c.val
 			for m := max(mc-k, 0); m <= last; m++ {
 				if env[m] < lobe {
@@ -326,7 +333,7 @@ func (d *Detector) detectCore(dst []Detection, x, env []float64, s *DetectScratc
 				for m < last && env[m+1] >= lobe {
 					m++
 				}
-				if q := d.peakIn(x, dec*(run-1)+1, dec*(m+1)-1, true, s); q.sample > p.sample {
+				if q := d.peakIn(x, xoff, off+dec*(run-1)+1, off+dec*(m+1)-1, true, s); q.sample > p.sample {
 					p = q
 				}
 			}
@@ -339,6 +346,37 @@ func (d *Detector) detectCore(dst []Detection, x, env []float64, s *DetectScratc
 		})
 	}
 	return dst
+}
+
+// minSepSamples is MinSeparation in samples, at least one.
+//
+//hyperearvet:zeroalloc
+func (d *Detector) minSepSamples() int { return max(int(d.MinSeparation*d.fs), 1) }
+
+// timingRule returns detectCore's sub-sample timing regime for the
+// beacon — wideband (fc/B ≤ 2) or narrowband — and the wideband search
+// half-width in lags.
+//
+//hyperearvet:zeroalloc
+func (d *Detector) timingRule() (wideband bool, half int) {
+	carrier := (d.params.Low + d.params.High) / 2
+	return carrier/(d.params.High-d.params.Low) <= 2, int(d.fs/carrier) + 1 + d.corr.Decimation()
+}
+
+// timingReach returns the samples detectCore's timing of a peak at lag c
+// reads: [c−before, c+after]. The wideband search spans c±half, the
+// narrowband lobe scan D·⌊MinSeparation/D⌋ + D − 1 lags either side;
+// the interpolation adds a lag each side, the correlation sums a
+// template past the last lag, and the quadrature sums its lead each
+// side.
+func (d *Detector) timingReach() (before, after int) {
+	wideband, half := d.timingRule()
+	w, lead := half+1, 0
+	if !wideband {
+		dec := d.corr.Decimation()
+		w, lead = d.minSepSamples()/dec*dec+dec, d.corr.QuadratureLead()
+	}
+	return w + lead, w + lead + len(d.ref) - 1
 }
 
 // narrowScanRel is the fraction of a narrowband candidate's decimated
@@ -357,20 +395,22 @@ type windowPeak struct {
 }
 
 // peakIn finds the largest exact correlation (envelope when analytic)
-// lag in [lo, hi] ∩ [0, len(x)) and interpolates it. The exact lags span
-// one more on each side for the interpolation; at the recording edges
-// the window edge is the slice edge, so ParabolicInterp's edge rule
-// (offset 0) applies exactly there.
+// lag in [lo, hi] ∩ [xoff, xoff+len(x)) and interpolates it; x holds the
+// recording's samples from index xoff on, and lags and the returned
+// index are the recording's. The exact lags span one more on each side
+// for the interpolation; at the recording edges the window edge is the
+// slice edge, so ParabolicInterp's edge rule (offset 0) applies exactly
+// there.
 //
 //hyperearvet:zeroalloc
-func (d *Detector) peakIn(x []float64, lo, hi int, analytic bool, s *DetectScratch) windowPeak {
-	lo, hi = max(lo, 0), min(hi, len(x)-1)
+func (d *Detector) peakIn(x []float64, xoff, lo, hi int, analytic bool, s *DetectScratch) windowPeak {
+	lo, hi = max(lo-xoff, 0), min(hi-xoff, len(x)-1)
 	wlo := max(lo-1, 0)
-	s.win = growKeep(s.win, 0, min(hi+1, len(x)-1)-wlo+1)
+	s.win = resize(s.win, min(hi+1, len(x)-1)-wlo+1)
 	r := s.win
 	d.corr.CorrelateWindow(r, x, wlo)
 	if analytic {
-		s.quad = growKeep(s.quad, 0, len(r))
+		s.quad = resize(s.quad, len(r))
 		q := s.quad
 		d.corr.QuadratureWindow(q, x, wlo)
 		for i, re := range r {
@@ -384,7 +424,18 @@ func (d *Detector) peakIn(x []float64, lo, hi int, analytic bool, s *DetectScrat
 		}
 	}
 	off, val := dsp.ParabolicInterp(r, best-wlo)
-	return windowPeak{idx: best, sample: r[best-wlo], off: off, val: val}
+	return windowPeak{idx: best + xoff, sample: r[best-wlo], off: off, val: val}
+}
+
+// resize returns buf at length n, reallocating only when it is too
+// small; the contents are not kept.
+//
+//hyperearvet:zeroalloc
+func resize(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
 }
 
 // floorQuantileNum/floorQuantileDen select the quantile of the sampled

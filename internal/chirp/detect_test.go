@@ -334,7 +334,7 @@ func TestDetectorFilteredRejectsAsymmetricTaps(t *testing.T) {
 // threshold/NMS/timing stage.
 func detectMonolithic(d *Detector, x []float64) []Detection {
 	env := dsp.EnvelopeInto(nil, d.corr.CrossCorrelateInto(nil, x))
-	return d.detectCore(nil, x, onGrid(env, d.corr.Decimation()), &DetectScratch{})
+	return d.detectCore(nil, x, 0, onGrid(env, d.corr.Decimation()), 0, 0, len(x), &DetectScratch{})
 }
 
 // onGrid samples a full-rate sequence at every dec-th lag.

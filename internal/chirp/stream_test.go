@@ -6,6 +6,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"hyperear/internal/dsp"
 )
 
 func TestNewStreamDetectorValidation(t *testing.T) {
@@ -17,83 +19,98 @@ func TestNewStreamDetectorValidation(t *testing.T) {
 	}
 }
 
-// TestStreamMatchesBatch: feeding a long signal in random chunk sizes
-// must produce the same detections as the batch detector, with matching
-// sub-sample timestamps.
-func TestStreamMatchesBatch(t *testing.T) {
-	p := Default()
-	fs := 44100.0
-	x := synth(p, fs, 4*int(fs), 0.0173, 0.2, 31) // 4 s, mild noise
-
-	batchDet, err := NewDetector(p, fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := batchDet.Detect(x)
-	if len(batch) < 15 {
-		t.Fatalf("batch detections = %d, want ≈20", len(batch))
-	}
-
-	stream, err := NewStreamDetector(p, fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(32))
+// pushChunks streams x through a fresh StreamDetector of d in chunks of
+// the given sizes, cycled (nil is one whole-recording chunk), and
+// returns every reported detection with the detector.
+func pushChunks(d *Detector, x []float64, sizes []int) ([]Detection, *StreamDetector) {
+	s := d.NewStreamDetector()
 	var got []Detection
-	pos := 0
-	for pos < len(x) {
-		n := 256 + rng.Intn(20000)
-		if pos+n > len(x) {
-			n = len(x) - pos
+	for pos, i := 0, 0; pos < len(x); i++ {
+		n := len(x) - pos
+		if len(sizes) > 0 {
+			n = min(n, sizes[i%len(sizes)])
 		}
-		got = append(got, stream.Push(x[pos:pos+n])...)
+		got = append(got, s.Push(x[pos:pos+n])...)
 		pos += n
 	}
-	got = append(got, stream.Flush()...)
+	return got, s
+}
 
-	if len(got) != len(batch) {
-		t.Fatalf("stream found %d detections, batch %d", len(got), len(batch))
+// batchFinal is the batch detector's answer over the blocks s has made
+// final: Detect's pass over the whole recording, with the recording's
+// floor and NMS, timing only the accepted peaks whose lag lies in those
+// blocks.
+func batchFinal(t *testing.T, d *Detector, x []float64, s *StreamDetector) []Detection {
+	t.Helper()
+	var scr DetectScratch
+	env, err := d.corr.MatchedEnvelopeCtx(context.Background(), nil, x, dsp.EnvelopePrefix{}, &scr.seg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range got {
-		if d := math.Abs(got[i].Time - batch[i].Time); d > 2e-6 {
-			t.Errorf("detection %d: stream %.7f vs batch %.7f (Δ %.2f µs)",
-				i, got[i].Time, batch[i].Time, d*1e6)
+	return d.detectCore(nil, x, 0, env, 0, 0, s.next*d.corr.BlockStep(), &scr)
+}
+
+// sameAsBatch fails unless the streamed detections are the batch ones:
+// same Index, and Time and Strength bit for bit. SNR is measured against
+// the window's floor, so it may differ.
+func sameAsBatch(t *testing.T, what string, got, want []Detection) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: stream reported %d detections, batch %d over the final blocks", what, len(got), len(want))
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if g.Index != w.Index || math.Float64bits(g.Time) != math.Float64bits(w.Time) ||
+			math.Float64bits(g.Strength) != math.Float64bits(w.Strength) {
+			t.Fatalf("%s: detection %d is %+v, batch %+v", what, i, g, w)
 		}
 	}
 }
 
-// TestStreamChunkSizeInvariance: 1-sample chunks and one giant chunk give
-// identical results.
+// TestStreamMatchesBatch: the 4 s and 60 s synth signals, streamed in
+// random chunk sizes, report the batch detections over the final blocks
+// bit for bit, and every block but the last m is final.
+func TestStreamMatchesBatch(t *testing.T) {
+	p := Default()
+	fs := 44100.0
+	d, err := NewDetector(p, fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sec := range []int{4, 60} {
+		x := synth(p, fs, sec*int(fs), 0.0173, 0.2, 31)
+		rng := rand.New(rand.NewSource(32))
+		sizes := make([]int, 64)
+		for i := range sizes {
+			sizes[i] = 256 + rng.Intn(20000)
+		}
+		got, s := pushChunks(d, x, sizes)
+		if want := s.feed.Blocks() - s.m; s.next != want || s.m != 1 {
+			t.Fatalf("%d s: %d final blocks with m = %d, want %d with m = 1", sec, s.next, s.m, want)
+		}
+		if len(got) < 5*sec-2 {
+			t.Fatalf("%d s: %d detections, want ≈%d", sec, len(got), 5*sec)
+		}
+		sameAsBatch(t, "synth", got, batchFinal(t, d, x, s))
+	}
+}
+
+// TestStreamChunkSizeInvariance: 1000-sample chunks and one giant chunk
+// report the same detections, bit for bit.
 func TestStreamChunkSizeInvariance(t *testing.T) {
 	p := Default()
 	fs := 44100.0
 	x := synth(p, fs, int(fs), 0.021, 0, 33)
-
-	run := func(chunk int) []Detection {
-		s, err := NewStreamDetector(p, fs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out []Detection
-		for pos := 0; pos < len(x); pos += chunk {
-			end := pos + chunk
-			if end > len(x) {
-				end = len(x)
-			}
-			out = append(out, s.Push(x[pos:end])...)
-		}
-		return append(out, s.Flush()...)
+	d, err := NewDetector(p, fs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	small := run(1000)
-	big := run(len(x))
-	if len(small) != len(big) {
-		t.Fatalf("chunked %d vs whole %d detections", len(small), len(big))
+	small, _ := pushChunks(d, x, []int{1000})
+	big, _ := pushChunks(d, x, nil)
+	if len(big) == 0 {
+		t.Fatal("no detections")
 	}
-	for i := range small {
-		if math.Abs(small[i].Time-big[i].Time) > 2e-6 {
-			t.Errorf("detection %d differs: %.7f vs %.7f", i, small[i].Time, big[i].Time)
-		}
-	}
+	sameDetections(t, "1000 vs whole", small, big)
 }
 
 // placeChirp adds an amplitude-scaled copy of tpl to x starting at sample at.
@@ -105,16 +122,11 @@ func placeChirp(x, tpl []float64, at int, amp float64) {
 	}
 }
 
-// TestStreamClosePairMatchesBatch is the regression test for the
-// cross-block dedupe bug: a weak chirp followed 0.09 s later (inside the
-// 0.1 s minimum-separation window) by a strong one. The batch detector's
-// non-maximum suppression keeps only the strong chirp of each pair. The
-// old stream logic — an emission horizon of just one template length and
-// a single last-emission timestamp — would commit the weak chirp when a
-// pair straddled a block boundary and then discard the strong one as a
-// "duplicate", inverting the batch decision. Pairs are swept across many
-// phases so that some pair straddles a boundary for any block layout or
-// chunk size.
+// TestStreamClosePairMatchesBatch: a weak chirp followed 0.09 s later
+// (inside the 0.1 s minimum-separation window) by a strong one, swept
+// across many phases so some pair straddles a block boundary. The batch
+// detector's non-maximum suppression keeps only the strong chirp of each
+// pair, and so must the block-final window, whatever the chunking.
 func TestStreamClosePairMatchesBatch(t *testing.T) {
 	p := Default()
 	fs := 44100.0
@@ -132,11 +144,11 @@ func TestStreamClosePairMatchesBatch(t *testing.T) {
 		t.Fatalf("only %d pairs placed", len(strongAt))
 	}
 
-	batchDet, err := NewDetector(p, fs)
+	d, err := NewDetector(p, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := batchDet.Detect(x)
+	batch := d.Detect(x)
 	if len(batch) != len(strongAt) {
 		t.Fatalf("batch found %d detections, want %d (one per pair)", len(batch), len(strongAt))
 	}
@@ -148,120 +160,84 @@ func TestStreamClosePairMatchesBatch(t *testing.T) {
 	}
 
 	for _, chunk := range []int{512, 1000, 4096} {
-		s, err := NewStreamDetector(p, fs)
-		if err != nil {
-			t.Fatal(err)
+		got, s := pushChunks(d, x, []int{chunk})
+		if len(got) < len(strongAt)-1 {
+			t.Fatalf("chunk %d: %d detections, want ≥ %d", chunk, len(got), len(strongAt)-1)
 		}
-		var got []Detection
-		for pos := 0; pos < n; pos += chunk {
-			end := pos + chunk
-			if end > n {
-				end = n
-			}
-			got = append(got, s.Push(x[pos:end])...)
-		}
-		got = append(got, s.Flush()...)
-		if len(got) != len(batch) {
-			t.Fatalf("chunk %d: stream found %d detections, batch %d", chunk, len(got), len(batch))
-		}
-		for i := range got {
-			if d := math.Abs(got[i].Time - batch[i].Time); d > 2e-6 {
-				t.Errorf("chunk %d, detection %d: stream %.7f vs batch %.7f (the weak twin was emitted instead of the strong chirp?)",
-					chunk, i, got[i].Time, batch[i].Time)
-			}
-		}
+		sameAsBatch(t, "close pairs", got, batchFinal(t, d, x, s))
 	}
 }
 
-// TestStreamChunkSizeInvarianceMatrix: detections must be identical for
-// chunk sizes 1, 64, 4096, and one full-batch push.
+// TestStreamChunkSizeInvarianceMatrix: detections must be identical, bit
+// for bit, for chunk sizes 1, 64, 4096, and one full-batch push.
 func TestStreamChunkSizeInvarianceMatrix(t *testing.T) {
 	p := Default()
 	fs := 44100.0
 	x := synth(p, fs, 2*int(fs), 0.0311, 0.1, 37)
-
-	run := func(chunk int) []Detection {
-		s, err := NewStreamDetector(p, fs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out []Detection
-		for pos := 0; pos < len(x); pos += chunk {
-			end := pos + chunk
-			if end > len(x) {
-				end = len(x)
-			}
-			out = append(out, s.Push(x[pos:end])...)
-		}
-		return append(out, s.Flush()...)
+	d, err := NewDetector(p, fs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	full := run(len(x))
+	full, _ := pushChunks(d, x, nil)
 	if len(full) < 8 {
 		t.Fatalf("full-batch push found only %d detections", len(full))
 	}
 	for _, chunk := range []int{1, 64, 4096} {
-		got := run(chunk)
-		if len(got) != len(full) {
-			t.Fatalf("chunk %d: %d detections vs full-batch %d", chunk, len(got), len(full))
-		}
-		for i := range got {
-			// Times may differ by an ulp: the absolute timestamp is
-			// assembled from block-relative time plus offset, and block
-			// boundaries differ between chunkings.
-			if math.Abs(got[i].Time-full[i].Time) > 1e-9 || got[i].Index != full[i].Index {
-				t.Errorf("chunk %d, detection %d: (%.9f, %d) vs full-batch (%.9f, %d)",
-					chunk, i, got[i].Time, got[i].Index, full[i].Time, full[i].Index)
-			}
-		}
+		got, _ := pushChunks(d, x, []int{chunk})
+		sameDetections(t, "chunked vs full-batch push", got, full)
 	}
 }
 
-// TestStreamBoundaryStraddle: place a chirp exactly across a block
-// boundary and verify it is reported exactly once.
+// TestStreamBoundaryStraddle: a beacon whose correlation peak lies
+// within a few lags either side of a block boundary is reported exactly
+// once, with the batch detector's bits — its timing reads samples on
+// both sides of the boundary, some of them before the block it is
+// reported from.
 func TestStreamBoundaryStraddle(t *testing.T) {
 	p := Default()
 	fs := 44100.0
-	s, err := NewStreamDetector(p, fs)
+	d, err := NewDetector(p, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Block size is 8 template lengths; put the chirp right at it.
-	blockStart := float64(s.blockSize-400) / fs
-	n := 2 * s.blockSize
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = p.Eval(float64(i)/fs - blockStart)
-	}
-	var dets []Detection
-	for pos := 0; pos < n; pos += 512 {
-		end := pos + 512
-		if end > n {
-			end = n
+	step := d.corr.BlockStep()
+	for at := 2*step - 4; at <= 2*step+4; at++ {
+		// The second beacon starts at sample at.
+		x := synth(p, fs, 5*step, float64(at)/fs-p.Period, 0.1, int64(at))
+		got, s := pushChunks(d, x, []int{512})
+		near := 0
+		for _, g := range got {
+			if abs(g.Index-at) <= 2 {
+				near++
+			}
 		}
-		dets = append(dets, s.Push(x[pos:end])...)
-	}
-	dets = append(dets, s.Flush()...)
-	// Count detections near blockStart (there may be later beacons too
-	// since Eval repeats every period).
-	count := 0
-	for _, d := range dets {
-		if math.Abs(d.Time-blockStart) < 0.01 {
-			count++
+		if near != 1 {
+			t.Errorf("beacon at %d (block boundary %d): reported %d times, want once (all: %+v)", at, 2*step, near, got)
 		}
-	}
-	if count != 1 {
-		t.Errorf("straddling chirp reported %d times, want 1 (all: %v)", count, dets)
+		sameAsBatch(t, "boundary beacon", got, batchFinal(t, d, x, s))
 	}
 }
 
-func TestStreamFlushShortBuffer(t *testing.T) {
-	s, err := NewStreamDetector(Default(), 44100)
+// TestStreamNoFinalBlockReportsNothing: until m blocks follow the first
+// one, no block is final and nothing is reported.
+func TestStreamNoFinalBlockReportsNothing(t *testing.T) {
+	p := Default()
+	fs := 44100.0
+	d, err := NewDetector(p, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Push(make([]float64, 100))
-	if got := s.Flush(); got != nil {
-		t.Errorf("flush of sub-template buffer = %v, want nil", got)
+	s := d.NewStreamDetector()
+	c := d.corr
+	x := synth(p, fs, s.m*c.BlockStep()+c.SegmentSize()-1, 0.01, 0, 5)
+	if got := s.Push(x[:100]); got != nil {
+		t.Errorf("100-sample push reported %v", got)
+	}
+	if got := s.Push(x[100:]); got != nil || s.next != 0 {
+		t.Errorf("push short of block %d reported %v (%d blocks final)", s.m, got, s.next)
+	}
+	if got := s.Push(x[:1]); len(got) == 0 || s.next != 1 {
+		t.Errorf("completing block %d reported %v (%d blocks final), want block 0's beacons", s.m, got, s.next)
 	}
 }
 
@@ -295,49 +271,33 @@ func randomChunk(rng *rand.Rand, blockSize int) int {
 
 // TestStreamRandomChunkingFuzz is the fuzz-style chunking test: many
 // random chunk-size sequences (including pathological 1-sample and
-// larger-than-block chunks) over signals with noise, close pairs, and
-// boundary-straddling chirps must all reproduce the batch detection set.
+// multi-block chunks) over a signal with noise, a close pair, and an
+// off-period chirp must all report the batch detections over the final
+// blocks, bit for bit.
 func TestStreamRandomChunkingFuzz(t *testing.T) {
 	p := Default()
 	fs := 44100.0
 	base := chunkingRecording(p, fs)
-
-	batchDet, err := NewDetector(p, fs)
+	d, err := NewDetector(p, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := batchDet.Detect(base)
-	if len(batch) < 10 {
-		t.Fatalf("batch detections = %d, want ≥ 10", len(batch))
+	whole, s := pushChunks(d, base, nil)
+	if len(whole) < 10 {
+		t.Fatalf("whole-recording push reported %d detections, want ≥ 10", len(whole))
 	}
+	sameAsBatch(t, "whole", whole, batchFinal(t, d, base, s))
 
 	for trial := 0; trial < 25; trial++ {
 		rng := rand.New(rand.NewSource(int64(1000 + trial)))
-		s, err := NewStreamDetector(p, fs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got []Detection
-		pos := 0
-		for pos < len(base) {
-			n := randomChunk(rng, s.blockSize)
-			if pos+n > len(base) {
-				n = len(base) - pos
-			}
-			got = append(got, s.Push(base[pos:pos+n])...)
+		var sizes []int
+		for pos := 0; pos < len(base); {
+			n := randomChunk(rng, d.corr.SegmentSize())
+			sizes = append(sizes, n)
 			pos += n
 		}
-		got = append(got, s.Flush()...)
-
-		if len(got) != len(batch) {
-			t.Fatalf("trial %d: stream found %d detections, batch %d", trial, len(got), len(batch))
-		}
-		for i := range got {
-			if d := math.Abs(got[i].Time - batch[i].Time); d > 2e-6 {
-				t.Errorf("trial %d, detection %d: stream %.7f vs batch %.7f (Δ %.2f µs)",
-					trial, i, got[i].Time, batch[i].Time, d*1e6)
-			}
-		}
+		got, _ := pushChunks(d, base, sizes)
+		sameDetections(t, "random chunking", got, whole)
 	}
 }
 
@@ -345,23 +305,15 @@ func TestStreamRandomChunkingFuzz(t *testing.T) {
 // TestStreamRandomChunkingFuzz. The input is a chunk-length sequence —
 // little-endian uint16 pairs, each one chunk of 1 + v samples, repeated
 // cyclically until the recording is consumed; an empty input pushes the
-// whole recording at once. Push + Flush over the fixed recording must
-// return Detect's detections: same count and Index, times within 2 µs.
-// The seed corpus holds that test's 25 splits, 1-sample chunks, and the
-// single whole-recording chunk.
+// whole recording at once. The streamed detections over the fixed
+// recording must be the batch detections over the final blocks, Index,
+// Time and Strength bit for bit. The seed corpus holds that test's 25
+// splits, 1-sample chunks, and the single whole-recording chunk.
 func FuzzStreamChunking(f *testing.F) {
 	p := Default()
 	fs := 44100.0
 	base := chunkingRecording(p, fs)
-	batchDet, err := NewDetector(p, fs)
-	if err != nil {
-		f.Fatal(err)
-	}
-	batch := batchDet.Detect(base)
-	if len(batch) < 10 {
-		f.Fatalf("batch detections = %d, want ≥ 10", len(batch))
-	}
-	seedDet, err := NewStreamDetector(p, fs)
+	d, err := NewDetector(p, fs)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -369,7 +321,7 @@ func FuzzStreamChunking(f *testing.F) {
 		rng := rand.New(rand.NewSource(int64(1000 + trial)))
 		var seed []byte
 		for pos := 0; pos < len(base); {
-			n := randomChunk(rng, seedDet.blockSize)
+			n := randomChunk(rng, d.corr.SegmentSize())
 			seed = binary.LittleEndian.AppendUint16(seed, uint16(n-1))
 			pos += n
 		}
@@ -379,35 +331,20 @@ func FuzzStreamChunking(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, split []byte) {
-		s, err := NewStreamDetector(p, fs)
-		if err != nil {
-			t.Fatal(err)
+		var sizes []int
+		for i := 0; i+1 < len(split); i += 2 {
+			sizes = append(sizes, 1+int(binary.LittleEndian.Uint16(split[i:])))
 		}
-		chunks := len(split) / 2
-		var got []Detection
-		for pos, i := 0, 0; pos < len(base); i++ {
-			n := len(base) - pos
-			if chunks > 0 {
-				n = min(n, 1+int(binary.LittleEndian.Uint16(split[2*(i%chunks):])))
-			}
-			got = append(got, s.Push(base[pos:pos+n])...)
-			pos += n
+		got, s := pushChunks(d, base, sizes)
+		if len(got) < 10 {
+			t.Fatalf("stream reported %d detections, want ≥ 10", len(got))
 		}
-		got = append(got, s.Flush()...)
-		if len(got) != len(batch) {
-			t.Fatalf("stream found %d detections, batch %d", len(got), len(batch))
-		}
-		for i := range got {
-			if got[i].Index != batch[i].Index || math.Abs(got[i].Time-batch[i].Time) > 2e-6 {
-				t.Errorf("detection %d: stream (%.7f, %d) vs batch (%.7f, %d)",
-					i, got[i].Time, got[i].Index, batch[i].Time, batch[i].Index)
-			}
-		}
+		sameAsBatch(t, "fuzzed chunking", got, batchFinal(t, d, base, s))
 	})
 }
 
 // BenchmarkStreamDetectorPush streams one minute of audio through the
-// overlap-save detector in audio-callback-sized chunks; ns/op here is the
+// block-final detector in audio-callback-sized chunks; ns/op here is the
 // continuous-listening cost a phone implementation pays. Compare against
 // BenchmarkDetectOneSecond×60 for the batch-equivalent cost.
 func BenchmarkStreamDetectorPush(b *testing.B) {
@@ -430,16 +367,15 @@ func BenchmarkStreamDetectorPush(b *testing.B) {
 			}
 			n += len(s.Push(x[pos:end]))
 		}
-		n += len(s.Flush())
 		if n < 250 {
 			b.Fatalf("stream found %d detections, want ≈300", n)
 		}
 	}
 }
 
-// TestStreamPushZeroAllocs pins Push at zero steady-state heap
-// allocations once the carry buffer, correlation cache, segmented-FFT
-// scratch, and emission slices have grown to working size — the
+// TestStreamPushZeroAllocs pins Push at no steady-state heap allocation
+// but the feed's one slice per complete block, once the sample buffer,
+// the window and the detection scratch have grown to working size — the
 // continuous-listening contract: a phone (or a server session) streaming
 // for an hour must not churn the heap per audio callback.
 func TestStreamPushZeroAllocs(t *testing.T) {
@@ -469,14 +405,19 @@ func TestStreamPushZeroAllocs(t *testing.T) {
 	if push() == 0 {
 		t.Fatal("no detections in warm-up pass")
 	}
-	if allocs := testing.AllocsPerRun(5, func() { push() }); allocs > 0.5 {
-		t.Errorf("Push: %.2f allocs/run, want 0 in steady state", allocs)
+	// One slice per block, and a little slack for the feed's block-list
+	// regrowth and pooled block scratch a GC may drop.
+	blocks := math.Ceil(float64(len(x)) / float64(s.det.corr.BlockStep()))
+	if allocs := testing.AllocsPerRun(5, func() { push() }); allocs > blocks+1 {
+		t.Errorf("Push: %.2f allocs/run, want at most the feed's %.0f block slices", allocs, blocks)
 	}
 }
 
-// TestStreamBufferedAccounting: Buffered/Consumed track the carry buffer
-// and total intake across pushes (the eviction signal for a server's
-// per-session memory budget).
+// TestStreamBufferedAccounting: Consumed tracks the total intake, and
+// Buffered — the samples held for the timing of blocks not final yet —
+// stays within (m+1)·BlockStep() + SegmentSize() plus one chunk,
+// regardless of stream length (the per-session memory a server
+// accounts for).
 func TestStreamBufferedAccounting(t *testing.T) {
 	p := Default()
 	fs := 44100.0
@@ -484,45 +425,25 @@ func TestStreamBufferedAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := synth(p, fs, int(fs), 0.0131, 0.1, 3)
+	c := stream.det.corr
+	const chunk = 1000
+	bound := (stream.m+1)*c.BlockStep() + c.SegmentSize() + chunk
+	x := synth(p, fs, 3*int(fs), 0.0131, 0.1, 3)
 	pushed := 0
-	for pos := 0; pos < len(x); pos += 1000 {
-		end := pos + 1000
-		if end > len(x) {
-			end = len(x)
-		}
+	for pos := 0; pos < len(x); pos += chunk {
+		end := min(pos+chunk, len(x))
 		stream.Push(x[pos:end])
 		pushed += end - pos
 		if got := stream.Consumed(); got != pushed {
 			t.Fatalf("consumed = %d after pushing %d", got, pushed)
 		}
-		if b := stream.Buffered(); b < 0 || b > pushed {
-			t.Fatalf("buffered = %d outside [0,%d]", b, pushed)
+		if b := stream.Buffered(); b < 0 || b > min(pushed, bound) {
+			t.Fatalf("buffered = %d outside [0, %d] after %d samples", b, min(pushed, bound), pushed)
 		}
-	}
-	// The carry buffer is bounded by one block plus the tail, regardless
-	// of stream length.
-	if b := stream.Buffered(); b > stream.blockSize+stream.tailKeep {
-		t.Fatalf("buffered %d exceeds block+tail bound %d", b, stream.blockSize+stream.tailKeep)
 	}
 }
 
 // Push is PushContext without a request context.
 func (s *StreamDetector) Push(chunk []float64) []Detection {
 	return s.PushContext(context.Background(), chunk)
-}
-
-// Flush processes whatever remains in the buffer (end of stream) and
-// returns the final detections. Like PushContext, the returned slice is
-// reused by later calls. No production path flushes: a streamed session's
-// locate runs the batch detector over the whole recording.
-func (s *StreamDetector) Flush() []Detection {
-	if len(s.buf) < len(s.det.ref) {
-		return nil
-	}
-	s.out = s.process(true, s.out[:0])
-	if len(s.out) == 0 {
-		return nil
-	}
-	return s.out
 }

@@ -176,12 +176,10 @@ func (a *ASP) ProcessContext(ctx context.Context, rec *mic.Recording) (*ASPResul
 	return a.process(ctx, rec, [2]dsp.EnvelopePrefix{})
 }
 
-// newEnvelopeFeed returns a feed that runs the stage's matched-filter
-// blocks over one channel as its audio arrives. det is the
-// *chirp.Detector NewASP built; only tests swap it for a reference rule.
-func (a *ASP) newEnvelopeFeed() *dsp.EnvelopeFeed {
-	return a.det.(*chirp.Detector).NewEnvelopeFeed()
-}
+// detector returns the *chirp.Detector NewASP built, whose blocks a
+// streamed session's feeds run; only tests swap det for a reference
+// rule.
+func (a *ASP) detector() *chirp.Detector { return a.det.(*chirp.Detector) }
 
 // process is ProcessContext with each channel's envelope prefix (the
 // zero value on the batch path): pre[0] for Mic1, pre[1] for Mic2.

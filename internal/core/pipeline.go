@@ -382,7 +382,16 @@ func (l *Localizer) Locate2DContext(ctx context.Context, rec *mic.Recording, tr 
 // over one channel as its audio arrives. A streamed session keeps one
 // per channel and hands their Prefixes to Locate2DStreamed or
 // Locate3DStreamed.
-func (l *Localizer) NewEnvelopeFeed() *dsp.EnvelopeFeed { return l.asp.newEnvelopeFeed() }
+func (l *Localizer) NewEnvelopeFeed() *dsp.EnvelopeFeed { return l.asp.detector().NewEnvelopeFeed() }
+
+// NewStreamDetector returns a block-final beacon detector over ASP's
+// matched-filter blocks (chirp.StreamDetector): it reports a streamed
+// channel's beacons as their blocks become final, and its Prefix is that
+// channel's NewEnvelopeFeed prefix, so a streamed session runs one set of
+// blocks per channel for both feedback and locate.
+func (l *Localizer) NewStreamDetector() *chirp.StreamDetector {
+	return l.asp.detector().NewStreamDetector()
+}
 
 // Locate2DStreamed is Locate2DContext over a recording whose channels
 // were pushed, as they arrived, through feeds from this Localizer's

@@ -490,3 +490,44 @@ func TestLocateStreamedMatchesBatch(t *testing.T) {
 		eq("L", got.L, want.L)
 	}
 }
+
+// TestStreamDetectorMatchesASP: mic1 streamed in 4096-sample chunks
+// through the Localizer's StreamDetector reports ASP's batch detections
+// of that channel — Index, Time and Strength bit for bit — save those in
+// the blocks not yet final at the end of the stream, and its Prefix is
+// the channel's NewEnvelopeFeed prefix.
+func TestStreamDetectorMatchesASP(t *testing.T) {
+	sc := ruler2DScenario(4, 108)
+	s, err := sim.Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mic1 := s.Recording.Mic1
+	loc, err := NewLocalizer(DefaultConfig(sc.Source, sc.Phone.SampleRate, sc.Phone.MicSeparation))
+	if err != nil {
+		t.Fatal(err)
+	}
+	det, feed := loc.NewStreamDetector(), loc.NewEnvelopeFeed()
+	var got []chirp.Detection
+	for at := 0; at < len(mic1); at += 4096 {
+		chunk := mic1[at:min(at+4096, len(mic1))]
+		got = append(got, det.PushContext(context.Background(), chunk)...)
+		feed.Push(chunk)
+	}
+	want := loc.asp.detector().Detect(mic1)
+	// The blocks not final hold at most two 14320-sample block steps
+	// plus one 16384-sample block: under a second, five beacons.
+	if len(got) == 0 || len(got) > len(want) || len(want)-len(got) > 5 {
+		t.Fatalf("stream reported %d detections, batch %d", len(got), len(want))
+	}
+	for i, g := range got {
+		w := want[i]
+		if g.Index != w.Index || math.Float64bits(g.Time) != math.Float64bits(w.Time) ||
+			math.Float64bits(g.Strength) != math.Float64bits(w.Strength) {
+			t.Fatalf("detection %d: stream %+v, batch %+v", i, g, w)
+		}
+	}
+	if got, want := det.Prefix().Len(), feed.Prefix().Len(); got != want || got == 0 {
+		t.Fatalf("detector prefix holds %d lags, the channel's feed %d", got, want)
+	}
+}

@@ -2,7 +2,6 @@ package dsp
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"math/cmplx"
 	"sync"
@@ -12,11 +11,9 @@ import (
 // instead of one session-length transform (2^19+ points for a 20 s
 // recording — cache-hostile), the input is cut into fixed-size
 // overlap-save blocks whose working set stays L2-resident, run one after
-// another on one scratch buffer. The block size is the one the streaming
-// detector has always used (NextPow2(segFFTMul·template)), so the
-// Correlator's cached half-spectrum template is shared between the batch
-// and streaming paths — they are the same kernel, differing only in which
-// lag range they fill.
+// another on one scratch buffer, at NextPow2(segFFTMul·template) points.
+// A batch pass runs the blocks over a whole recording; an EnvelopeFeed
+// runs the same blocks, on the same grid, as a stream's samples arrive.
 //
 // Each block is band-limited and analytic (bandBlock): it keeps only the
 // template's band of its product spectrum and inverts it at n/D points,
@@ -43,8 +40,6 @@ const segFFTMul = 4
 
 // SegmentSize returns the fixed overlap-save transform length the
 // segmented paths use for this template: NextPow2(segFFTMul·RefLen()).
-// StreamDetector uses the same size, so both paths hit the same cached
-// template spectrum.
 //
 //hyperearvet:zeroalloc
 func (c *Correlator) SegmentSize() int {
@@ -163,24 +158,39 @@ func (c *Correlator) MatchedEnvelopeCtx(ctx context.Context, env, x []float64, p
 	if len(x) == 0 || len(c.ref) == 0 {
 		return env[:0], ctx.Err()
 	}
-	d := c.Decimation()
-	env = resizeF64(env, (len(x)+d-1)/d)
+	b := c.band()
+	per := b.step / b.d
+	env = resizeF64(env, (len(x)+b.d-1)/b.d)
 	from := 0
 	if pre.c == c {
-		per := c.band().step / d
 		blocks := pre.blocks[:min(len(pre.blocks), c.completeBlocks(len(x)))]
 		for k, lags := range blocks {
 			copy(env[k*per:], lags)
 		}
 		from = len(blocks) * per
 	}
-	return env, c.envelopeRange(ctx, env, x, from, s)
+	if from >= len(env) {
+		return env, ctx.Err()
+	}
+	p := realPlanFor(c.SegmentSize())
+	if s == nil {
+		//hyperearvet:allow zeroalloc nil scratch is the caller opting out of reuse; the detector passes a warm SegScratch
+		s = &SegScratch{}
+	}
+	buf := s.blockBuf(b, p)
+	for m0 := from; m0 < len(env); m0 += per {
+		if err := ctx.Err(); err != nil {
+			return env, err
+		}
+		bandBlock(env, x, m0, b, p, buf)
+	}
+	return env, nil
 }
 
 // BlockStep returns the input samples between the starts of consecutive
 // MatchedEnvelopeCtx blocks: a multiple of Decimation() just under
-// SegmentSize() − RefLen() + 1. No production path calls it: the feed
-// tests in internal/chirp lay out block boundaries with it.
+// SegmentSize() − RefLen() + 1. Block k writes the lags
+// [k·BlockStep(), (k+1)·BlockStep()).
 //
 //hyperearvet:zeroalloc
 func (c *Correlator) BlockStep() int { return c.band().step }
@@ -280,46 +290,21 @@ func (f *EnvelopeFeed) Prefix() EnvelopePrefix {
 	return EnvelopePrefix{c: f.c, blocks: f.blocks[:len(f.blocks):len(f.blocks)]}
 }
 
-// MatchedEnvelopeRange fills the decimated envelope env[from:] from x with
-// the same block kernel: env[m] is the envelope at lag D·m, and
-// blocks start at lag D·from. This is the streaming detector's
-// overlap-save extension loop — it passes its complete-lag high-water
-// mark as from and the kernel fills only the missing lags. len(env) must
-// not exceed ⌈len(x)/D⌉.
+// Blocks returns how many blocks the feed has completed.
 //
 //hyperearvet:zeroalloc
-func (c *Correlator) MatchedEnvelopeRange(env, x []float64, from int, s *SegScratch) {
-	if d := c.Decimation(); len(env) > (len(x)+d-1)/d {
-		panic(fmt.Sprintf("dsp: decimated envelope %d over input %d at decimation %d", len(env), len(x), d))
-	}
-	if err := c.envelopeRange(context.Background(), env, x, max(from, 0), s); err != nil {
-		panic(err) // unreachable: Background never cancels
-	}
-}
+func (f *EnvelopeFeed) Blocks() int { return len(f.blocks) }
 
-// envelopeRange is the shared block loop: decimated lags [from, len(env))
-// of x, one bandBlock per block, checking ctx before each.
+// AppendLags appends the decimated lags of complete blocks [from, to) to
+// dst, in lag order, and returns it: the envelope at lags
+// [from·BlockStep(), to·BlockStep()), every Decimation()-th lag.
 //
 //hyperearvet:zeroalloc
-func (c *Correlator) envelopeRange(ctx context.Context, env, x []float64, from int, s *SegScratch) error {
-	if from >= len(env) || len(c.ref) == 0 {
-		return ctx.Err()
+func (f *EnvelopeFeed) AppendLags(dst []float64, from, to int) []float64 {
+	for _, lags := range f.blocks[from:to] {
+		dst = append(dst, lags...)
 	}
-	b := c.band()
-	p := realPlanFor(c.SegmentSize())
-	if s == nil {
-		//hyperearvet:allow zeroalloc nil scratch is the caller opting out of reuse; the detector passes a warm SegScratch
-		s = &SegScratch{}
-	}
-	buf := s.blockBuf(b, p)
-	per := b.step / b.d
-	for m0 := from; m0 < len(env); m0 += per {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		bandBlock(env, x, m0, b, p, buf)
-	}
-	return nil
+	return dst
 }
 
 // blockBuf returns the scratch bandBlock needs: the block's half
@@ -405,6 +390,15 @@ func (c *Correlator) QuadratureWindow(dst, x []float64, from int) {
 }
 
 func (c *Correlator) buildHilbert() { c.hilb, c.hilbLead = hilbertTemplate(c.ref) }
+
+// QuadratureLead returns how far QuadratureWindow's reads reach past
+// CorrelateWindow's on each side: a window from lag a to lag b reads the
+// samples [a−lead, b+RefLen()+lead), lead the truncated Hilbert
+// template's margin.
+func (c *Correlator) QuadratureLead() int {
+	c.hilbOnce.Do(c.buildHilbert)
+	return c.hilbLead
+}
 
 // hilbertTailRel bounds the truncated Hilbert template's tail: lags are
 // kept out to the last one whose magnitude reaches this fraction of the

@@ -138,37 +138,6 @@ func TestSegmentedBlockExact(t *testing.T) {
 	}
 }
 
-// TestSegmentedRangeMatchesFull pins that filling decimated lags [from,
-// n) over an already-partially-filled destination (the streaming
-// extension pattern) meets the same contract as a full pass from zero
-// (worst measured 6.5e-6), and leaves the lags before from untouched.
-func TestSegmentedRangeMatchesFull(t *testing.T) {
-	ref := bandChirp(700, 0.05, 0.15)
-	rng := rand.New(rand.NewSource(72))
-	x := make([]float64, 40000)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	c := NewCorrelator(ref)
-	dec := c.Decimation()
-	if dec < 2 {
-		t.Fatalf("band template decimation %d, want ≥ 2", dec)
-	}
-	want := exactEnvelopeGrid(x, ref, dec)
-	for _, from := range []int{0, 1, 100, segStep(c), segStep(c) + 7, len(want) - 50} {
-		env := make([]float64, len(want))
-		c.MatchedEnvelopeRange(env, x, from, nil)
-		if d := maxRelDiff(env[from:], want[from:]); d > 2e-4 {
-			t.Fatalf("from=%d: range fill deviates %.3e from monolithic", from, d)
-		}
-		for i := 0; i < from; i++ {
-			if env[i] != 0 {
-				t.Fatalf("from=%d: lag %d written", from, i)
-			}
-		}
-	}
-}
-
 // TestCorrelateWindowMatchesDirect pins the full-rate timing sums bit for
 // bit: CorrelateWindow sums each lag in CrossCorrelateDirect's order,
 // whatever the window's start, length or overlap with the recording

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"mime"
+	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -53,6 +55,31 @@ func BenchmarkServerThroughput(b *testing.B) {
 	})
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "locates/s")
+}
+
+// BenchmarkReadBundleMultipart is the decode row of the stage ledger:
+// the shared session's /v1/locate body (WAV, IMU CSV and meta parts)
+// parsed and decoded as handleLocate does, the decoded sample buffers
+// handed back to their pool after each op.
+func BenchmarkReadBundleMultipart(b *testing.B) {
+	bd, err := testBundle()
+	if err != nil {
+		b.Fatal(err)
+	}
+	_, params, err := mime.ParseMediaType(bd.contentType)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(bd.body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bundle, err := sessionio.ReadBundleMultipart(multipart.NewReader(bytes.NewReader(bd.body), params["boundary"]))
+		if err != nil {
+			b.Fatal(err)
+		}
+		sessionio.RecycleBundle(bundle)
+	}
 }
 
 func doLocate(b *testing.B, client *http.Client, base string, body []byte, contentType string) {

@@ -672,10 +672,10 @@ type sessionCreateResponse struct {
 }
 
 // handleSessionCreate opens a streaming session. The optional JSON body
-// is a sessionio.Meta; its beacon parameters configure the session's
-// stream detector, and the Localizer its locate will run (resolved here,
+// is a sessionio.Meta; a beacon no detector can run at its rate is
+// refused with 400. The Localizer its locate will run (resolved here,
 // from the same cache, and kept by the session) supplies the envelope
-// feeds.
+// feeds and mic1's feedback detector.
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		s.shed(w, r, errDraining)
@@ -695,8 +695,9 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	cfg := s.pipelineFor(meta)
-	// A meta the pipeline rejects still streams, without feeds; its
-	// locate fails on the same error the batch path reports.
+	// A meta the pipeline rejects still streams, without feeds or
+	// feedback; its locate fails on the same error the batch path
+	// reports.
 	loc, _ := s.localizerFor(meta)
 	sess, err := s.sessions.create(meta, cfg.Source, cfg.SampleRate, loc, s.clock())
 	if err != nil {
@@ -746,8 +747,8 @@ type audioAppendResponse struct {
 }
 
 // handleSessionAudio appends an interleaved stereo int16 LE PCM chunk
-// and returns the newly confirmed beacon detections — the live feedback
-// the client shows before the user starts sliding.
+// and returns mic1's beacon detections in the blocks it made final — the
+// live feedback the client shows before the user starts sliding.
 func (s *Server) handleSessionAudio(w http.ResponseWriter, r *http.Request) {
 	sess, ok := s.lookupSession(w, r)
 	if !ok {

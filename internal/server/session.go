@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"crypto/rand"
-	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"math"
@@ -22,13 +21,13 @@ import (
 )
 
 // session is one live streaming-ingest session. Each chunk arrives as
-// interleaved stereo int16 PCM: mic1's StreamDetector gives the client
-// beacon-detection feedback chunk by chunk (the paper's
-// direction-finding UX needs to know the beacon is audible before the
-// user starts sliding), each channel's EnvelopeFeed runs the locate's
-// matched-filter blocks as soon as their input is complete, and the PCM
-// itself is kept for the locate's final pass (DESIGN.md §8, "Streamed
-// sessions").
+// interleaved stereo int16 PCM. Each channel runs the locate's
+// matched-filter blocks as soon as their input is complete: mic2 through
+// an EnvelopeFeed, mic1 through a StreamDetector that owns mic1's feed
+// and reports each beacon once the blocks around it are final — the
+// client's feedback (the paper's direction-finding UX needs to know the
+// beacon is audible before the user starts sliding). The PCM itself is
+// kept for the locate's final pass (DESIGN.md §8, "Streamed sessions").
 type session struct {
 	id   string
 	meta sessionio.Meta
@@ -45,16 +44,15 @@ type session struct {
 	// mu serializes every mutable field below: the stream state, the
 	// PCM, and the lifecycle marks.
 	mu sync.Mutex
-	// det1 is mic1's stream detector, the client-feedback channel.
+	// det1 runs the session Localizer's matched-filter blocks over mic1
+	// and reports its beacons, and feed2 runs them over mic2; both nil
+	// when the Localizer could not be built (the session then streams
+	// without feedback, and its locate fails before it would read them).
 	//
 	// guarded by mu
 	det1 *chirp.StreamDetector
-	// feeds run the session Localizer's matched-filter blocks over mic1
-	// and mic2 as the audio arrives; both nil when the Localizer could
-	// not be built (the locate then fails before it would read them).
-	//
 	// guarded by mu
-	feeds [2]*dsp.EnvelopeFeed
+	feed2 *dsp.EnvelopeFeed
 	// pcm is the interleaved stereo int16 LE PCM received so far — the
 	// bytes the WAL persists. It only grows: a locate reads a
 	// capacity-capped prefix outside the lock, and nothing writes those
@@ -80,20 +78,11 @@ type session struct {
 // touch marks activity; callers hold s.mu.
 func (s *session) touchLocked(now time.Time) { s.lastTouch = now }
 
-// decodePCM decodes interleaved stereo int16 little-endian PCM into the
-// per-channel float slices (each len(raw)/4 long) with the WAV reader's
-// scaling, so a session's samples equal those of the same audio uploaded
-// to /v1/locate, and recovery's replay of the persisted bytes equals the
-// uninterrupted run's.
-func decodePCM(raw []byte, c1, c2 []float64) {
-	for i := range c1 {
-		c1[i] = float64(int16(binary.LittleEndian.Uint16(raw[i*4:]))) / 32767
-		c2[i] = float64(int16(binary.LittleEndian.Uint16(raw[i*4+2:]))) / 32767
-	}
-}
-
-// decodeChunk decodes a PCM chunk into pooled per-channel buffers; hand
-// them back with sessionio.RecycleSamples.
+// decodeChunk decodes a PCM chunk into pooled per-channel buffers with
+// the WAV reader's decoder, so a session's samples equal those of the
+// same audio uploaded to /v1/locate, and recovery's replay of the
+// persisted bytes equals the uninterrupted run's; hand them back with
+// sessionio.RecycleSamples.
 //
 //hyperearvet:pooled
 func decodeChunk(raw []byte) (c1, c2 []float64, err error) {
@@ -102,31 +91,31 @@ func decodeChunk(raw []byte) (c1, c2 []float64, err error) {
 	}
 	c1 = sessionio.BorrowSamples(len(raw) / 4)
 	c2 = sessionio.BorrowSamples(len(raw) / 4)
-	decodePCM(raw, c1, c2)
+	sessionio.DecodeStereo16(raw, c1, c2)
 	return c1, c2, nil
 }
 
 // ingestLocked applies one decoded chunk — raw and its channels c1, c2
-// — to the stream state: the PCM grows by raw, mic1 pushes through the
-// feedback detector and both channels through the envelope feeds. The
-// chunk path and recovery's replay of the persisted PCM both run it.
-// It returns mic1's newly confirmed detections, which the detector's
-// next push reuses. Callers hold s.mu.
+// — to the stream state: the PCM grows by raw, mic1 pushes through its
+// detector and mic2 through its feed. The chunk path and recovery's
+// replay of the persisted PCM both run it. It returns the beacons of
+// the blocks the chunk made final, which the detector's next push
+// reuses. Callers hold s.mu.
 func (s *session) ingestLocked(ctx context.Context, raw []byte, c1, c2 []float64) []chirp.Detection {
 	s.pcm = append(s.pcm, raw...)
-	if s.feeds[0] != nil {
-		s.feeds[0].Push(c1)
-		s.feeds[1].Push(c2)
+	if s.det1 == nil {
+		return nil
 	}
+	s.feed2.Push(c2)
 	return s.det1.PushContext(ctx, c1)
 }
 
 // appendAudio decodes interleaved stereo int16 little-endian PCM and
-// applies it to the session. It returns channel 1's newly confirmed
-// detections (the client-feedback channel) with the detector's buffered
-// and consumed sample counts, all read under the lock that applied the
-// chunk. ctx carries the request's trace IDs into the detector's push
-// spans.
+// applies it to the session. It returns channel 1's newly final
+// detections (the client-feedback channel), the samples its detector
+// holds and the frames received, all read under the lock that applied
+// the chunk. ctx carries the request's trace IDs into the detector's
+// push spans.
 //
 // When a store is attached the chunk is WAL-appended before the
 // in-memory state mutates: a crash between the two replays the chunk on
@@ -159,7 +148,10 @@ func (s *session) appendAudio(ctx context.Context, raw []byte, maxSamples int, n
 		dets = append(dets, d...)
 	}
 	s.touchLocked(now)
-	return dets, s.det1.Buffered(), s.det1.Consumed(), nil
+	if s.det1 != nil {
+		buffered = s.det1.Buffered()
+	}
+	return dets, buffered, len(s.pcm) / 4, nil
 }
 
 // setIMU attaches the session's inertial trace. raw is the CSV the
@@ -185,7 +177,7 @@ func (s *session) setIMU(tr *imu.Trace, raw []byte, now time.Time) error {
 // snapshotLocate returns what a locate reads, taken together under the
 // lock: the PCM so far, capped at its length so nothing can write
 // through it, each channel's envelope prefix over that PCM (zero when
-// the session streams without feeds), and the IMU trace. The caller
+// the session streams without a Localizer), and the IMU trace. The caller
 // decodes the PCM outside the lock while more audio arrives.
 func (s *session) snapshotLocate(now time.Time) (pcm []byte, pre [2]dsp.EnvelopePrefix, tr *imu.Trace, err error) {
 	s.mu.Lock()
@@ -199,8 +191,8 @@ func (s *session) snapshotLocate(now time.Time) (pcm []byte, pre [2]dsp.Envelope
 	if s.trace == nil {
 		return nil, pre, nil, fmt.Errorf("session has no IMU trace")
 	}
-	if s.feeds[0] != nil {
-		pre = [2]dsp.EnvelopePrefix{s.feeds[0].Prefix(), s.feeds[1].Prefix()}
+	if s.det1 != nil {
+		pre = [2]dsp.EnvelopePrefix{s.det1.Prefix(), s.feed2.Prefix()}
 	}
 	if s.st != nil {
 		// The locate event is audit trail, not state the pipeline needs;
@@ -225,7 +217,7 @@ func decodeRecording(pcm []byte, fs float64) *mic.Recording {
 		Mic2:      sessionio.BorrowSamples(len(pcm) / 4),
 		TrueSNRdB: math.Inf(1),
 	}
-	decodePCM(pcm, rec.Mic1, rec.Mic2)
+	sessionio.DecodeStereo16(pcm, rec.Mic1, rec.Mic2)
 	return rec
 }
 
@@ -272,19 +264,19 @@ func newID() (string, error) {
 	return hex.EncodeToString(b[:]), nil
 }
 
-// newSession builds a session's stream state: mic1's feedback detector,
-// attached to the table's obs hook so streaming ingest shows up in the
-// same registry and traces as the batch path, and, when loc is non-nil,
-// one envelope feed per channel for loc's locate. The session keeps loc.
+// newSession builds a session streaming src at fs, refusing a beacon no
+// detector can run. When loc is non-nil it gets loc's blocks per
+// channel: mic1's feedback detector, attached to the table's obs hook so
+// streaming ingest shows up in the same registry and traces as the
+// batch path, and mic2's feed. The session keeps loc.
 func (t *sessionTable) newSession(id string, meta sessionio.Meta, src chirp.Params, fs float64, loc *core.Localizer, now time.Time) (*session, error) {
-	det1, err := chirp.NewStreamDetector(src, fs)
-	if err != nil {
+	if err := src.ValidateAt(fs); err != nil {
 		return nil, err
 	}
-	det1.SetObs(t.o)
-	s := &session{id: id, meta: meta, fs: fs, st: t.st, o: t.o, loc: loc, det1: det1, lastTouch: now}
+	s := &session{id: id, meta: meta, fs: fs, st: t.st, o: t.o, loc: loc, lastTouch: now}
 	if loc != nil {
-		s.feeds = [2]*dsp.EnvelopeFeed{loc.NewEnvelopeFeed(), loc.NewEnvelopeFeed()}
+		s.det1, s.feed2 = loc.NewStreamDetector(), loc.NewEnvelopeFeed()
+		s.det1.SetObs(t.o)
 	}
 	return s, nil
 }
@@ -379,18 +371,17 @@ func (t *sessionTable) evictLocked(id, reason string) bool {
 
 // insertRecovered rebuilds one persisted session into the live table:
 // the persisted PCM replays through the chunk path's decode and ingest
-// (the detector's chunked==batch equivalence makes the resumed feedback
-// state agree with the uninterrupted run's, and the envelope feeds'
-// blocks depend on the samples alone), the IMU CSV is re-parsed, and the
-// detector's Consumed accounting is checked against the persisted
-// sample count before the session goes live. loc is as for create.
+// (the blocks, and so the detector's final blocks and their detections,
+// depend on the samples alone, so the resumed feedback agrees with the
+// uninterrupted run's), and the IMU CSV is re-parsed before the session
+// goes live. loc is as for create.
 func (t *sessionTable) insertRecovered(rs sessionstore.Session, loc *core.Localizer, now time.Time) error {
 	if len(rs.Audio)%4 != 0 {
 		return fmt.Errorf("persisted audio is %d bytes, not whole stereo frames", len(rs.Audio))
 	}
 	s, err := t.newSession(rs.ID, rs.Meta, rs.Src, rs.FS, loc, now)
 	if err != nil {
-		return fmt.Errorf("rebuilding detector: %w", err)
+		return fmt.Errorf("rebuilding stream state: %w", err)
 	}
 	var tr *imu.Trace
 	if rs.IMU != nil {
@@ -402,16 +393,13 @@ func (t *sessionTable) insertRecovered(rs sessionstore.Session, loc *core.Locali
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.trace = tr
-	if n := len(rs.Audio) / 4; n > 0 {
+	if len(rs.Audio) > 0 {
 		c1, c2, err := decodeChunk(rs.Audio)
 		if err != nil {
 			return err
 		}
 		s.ingestLocked(context.Background(), rs.Audio, c1, c2)
 		sessionio.RecycleSamples(c1, c2)
-		if s.det1.Consumed() != n {
-			return fmt.Errorf("detector resumed %d of %d samples", s.det1.Consumed(), n)
-		}
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()

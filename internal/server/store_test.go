@@ -290,9 +290,13 @@ func TestStoreWriteFailure500(t *testing.T) {
 	}
 }
 
-// BenchmarkSessionIngest pins the streaming-append path — PCM decode +
-// stream detection — with and without the WAL underneath, so the
-// durable path's overhead stays visible next to the in-memory default.
+// BenchmarkSessionIngest pins the streaming-append path — PCM decode,
+// the WAL append when a store is attached, both channels'
+// matched-filter blocks and mic1's beacon feedback — with and without
+// the WAL underneath, so the durable path's overhead stays visible next
+// to the in-memory default. Each pass streams the shared session's audio
+// into a fresh session in 4096-frame chunks, as a phone does; one op is
+// one chunk, and the create and delete between passes are untimed.
 func BenchmarkSessionIngest(b *testing.B) {
 	for _, c := range []struct {
 		name  string
@@ -313,41 +317,51 @@ func BenchmarkSessionIngest(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			pipe := core.DefaultConfig(sess.Scenario.Source, sess.Scenario.Phone.SampleRate, sess.Scenario.Phone.MicSeparation)
+			phone := sess.Scenario.Phone
 			srv := New(Config{
-				Workers:           1,
-				Pipeline:          pipe,
-				Store:             c.store(b),
-				MaxSessionSamples: 1 << 40,
+				Workers:  1,
+				Pipeline: core.DefaultConfig(sess.Scenario.Source, phone.SampleRate, phone.MicSeparation),
+				Store:    c.store(b),
 			})
 			defer func() {
 				srv.BeginDrain()
 				srv.FinishShutdown()
 			}()
 			h := srv.Handler()
-
-			rr := httptest.NewRecorder()
-			req := httptest.NewRequest("POST", "/v1/sessions", nil)
-			h.ServeHTTP(rr, req)
-			if rr.Code != http.StatusCreated {
-				b.Fatalf("create: status %d", rr.Code)
-			}
-			var created sessionCreateResponse
-			if err := json.NewDecoder(rr.Body).Decode(&created); err != nil {
-				b.Fatal(err)
-			}
-
-			chunk := make([]byte, 4*4096) // 4096 stereo frames of silence
-			b.SetBytes(int64(len(chunk)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			serve := func(method, path string, body []byte, want int) *httptest.ResponseRecorder {
 				rr := httptest.NewRecorder()
-				req := httptest.NewRequest("POST", "/v1/sessions/"+created.ID+"/audio", bytes.NewReader(chunk))
-				req.Header.Set("Content-Type", "application/octet-stream")
-				h.ServeHTTP(rr, req)
-				if rr.Code != http.StatusOK {
-					b.Fatalf("append %d: status %d: %s", i, rr.Code, rr.Body.String())
+				h.ServeHTTP(rr, httptest.NewRequest(method, path, bytes.NewReader(body)))
+				if rr.Code != want {
+					b.Fatalf("%s %s: status %d, want %d: %s", method, path, rr.Code, want, rr.Body)
 				}
+				return rr
+			}
+			meta := fmt.Sprintf(`{"sampleRateHz":%g,"micSeparationM":%g}`, phone.SampleRate, phone.MicSeparation)
+			var chunks [][]byte
+			m1, m2 := sess.Recording.Mic1, sess.Recording.Mic2
+			for at := 0; at < len(m1); at += 4096 {
+				end := min(at+4096, len(m1))
+				chunks = append(chunks, pcmChunk(m1[at:end], m2[at:end]))
+			}
+
+			b.SetBytes(4 * 4096)
+			b.ReportAllocs()
+			b.ResetTimer()
+			base := ""
+			for i := 0; i < b.N; i++ {
+				if i%len(chunks) == 0 {
+					b.StopTimer()
+					if base != "" {
+						serve(http.MethodDelete, base, nil, http.StatusNoContent)
+					}
+					var created sessionCreateResponse
+					if err := json.NewDecoder(serve(http.MethodPost, "/v1/sessions", []byte(meta), http.StatusCreated).Body).Decode(&created); err != nil {
+						b.Fatal(err)
+					}
+					base = "/v1/sessions/" + created.ID
+					b.StartTimer()
+				}
+				serve(http.MethodPost, base+"/audio", chunks[i%len(chunks)], http.StatusOK)
 			}
 		})
 	}

@@ -8,8 +8,10 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -188,6 +190,87 @@ func TestSessionLocateMatchesBatch(t *testing.T) {
 		}
 		if got := c.finish(t, ts2, id); !bytes.Equal(got, want) {
 			t.Errorf("%s/restart: session locate differs from batch\n got: %s\nwant: %s", c.mode, got, want)
+		}
+	}
+}
+
+// streamChunks appends each chunk to the session and returns the
+// detections the responses report, in order.
+func streamChunks(t *testing.T, ts *httptest.Server, id string, chunks [][]byte) []detectionJSON {
+	t.Helper()
+	var dets []detectionJSON
+	for _, chunk := range chunks {
+		code, body := post(t, ts, "/v1/sessions/"+id+"/audio", "application/octet-stream", chunk)
+		if code != http.StatusOK {
+			t.Fatalf("audio append: status %d: %s", code, body)
+		}
+		var r audioAppendResponse
+		if err := json.Unmarshal(body, &r); err != nil {
+			t.Fatal(err)
+		}
+		dets = append(dets, r.Detections...)
+	}
+	return dets
+}
+
+// TestSessionChunkDetections: a session's beacon feedback is the same
+// bits for chunks of 1000, 4096 and 65536 frames, and across a restart
+// over a FileStore halfway through (recovery replays the persisted PCM
+// through the same ingest, which makes the same blocks final).
+func TestSessionChunkDetections(t *testing.T) {
+	s, err := testSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newStreamCase(t, "2d", s)
+	_, ts, _ := newTestServer(t, nil)
+	want := streamChunks(t, ts, createSession(t, ts, c.createBody), c.chunks(4096))
+	beacons := int(float64(len(s.Recording.Mic1)) / s.Recording.Fs / s.Scenario.Source.Period)
+	if len(want) < beacons-5 || len(want) > beacons {
+		t.Fatalf("4096-frame chunks reported %d beacons, the session holds %d", len(want), beacons)
+	}
+	same := func(what string, got []detectionJSON) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d detections, want %d", what, len(got), len(want))
+		}
+		for i, w := range want {
+			g := got[i]
+			if g.Index != w.Index || math.Float64bits(g.Time) != math.Float64bits(w.Time) ||
+				math.Float64bits(g.Strength) != math.Float64bits(w.Strength) || math.Float64bits(g.SNR) != math.Float64bits(w.SNR) {
+				t.Fatalf("%s: detection %d is %+v, want %+v", what, i, g, w)
+			}
+		}
+	}
+	for _, frames := range []int{1000, 65536} {
+		same(fmt.Sprintf("%d-frame chunks", frames), streamChunks(t, ts, createSession(t, ts, c.createBody), c.chunks(frames)))
+	}
+
+	dir := t.TempDir()
+	st1 := openTestStore(t, dir)
+	_, ts1, _ := newTestServer(t, func(cfg *Config) { cfg.Store = st1; cfg.SweepInterval = time.Hour })
+	chunks := c.chunks(4096)
+	id := createSession(t, ts1, c.createBody)
+	half := len(chunks) / 2
+	got := streamChunks(t, ts1, id, chunks[:half])
+	if err := st1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st2 := openTestStore(t, dir)
+	_, ts2, reg2 := newTestServer(t, func(cfg *Config) { cfg.Store = st2; cfg.SweepInterval = time.Hour })
+	if got := reg2.Get(MSessRecovered); got != 1 {
+		t.Fatalf("recovered = %d, want 1", got)
+	}
+	same("restart", append(got, streamChunks(t, ts2, id, chunks[half:])...))
+}
+
+// TestSessionCreateRejectsBadChirp: a meta whose beacon no detector can
+// run at its rate is refused at create with 400, before any audio.
+func TestSessionCreateRejectsBadChirp(t *testing.T) {
+	_, ts, _ := newTestServer(t, nil)
+	for _, meta := range []string{`{"chirpHighHz":30000}`, `{"sampleRateHz":44100,"chirpLowHz":9000,"chirpHighHz":8000}`} {
+		if code, body := post(t, ts, "/v1/sessions", "application/json", []byte(meta)); code != http.StatusBadRequest {
+			t.Errorf("create with %s: status %d, want 400: %s", meta, code, body)
 		}
 	}
 }

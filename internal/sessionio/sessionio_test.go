@@ -326,6 +326,32 @@ func TestReadWAVGrowsWithoutLength(t *testing.T) {
 	}
 }
 
+// TestDecodeStereo16MatchesGeneric decodes every int16 value through
+// the stereo loop and the any-channel loop, both channels, and requires
+// the same bits: the stereo loop is the generic rule unrolled.
+func TestDecodeStereo16MatchesGeneric(t *testing.T) {
+	const n = 1 << 16
+	raw := make([]byte, 4*n)
+	for i := 0; i < n; i++ {
+		binary.LittleEndian.PutUint16(raw[4*i:], uint16(i))
+		binary.LittleEndian.PutUint16(raw[4*i+2:], uint16(n-1-i))
+	}
+	c1, c2 := make([]float64, n), make([]float64, n)
+	DecodeStereo16(raw, c1, c2)
+	want := [][]float64{make([]float64, n), make([]float64, n)}
+	decodePCM16(raw, want, 0, n)
+	for c, got := range [][]float64{c1, c2} {
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[c][i]) {
+				t.Fatalf("channel %d, frame %d: stereo loop %v, generic %v", c, i, got[i], want[c][i])
+			}
+		}
+	}
+	if c1[0x7fff] != 1 || c1[0x8000] != -32768.0/32767 {
+		t.Fatalf("int16 extremes decode to %v and %v", c1[0x7fff], c1[0x8000])
+	}
+}
+
 // FuzzReadWAV feeds arbitrary bytes to ReadWAV. It must never panic; on
 // success every channel has the same length, the decoded frames fit in
 // the input (frames × channels × 2 ≤ len(input)), and every sample is a

@@ -233,11 +233,10 @@ func readPCM16(r io.Reader, size int64, nCh int) ([][]float64, error) {
 				channels[c] = growSamples(ch, done, min(max(2*len(ch), need), n))
 			}
 		}
-		for i := 0; i < frames; i++ {
-			for c := 0; c < nCh; c++ {
-				raw := int16(binary.LittleEndian.Uint16(win[i*int(frame)+c*2:]))
-				channels[c][done+i] = float64(raw) / 32767
-			}
+		if nCh == 2 {
+			DecodeStereo16(win[:want], channels[0][done:done+frames], channels[1][done:done+frames])
+		} else {
+			decodePCM16(win[:want], channels, done, frames)
 		}
 		done += frames
 		rem -= want
@@ -249,6 +248,31 @@ func readPCM16(r io.Reader, size int64, nCh int) ([][]float64, error) {
 		}
 	}
 	return channels, nil
+}
+
+// DecodeStereo16 decodes interleaved stereo int16 little-endian PCM into
+// two channels, len(c1) frames: every sample is int16/32767, so a WAV
+// upload and the same bytes streamed to a session decode to the same
+// bits.
+func DecodeStereo16(raw []byte, c1, c2 []float64) {
+	raw, c2 = raw[:4*len(c1)], c2[:len(c1)]
+	for i := range c1 {
+		f := raw[4*i : 4*i+4]
+		c1[i] = float64(int16(binary.LittleEndian.Uint16(f))) / 32767
+		c2[i] = float64(int16(binary.LittleEndian.Uint16(f[2:]))) / 32767
+	}
+}
+
+// decodePCM16 is DecodeStereo16 for any channel count: frames frames of
+// interleaved int16 PCM into channels[c][at:], with the same rule.
+func decodePCM16(raw []byte, channels [][]float64, at, frames int) {
+	nCh := len(channels)
+	for i := 0; i < frames; i++ {
+		for c := 0; c < nCh; c++ {
+			v := int16(binary.LittleEndian.Uint16(raw[(i*nCh+c)*2:]))
+			channels[c][at+i] = float64(v) / 32767
+		}
+	}
 }
 
 // growSamples returns a pooled slice of length n holding s[:keep], and

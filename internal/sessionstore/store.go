@@ -69,10 +69,10 @@ type SessionStore interface {
 
 // Session is one recovered session: the pipeline parameters plus the
 // raw bytes needed to rebuild the live state. The server replays Audio
-// through the chunk path's ingest: mic1's feedback StreamDetector
-// (chunked==batch equivalence) and the envelope feeds, whose blocks
-// depend on the samples alone, so the rebuilt session locates exactly
-// as the uninterrupted one would.
+// through the chunk path's ingest: the envelope feeds, mic1's inside its
+// block-final feedback detector, whose blocks depend on the samples
+// alone, so the rebuilt session reports and locates exactly as the
+// uninterrupted one would.
 type Session struct {
 	ID   string
 	Meta sessionio.Meta
