@@ -1,6 +1,6 @@
 # hyperearservd container image. Two stages: a Go builder (the module
 # has no external dependencies, so the source copy is the whole input)
-# and a minimal Alpine runtime with a /data volume for the session WAL.
+# and a minimal Alpine runtime with a /data volume for the session logs.
 #
 #	docker build -t hyperearservd .
 #	docker run -p 8787:8787 -v hyperear-data:/data hyperearservd
@@ -21,7 +21,7 @@ RUN adduser -D -u 10001 hyperear \
 	&& chown hyperear:hyperear /data
 COPY --from=build /out/hyperearservd /usr/local/bin/hyperearservd
 USER hyperear
-# Session WAL + snapshots; mount a named volume here so streaming
+# One append-only log per session; mount a named volume here so streaming
 # sessions survive container replacement.
 VOLUME /data
 EXPOSE 8787

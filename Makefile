@@ -95,10 +95,11 @@ servbench-test:
 # output fits the input), meta.json (never panics, round-trips), the IMU
 # CSV (never panics, finite samples, write/read fixed point) and the
 # multipart bundle around them (never panics, consistent bundle), then
-# WAL replay (arbitrary session.wal or snapshot.wal bytes never panic
-# and recover what the Memory oracle holds, again after a compaction
-# copies their frames). Each WAL input costs three store opens, so that
-# target minimizes new inputs for at most 1 s. A
+# store replay (arbitrary bytes as two session logs, or as a legacy
+# session.wal/snapshot.wal pair to import, never panic and recover what
+# the Memory oracle holds, again on a second open). Each replay input
+# costs two store opens, so that target minimizes new inputs for at most
+# 1 s. A
 # failing input lands in
 # internal/{chirp,sessionio,sessionstore}/testdata/fuzz/<target>/;
 # commit it as a regression input. CI's bench-smoke job runs this.
@@ -120,13 +121,14 @@ serve:
 server-soak:
 	$(GO) test -race -timeout 15m -run 'Soak|Drain|Pool|Session|SIGTERM' ./internal/server/ ./cmd/hyperearservd/
 
-# Durability gate: the WAL/snapshot property suite (recovered state must
+# Durability gate: the session-log property suite (recovered state must
 # match the in-memory oracle for random event sequences, torn tails,
-# corrupt CRCs, duplicated replay) plus the SIGKILL crash soak — the
-# daemon killed between acknowledged session writes, restarted on the
-# same -data-dir, and required to localize bit-identically to an
-# uninterrupted run. Set HYPEREAR_CRASH_DIR to keep the WAL + snapshot
-# around after a failure (CI uploads it as an artifact).
+# corrupt CRCs, failed fsyncs, legacy imports) plus the SIGKILL crash
+# soak — the daemon killed between acknowledged session writes,
+# restarted on the same -data-dir, and required to localize
+# bit-identically to an uninterrupted run. Set HYPEREAR_CRASH_DIR to keep
+# the session logs around after a failure (CI uploads them as an
+# artifact).
 crash-soak:
 	$(GO) test -race -timeout 15m -count=1 ./internal/sessionstore/
 	$(GO) test -race -timeout 15m -count=1 -run 'CrashRecovery|Recover' -v ./internal/server/ ./cmd/hyperearservd/
@@ -141,14 +143,12 @@ crash-soak:
 # ServerThroughput measures locates/sec through the full HTTP service,
 # and ReadBundleMultipart its multipart WAV+CSV+meta decode alone;
 # SessionIngest streams a session's audio chunk by chunk with and without
-# the session WAL underneath, SessionLocate times a streamed session's locate
-# alone, WALAppend pins the raw durable append under both fsync
-# policies, and WALCompact times one compaction of 16 × 2 MiB sessions
-# (its B/op stays flat: frames are copied file to file, not held in
-# memory); DisabledSpan/EnabledSpan pin the per-hook
+# the session store underneath, SessionLocate times a streamed session's
+# locate alone, and WALAppend pins the raw durable append to a session
+# log under both fsync policies; DisabledSpan/EnabledSpan pin the per-hook
 # observability overhead (the disabled path must stay 0 B/op) and
 # PromExposition the /metrics scrape-render cost.
-BENCH_RE := FFTReal|MatchedFilter|Detect|DetectSegmented|Stream|ASP|PipelineLocate2D|ServerThroughput|ReadBundleMultipart|SessionIngest|SessionLocate|WALAppend|WALCompact|DisabledSpan|EnabledSpan|PromExposition
+BENCH_RE := FFTReal|MatchedFilter|Detect|DetectSegmented|Stream|ASP|PipelineLocate2D|ServerThroughput|ReadBundleMultipart|SessionIngest|SessionLocate|WALAppend|DisabledSpan|EnabledSpan|PromExposition
 BENCH_PKGS := ./ ./internal/dsp/ ./internal/chirp/ ./internal/obs/ ./internal/server/ ./internal/sessionstore/
 
 bench:

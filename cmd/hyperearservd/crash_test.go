@@ -53,7 +53,7 @@ func TestMain(m *testing.M) {
 }
 
 // crashDir picks the durable directory for the soak. CI sets
-// HYPEREAR_CRASH_DIR to a workspace path so the WAL + snapshot survive
+// HYPEREAR_CRASH_DIR to a workspace path so the session logs survive
 // the test run and upload as an artifact when the job fails.
 func crashDir(t *testing.T) string {
 	t.Helper()
@@ -132,7 +132,7 @@ func startDaemon(t *testing.T, args ...string) *daemon {
 	return d
 }
 
-// kill SIGKILLs the daemon — no drain, no WAL flush beyond what fsync
+// kill SIGKILLs the daemon — no drain, no log flush beyond what fsync
 // policy already made durable — and reaps it.
 func (d *daemon) kill() {
 	d.t.Helper()
@@ -253,7 +253,7 @@ func soakFinish(t *testing.T, base, id string, imuCSV []byte) []byte {
 }
 
 // TestCrashRecoverySoak is the durability acceptance gate: a daemon on a
-// WAL-backed store is SIGKILLed after session create and between every
+// file-backed store is SIGKILLed after session create and between every
 // acknowledged audio chunk, restarted on the same directory each time,
 // and finally restarted once more through a graceful SIGTERM drain. The
 // resumed session's locate must match an uninterrupted in-memory control

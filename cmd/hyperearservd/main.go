@@ -10,7 +10,6 @@
 //	              [-timeout 30s] [-max-body 64MiB-as-bytes]
 //	              [-session-idle 2m] [-max-sessions 64]
 //	              [-data-dir /data] [-fsync always|none|100ms]
-//	              [-wal-snapshot bytes]
 //	              [-trace out.jsonl] [-debug-addr :6060]
 //	              [-access-log path|-] [-slo-target 1s] [-slo-objective 0.99]
 //	              [-metrics-window 5m]
@@ -22,12 +21,13 @@
 // then sessions are evicted and the trace sink is flushed.
 //
 // With -data-dir set, streaming sessions are durable: every mutation is
-// appended to a CRC-framed write-ahead log under the directory
-// (compacted into snapshots as it grows), and a restart on the same
+// appended to the session's own CRC-framed log under the directory
+// (evicting a session deletes its log), and a restart on the same
 // directory resumes every in-flight session — same ids, same
-// accumulated audio, bit-identical localization. -fsync selects the
-// append durability policy; the drain sequence flushes the WAL before
-// exit.
+// accumulated audio, bit-identical localization. A directory written by
+// the earlier shared-log layout (session.wal, snapshot.wal) is imported
+// into per-session logs at boot. -fsync selects the append durability
+// policy; the drain sequence flushes the logs before exit.
 package main
 
 import (
@@ -73,9 +73,8 @@ func run(args []string) error {
 	maxBody := fs.Int64("max-body", 64<<20, "max request body bytes")
 	sessionIdle := fs.Duration("session-idle", 2*time.Minute, "evict streaming sessions idle this long")
 	maxSessions := fs.Int("max-sessions", 64, "max live streaming sessions")
-	dataDir := fs.String("data-dir", "", "persist streaming sessions to this directory (WAL + snapshots); empty = in-memory only")
-	fsyncPolicy := fs.String("fsync", "always", "session WAL fsync policy: always, none, or a flush interval like 100ms")
-	walSnapshot := fs.Int64("wal-snapshot", 8<<20, "compact the session WAL into a snapshot past this many bytes (negative disables)")
+	dataDir := fs.String("data-dir", "", "persist streaming sessions to this directory (one append-only log per session); empty = in-memory only")
+	fsyncPolicy := fs.String("fsync", "always", "session log fsync policy: always, none, or a flush interval like 100ms")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "max wait for in-flight requests on shutdown")
 	trace := fs.String("trace", "", "write a JSONL stage-span trace to this file")
 	debugAddr := fs.String("debug-addr", "", "serve pprof + expvar on this address (e.g. :6060)")
@@ -142,7 +141,6 @@ func run(args []string) error {
 		store, err = sessionstore.Open(*dataDir, sessionstore.Options{
 			Fsync:         policy,
 			FsyncInterval: interval,
-			SnapshotBytes: *walSnapshot,
 			Obs:           o,
 		})
 		if err != nil {
@@ -219,7 +217,7 @@ func run(args []string) error {
 
 	// Drain sequence: stop admitting (readyz 503, queued waiters shed),
 	// let in-flight handlers finish within the drain budget, then evict
-	// the remaining sessions and flush the session WAL and trace sink.
+	// the remaining sessions and flush the session logs and trace sink.
 	// Shutdown evictions are deliberately not persisted — the sessions
 	// stay in the store so the next boot on the same -data-dir resumes
 	// them.

@@ -21,9 +21,8 @@ type PDEConfig struct {
 	// it to be used (paper: 20°). Zero disables the gate.
 	MaxZRotationRad float64
 	// Obs receives the movement-classification counters and the
-	// drift-slope magnitude histogram; nil disables. EstimateMovement
-	// runs concurrently under the pipeline's worker pool, so everything
-	// it emits is atomic. NewLocalizer propagates Config.Obs here.
+	// drift-slope magnitude histogram; nil disables. NewLocalizer
+	// propagates Config.Obs here.
 	Obs *obs.Obs
 }
 
@@ -102,8 +101,8 @@ func CorrectVelocity(accel []float64, fs float64) (vel []float64, slope float64)
 }
 
 // correctVelocityInto is CorrectVelocity writing into dst (grown/reused
-// as needed) and returning it — the per-segment buffer reuse the PDE
-// fan-out's per-worker scratch relies on.
+// as needed) and returning it, so a run's movements reuse one velocity
+// buffer per axis.
 //
 //hyperearvet:zeroalloc
 func correctVelocityInto(dst, accel []float64, fs float64) (vel []float64, slope float64) {
@@ -144,9 +143,9 @@ func EstimateMovement(m *MSPResult, seg Segment, cfg PDEConfig) SlideEstimate {
 	return estimateMovement(m, seg, cfg, &pdeScratch{})
 }
 
-// estimateMovement is EstimateMovement with a caller-owned scratch slot;
-// the pipeline fan-out hands each worker its own so the per-segment
-// velocity buffers are reused instead of reallocated.
+// estimateMovement is EstimateMovement with a caller-owned scratch slot:
+// the pipeline passes its run's scratch, so the per-segment velocity
+// buffers are reused instead of reallocated.
 func estimateMovement(m *MSPResult, seg Segment, cfg PDEConfig, ps *pdeScratch) SlideEstimate {
 	s := pad(seg, cfg.EdgePad, len(m.AccelY))
 	ay := m.AccelY[s.Start:s.End]

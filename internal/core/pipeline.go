@@ -343,6 +343,7 @@ func (l *Localizer) localizeSlides(ctx context.Context, aspRes *ASPResult, msp *
 				diags = append(diags, SlideError{Index: i, Reason: ReasonTriangulation, Err: err})
 				o.Inc(MSlideRejectedPrefix + ReasonTriangulation)
 			} else {
+				fix.Index = i
 				fixes = append(fixes, fix)
 				o.Inc(MSlideAccepted)
 			}
@@ -372,8 +373,8 @@ func (l *Localizer) Locate2D(rec *mic.Recording, tr *imu.Trace) (*Result2D, erro
 
 // Locate2DContext is Locate2D with cancellation: when ctx is canceled or
 // its deadline passes, the pipeline aborts at the next stage boundary
-// (and inside the heavy ASP/PDE fan-outs) and returns an error wrapping
-// ctx's cause.
+// (and between ASP's matched-filter blocks and between movements) and
+// returns an error wrapping ctx's cause.
 func (l *Localizer) Locate2DContext(ctx context.Context, rec *mic.Recording, tr *imu.Trace) (*Result2D, error) {
 	return l.Locate2DStreamed(ctx, rec, tr, [2]dsp.EnvelopePrefix{})
 }
@@ -499,29 +500,11 @@ func (l *Localizer) Locate3DStreamed(ctx context.Context, rec *mic.Recording, tr
 		sp.AttrStr("error", err.Error())
 		return nil, err
 	}
-	var parts [2][]SlideFix
+	// Fixes come in movement order: those of slides before the stature
+	// movement give L1, the rest L2.
+	n := sort.Search(len(fixes), func(k int) bool { return fixes[k].Index > statureIdx })
+	parts := [2][]SlideFix{fixes[:n], fixes[n:]}
 	var l1s, l2s, ys1 []float64
-	// Fixes are produced in time order; split them by counting how many
-	// accepted slides precede the stature movement.
-	nBefore := 0
-	count := 0
-	for i, est := range ests {
-		if est.Kind != KindSlide {
-			continue
-		}
-		if _, _, err := anchorBeacons(aspRes.Beacons, est.StartTime, est.EndTime, l.cfg.TTL.MaxAnchorGap, aspRes.PeriodEff); err != nil {
-			continue
-		}
-		count++
-		if i < statureIdx {
-			nBefore = count
-		}
-	}
-	if nBefore > len(fixes) {
-		nBefore = len(fixes)
-	}
-	parts[0] = fixes[:nBefore]
-	parts[1] = fixes[nBefore:]
 	if len(parts[0]) == 0 || len(parts[1]) == 0 {
 		return nil, fmt.Errorf("core: 3D session needs usable slides on both statures (%d/%d): %w",
 			len(parts[0]), len(parts[1]), ErrNoUsableSlides)

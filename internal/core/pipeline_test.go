@@ -312,11 +312,11 @@ func TestLocate2DShortSlidesRejectedByGate(t *testing.T) {
 	}
 }
 
-// TestLocate3DTwoStature runs the full 3D protocol: 4 slides at one
-// stature, a 0.5 m stature change, 4 slides at the second stature.
-func TestLocate3DTwoStature(t *testing.T) {
+// twoStatureScenario is the 3D protocol: 4 slides at one stature, a
+// 0.5 m stature change, 4 slides at the second stature.
+func twoStatureScenario() sim.Scenario {
 	phone := mic.GalaxyS4()
-	sc := sim.Scenario{
+	return sim.Scenario{
 		Env:            room.MeetingRoom(),
 		Phone:          phone,
 		Source:         chirp.Default(),
@@ -336,6 +336,12 @@ func TestLocate3DTwoStature(t *testing.T) {
 		SNRdB: 18,
 		Seed:  104,
 	}
+}
+
+// TestLocate3DTwoStature runs the full 3D protocol.
+func TestLocate3DTwoStature(t *testing.T) {
+	sc := twoStatureScenario()
+	phone := sc.Phone
 	s, err := sim.Run(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -359,6 +365,105 @@ func TestLocate3DTwoStature(t *testing.T) {
 	if len(res.Fixes[0]) == 0 || len(res.Fixes[1]) == 0 {
 		t.Errorf("fixes per stature = %d/%d", len(res.Fixes[0]), len(res.Fixes[1]))
 	}
+}
+
+// TestLocate3DSplitsFixesByMovement: a slide before the stature change
+// whose triangulation fails must not move the first post-stature fix
+// into Fixes[0]. Shifting both channels' detections in the rest window
+// between the last pre-stature slide and the stature change by 5 ms
+// makes that slide's hyperbolas invalid; Fixes[0] must then be the
+// unperturbed stature-1 fixes without it, and Fixes[1] the unperturbed
+// run's, bit for bit.
+func TestLocate3DSplitsFixesByMovement(t *testing.T) {
+	sc := twoStatureScenario()
+	s, err := sim.Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := s.Recording
+	loc, err := NewLocalizer(DefaultConfig(sc.Source, sc.Phone.SampleRate, sc.Phone.MicSeparation))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	d1, err := loc.asp.det.DetectIntoCtx(ctx, nil, rec.Mic1, dsp.EnvelopePrefix{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d2, err := loc.asp.det.DetectIntoCtx(ctx, nil, rec.Mic2, dsp.EnvelopePrefix{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loc.asp.det = replayDetector{&rec.Mic1[0]: d1, &rec.Mic2[0]: d2}
+	want, err := loc.Locate3D(rec, s.IMU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stature, last := -1, -1
+	for i, m := range want.Movements {
+		if m.Kind == KindStature {
+			stature = i
+			break
+		}
+		if m.Kind == KindSlide {
+			last = i
+		}
+	}
+	if stature < 0 || last < 0 {
+		t.Fatalf("no slide before a stature change in %d movements", len(want.Movements))
+	}
+	for _, d := range want.Diagnostics {
+		if d.Index == last {
+			t.Fatalf("unperturbed movement %d already failed: %v", last, d)
+		}
+	}
+
+	// Shift whole beacons, both channels alike, so pairing is unchanged.
+	moved := map[uint64]bool{}
+	lo, hi := want.Movements[last].EndTime, want.Movements[stature].StartTime
+	for _, b := range want.ASP.Beacons {
+		if b.T1 >= lo && b.T1 <= hi {
+			moved[math.Float64bits(b.T1)] = true
+			moved[math.Float64bits(b.T2)] = true
+		}
+	}
+	shift := func(d []chirp.Detection) []chirp.Detection {
+		out := append([]chirp.Detection(nil), d...)
+		for i := range out {
+			if moved[math.Float64bits(out[i].Time)] {
+				out[i].Time += 0.005
+			}
+		}
+		return out
+	}
+	loc.asp.det = replayDetector{&rec.Mic1[0]: shift(d1), &rec.Mic2[0]: shift(d2)}
+	got, err := loc.Locate3D(rec, s.IMU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := false
+	for _, d := range got.Diagnostics {
+		failed = failed || (d.Index == last && d.Reason == ReasonTriangulation)
+	}
+	if !failed {
+		t.Fatalf("shifting %d beacons after movement %d did not fail its triangulation: %v", len(moved)/2, last, got.Diagnostics)
+	}
+	sameFixes := func(name string, got, want []SlideFix) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s holds %d fixes, want %d", name, len(got), len(want))
+		}
+		for i, g := range got {
+			w := want[i]
+			for _, v := range [][2]float64{{g.Pos.X, w.Pos.X}, {g.Pos.Y, w.Pos.Y}, {g.L, w.L}, {g.DPrime, w.DPrime}, {g.Aug1, w.Aug1}, {g.Aug2, w.Aug2}, {g.CenterY, w.CenterY}} {
+				if math.Float64bits(v[0]) != math.Float64bits(v[1]) || g.N != w.N {
+					t.Fatalf("%s[%d] = %+v, want %+v", name, i, g, w)
+				}
+			}
+		}
+	}
+	sameFixes("Fixes[0]", got.Fixes[0], want.Fixes[0][:len(want.Fixes[0])-1])
+	sameFixes("Fixes[1]", got.Fixes[1], want.Fixes[1])
 }
 
 func TestLocate3DWithoutStatureChangeFails(t *testing.T) {

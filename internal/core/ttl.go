@@ -72,6 +72,9 @@ type SlideFix struct {
 	// CenterY is the body-frame y coordinate of the midpoint of Mic1's
 	// two positions, for diagnostics.
 	CenterY float64
+	// Index is the movement (its index in the result's Movements) the
+	// fix came from.
+	Index int
 }
 
 // LocalizeSlide computes the augmented-TDoA fix for one slide.

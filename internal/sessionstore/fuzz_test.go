@@ -12,12 +12,13 @@ import (
 	"hyperear/internal/chirp"
 )
 
-// realLog writes a create/audio/imu/locate/evict event sequence through
-// a FileStore and returns the session.wal bytes and the frame offsets.
-func realLog(t testing.TB) (log []byte, frames []int) {
+// realLogs writes a create/audio/imu/locate/evict event sequence through
+// a FileStore and returns session a's log, session b's log as it stood
+// before its evict, and the offsets at which a's frames end.
+func realLogs(t testing.TB) (a, b []byte, frames []int) {
 	t.Helper()
 	dir := t.TempDir()
-	f, err := Open(dir, Options{Fsync: FsyncNever, SnapshotBytes: -1})
+	f, err := Open(dir, Options{Fsync: FsyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,126 +33,191 @@ func realLog(t testing.TB) (log []byte, frames []int) {
 		func() error { return f.NoteLocate("a") },
 		func() error { return f.Evict("b", "explicit") },
 	}
-	for _, step := range steps {
+	for i, step := range steps {
+		if i == len(steps)-1 {
+			if b, err = os.ReadFile(filepath.Join(dir, logName("b"))); err != nil {
+				t.Fatal(err)
+			}
+		}
 		if err := step(); err != nil {
 			t.Fatal(err)
 		}
-		st, err := os.Stat(filepath.Join(dir, walFile))
+		if n := int(f.logs["a"].size); len(frames) == 0 || frames[len(frames)-1] != n {
+			frames = append(frames, n)
+		}
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if a, err = os.ReadFile(filepath.Join(dir, logName("a"))); err != nil {
+		t.Fatal(err)
+	}
+	return a, b, frames
+}
+
+// legacyLayout frames the same event sequence as the shared-log layout
+// wrote it: session.wal with sequence numbers 1…8, and the snapshot.wal
+// its compaction cut — the watermark header, then per live session a
+// create carrying the locate count and its audio and IMU frames copied
+// verbatim.
+func legacyLayout(t testing.TB) (wal, snap []byte) {
+	t.Helper()
+	src := chirp.Default()
+	enc := func(meta int, fs float64, locates uint64) []byte {
+		p, err := json.Marshal(createPayload{Meta: testMeta(meta), Src: src, FS: fs, Locates: locates})
 		if err != nil {
 			t.Fatal(err)
 		}
-		frames = append(frames, int(st.Size()))
+		return p
 	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
+	events := []struct {
+		typ     byte
+		id      string
+		payload []byte
+	}{
+		{recCreate, "a", enc(1, 48000, 0)},
+		{recAudio, "a", []byte{1, 2, 3, 4, 5, 6, 7, 8}},
+		{recCreate, "b", enc(2, 44100, 0)},
+		{recAudio, "b", []byte{9, 9, 9, 9}},
+		{recIMU, "a", []byte("# fs=100\nt,ax\n0,0\n")},
+		{recAudio, "a", []byte{0, 1, 0, 1}},
+		{recLocate, "a", nil},
+		{recEvict, "b", []byte("explicit")},
 	}
-	log, err = os.ReadFile(filepath.Join(dir, walFile))
-	if err != nil {
-		t.Fatal(err)
+	for i, e := range events {
+		wal = appendFrame(wal, uint64(i+1), e.typ, e.id, e.payload)
 	}
-	return log, frames
+	var wm [8]byte
+	binary.LittleEndian.PutUint64(wm[:], uint64(len(events)))
+	snap = appendFrame(nil, 0, recSnapshot, "", wm[:])
+	snap = appendFrame(snap, 0, recCreate, "a", enc(1, 48000, 1))
+	for _, i := range []int{1, 5, 4} {
+		snap = appendFrame(snap, uint64(i+1), events[i].typ, "a", events[i].payload)
+	}
+	return wal, snap
 }
 
-// realSnapshot compacts the real log's state into snapshot.wal and
-// returns its bytes.
-func realSnapshot(t testing.TB, log []byte) []byte {
-	t.Helper()
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, walFile), log, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	f, err := Open(dir, Options{Fsync: FsyncNever, SnapshotBytes: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := os.ReadFile(filepath.Join(dir, snapshotFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return snap
-}
-
-// memoryOracle applies the records scanLog accepts from raw to a Memory
-// store by its public methods, as Open replays them: a WAL skips records
-// at or below sequence 0 (it has no snapshot watermark), a snapshot's
-// header record only carries the watermark, and a create that does not
-// decode is dropped. A snapshot's create carries the running locate
+// applyOracle applies one record to m by its public methods. A create
+// that does not decode is dropped; a create's locates field seeds the
 // count, set on the oracle directly.
-func memoryOracle(t *testing.T, raw []byte, snapshot bool) []Session {
-	t.Helper()
-	m := NewMemory()
-	_, _, err := scanLog(bytes.NewReader(raw), func(rec record) {
-		if (snapshot && rec.typ == recSnapshot) || (!snapshot && rec.seq == 0) {
+func applyOracle(m *Memory, rec record) {
+	payload := bytes.Clone(rec.payload)
+	switch rec.typ {
+	case recCreate:
+		var p createPayload
+		if json.Unmarshal(payload, &p) != nil {
 			return
 		}
-		payload := append([]byte(nil), rec.payload...)
-		switch rec.typ {
-		case recCreate:
-			var p createPayload
-			if json.Unmarshal(payload, &p) != nil {
-				return
-			}
-			m.Create(rec.id, p.Meta, p.Src, p.FS)
-			m.state[rec.id].Locates = p.Locates
-		case recAudio:
-			m.AppendAudio(rec.id, payload)
-		case recIMU:
-			m.SetIMU(rec.id, payload)
-		case recLocate:
-			m.NoteLocate(rec.id)
-		case recEvict:
-			m.Evict(rec.id, string(payload))
+		m.Create(rec.id, p.Meta, p.Src, p.FS)
+		m.state[rec.id].Locates = p.Locates
+	case recAudio:
+		m.AppendAudio(rec.id, payload)
+	case recIMU:
+		m.SetIMU(rec.id, payload)
+	case recLocate:
+		m.NoteLocate(rec.id)
+	case recEvict:
+		m.Evict(rec.id, string(payload))
+	}
+}
+
+// logOracle applies to m the records of raw, read as session id's log:
+// nothing unless the first frame is a create of id that decodes, then
+// id's records other than evicts.
+func logOracle(t *testing.T, m *Memory, raw []byte, id string) {
+	t.Helper()
+	first, live := true, false
+	_, _, err := scanLog(bytes.NewReader(raw), func(rec record) {
+		if first {
+			first = false
+			live = rec.typ == recCreate && rec.id == id && json.Unmarshal(rec.payload, new(createPayload)) == nil
+		}
+		if live && rec.id == id && rec.typ != recEvict {
+			applyOracle(m, rec)
 		}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return recovered(t, m)
 }
 
-// FuzzWALReplay feeds arbitrary bytes to recovery as session.wal, or as
-// snapshot.wal when snapshot is set. Open and Recover must not panic;
-// unless Open errors, the recovered sessions equal the Memory oracle over
-// the frames scanLog accepts, a second Open over the directory the first
-// one truncated recovers them again, and so does a third after that
-// store compacts — copying every recovered frame out of the fuzzed file
-// into a new snapshot. Seeds: a real event log, its torn tail, a bad
-// CRC, an oversized length header, a duplicated suffix, and the real
-// log's snapshot.
-func FuzzWALReplay(f *testing.F) {
-	log, frames := realLog(f)
-	f.Add(log, false)
-	f.Add(log[:len(log)-3], false)
-	badCRC := bytes.Clone(log)
-	badCRC[frames[2]+5] ^= 0xff
-	f.Add(badCRC, false)
-	oversized := bytes.Clone(log)
-	binary.LittleEndian.PutUint32(oversized[frames[3]:], maxRecordBytes)
-	f.Add(oversized, false)
-	f.Add(append(bytes.Clone(log), log[frames[1]:]...), false)
-	snap := realSnapshot(f, log)
-	f.Add(snap, true)
-	f.Add(snap[:len(snap)-1], true)
+// legacyOracle applies to m the shared-log layout's replay: every record
+// of snap but its watermark header, then the records of wal above the
+// watermark.
+func legacyOracle(t *testing.T, m *Memory, wal, snap []byte) {
+	t.Helper()
+	var watermark uint64
+	_, _, err := scanLog(bytes.NewReader(snap), func(rec record) {
+		if rec.typ != recSnapshot {
+			applyOracle(m, rec)
+		} else if len(rec.payload) == 8 {
+			watermark = binary.LittleEndian.Uint64(rec.payload)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = scanLog(bytes.NewReader(wal), func(rec record) {
+		if rec.seq > watermark {
+			applyOracle(m, rec)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
 
-	f.Fuzz(func(t *testing.T, raw []byte, snapshot bool) {
+// FuzzWALReplay feeds arbitrary bytes to recovery: as the logs of
+// sessions a (raw) and b (snap), or, when legacy is set, as the
+// shared-log layout's session.wal (raw) and snapshot.wal (snap) for
+// Open to import. Open and Recover must not panic and Open must not
+// fail; the recovered sessions equal the Memory oracle over the frames
+// the rule accepts, the directory holds one log per recovered session
+// and no legacy file, and a second Open over it recovers them again.
+// Seeds: real logs, a's log torn, with a bad CRC, with an oversized
+// length header, with frames the log rule skips (another session's
+// audio, an evict) before one it applies, and with a second create that
+// resets the session; the legacy layout's WAL alone, beside its snapshot
+// (every WAL record a duplicate the watermark skips), and both torn.
+func FuzzWALReplay(f *testing.F) {
+	a, b, frames := realLogs(f)
+	f.Add(a, b, false)
+	f.Add(a[:len(a)-3], b, false)
+	badCRC := bytes.Clone(a)
+	badCRC[frames[1]+5] ^= 0xff
+	f.Add(badCRC, b, false)
+	oversized := bytes.Clone(a)
+	binary.LittleEndian.PutUint32(oversized[frames[2]:], maxRecordBytes)
+	f.Add(oversized, []byte(nil), false)
+	skipped := appendFrame(bytes.Clone(a), 0, recAudio, "b", []byte{4, 4, 4, 4})
+	skipped = appendFrame(skipped, 0, recEvict, "a", []byte("explicit"))
+	f.Add(appendFrame(skipped, 0, recLocate, "a", nil), b, false)
+	f.Add(append(bytes.Clone(a), a[:frames[1]]...), b, false)
+	wal, snap := legacyLayout(f)
+	f.Add(wal, []byte(nil), true)
+	f.Add(wal, snap, true)
+	f.Add(wal[:len(wal)-1], snap[:len(snap)-1], true)
+
+	f.Fuzz(func(t *testing.T, raw, snap []byte, legacy bool) {
 		dir := t.TempDir()
-		name := walFile
-		if snapshot {
-			name = snapshotFile
+		m := NewMemory()
+		files := map[string][]byte{logName("a"): raw, logName("b"): snap}
+		if legacy {
+			files = map[string][]byte{legacyWAL: raw, legacySnapshot: snap}
+			legacyOracle(t, m, raw, snap)
+		} else {
+			logOracle(t, m, raw, "a")
+			logOracle(t, m, snap, "b")
 		}
-		if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
-			t.Fatal(err)
+		for name, data := range files {
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
-		opts := Options{Fsync: FsyncNever, SnapshotBytes: -1}
+		opts := Options{Fsync: FsyncNever}
 		st, err := Open(dir, opts)
 		if err != nil {
-			return
+			t.Fatalf("open: %v", err)
 		}
 		got, err := st.Recover()
 		if err != nil {
@@ -160,9 +226,10 @@ func FuzzWALReplay(f *testing.F) {
 		if err := st.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if want := memoryOracle(t, raw, snapshot); !reflect.DeepEqual(got, want) {
+		if want := recovered(t, m); !reflect.DeepEqual(got, want) {
 			t.Fatalf("recovered %+v, oracle %+v", got, want)
 		}
+		requireLogs(t, dir, got)
 		st, err = Open(dir, opts)
 		if err != nil {
 			t.Fatalf("reopening the recovered directory: %v", err)
@@ -171,26 +238,9 @@ func FuzzWALReplay(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		st.Close()
 		if !reflect.DeepEqual(again, got) {
 			t.Fatalf("second recovery %+v, first %+v", again, got)
-		}
-		if err := st.Compact(); err != nil {
-			t.Fatalf("compacting the recovered store: %v", err)
-		}
-		if err := st.Close(); err != nil {
-			t.Fatal(err)
-		}
-		st, err = Open(dir, opts)
-		if err != nil {
-			t.Fatalf("reopening the compacted directory: %v", err)
-		}
-		compacted, err := st.Recover()
-		if err != nil {
-			t.Fatal(err)
-		}
-		st.Close()
-		if !reflect.DeepEqual(compacted, got) {
-			t.Fatalf("recovery after compaction %+v, first %+v", compacted, got)
 		}
 	})
 }

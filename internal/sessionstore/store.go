@@ -12,12 +12,13 @@
 //     every payload byte. No durability — it is the property-test
 //     oracle (FileStore recovery must agree with it for any event
 //     sequence) and a stand-in for tests.
-//   - FileStore: an append-only write-ahead log of CRC-framed records
-//     with periodic compacting snapshots and a configurable fsync
-//     policy. It keeps no payload in memory: its state records where
-//     each session's audio and IMU frames lie in its two files, and
-//     compaction and Recover read them from there. See wal.go for the
-//     framing and DESIGN.md §11 "Durability" for the recovery sequence.
+//   - FileStore: one append-only log of CRC-framed records per live
+//     session, with a configurable fsync policy. Evicting a session
+//     deletes its log, so nothing is ever compacted. It keeps no payload
+//     in memory: Recover reads each log back. At Open it imports a
+//     directory the earlier shared-log layout wrote (session.wal plus
+//     snapshot.wal). See wal.go for the framing and DESIGN.md §11
+//     "Durability" for the recovery sequence.
 //
 // The server's default remains no store at all (nil interface): sessions
 // live only in the process-memory table, today's behavior.
@@ -102,29 +103,25 @@ func (s *Session) clone() Session {
 // They live in the server.store.* family so /metrics renders them next
 // to the server.* counters they extend.
 const (
-	// MAppends counts WAL record appends; MAppendBytes their payload volume.
+	// MAppends counts log record appends; MAppendBytes their framed volume.
 	MAppends     = "server.store.appends"
 	MAppendBytes = "server.store.append_bytes"
 	// MAppendDuration is the per-append latency histogram in seconds
 	// (includes the fsync under the "always" policy).
 	MAppendDuration = "server.store.append.duration"
-	// MFsyncs counts fsync calls across policies.
+	// MFsyncs counts successful log fsyncs across policies.
 	MFsyncs = "server.store.fsyncs"
-	// MSnapshots counts WAL compactions into a snapshot.
-	MSnapshots = "server.store.snapshots"
-	// MCompactionFailures counts inline compactions that failed. The
-	// append that triggered one still succeeds (its record is already
-	// logged), and the next append past the threshold retries.
-	MCompactionFailures = "server.store.compaction_failures"
-	// MReplayed counts records applied during recovery; MSkipped those
-	// ignored as duplicates (seq at or below the snapshot watermark).
+	// MFsyncFailures counts log fsyncs that failed. Under FsyncAlways the
+	// append fails with its record truncated away; under an interval the
+	// log stays dirty and the next tick retries.
+	MFsyncFailures = "server.store.fsync_failures"
+	// MReplayed counts records applied while Open reads the logs back.
 	MReplayed = "server.store.replayed"
-	MSkipped  = "server.store.skipped"
-	// MTruncations counts recoveries that found a torn or corrupt tail
-	// and cut the log back to the last valid frame.
+	// MTruncations counts logs Open found with a torn or corrupt tail
+	// and cut back to the last valid frame.
 	MTruncations = "server.store.truncations"
-	// GWALBytes is the live WAL size; GSessions the sessions held in
-	// durable state.
+	// GWALBytes is the live logs' total size; GSessions the sessions held
+	// in durable state.
 	GWALBytes = "server.store.wal_bytes"
 	GSessions = "server.store.sessions"
 )
@@ -136,17 +133,17 @@ var errUnknownSession = fmt.Errorf("sessionstore: unknown session")
 // Memory is the in-process SessionStore: the session events applied to
 // a map that holds every payload byte, with no durability. A create
 // resets any prior state under the id, appends accumulate, evict
-// deletes; FileStore's frame-location state mirrors these semantics
-// (fileState.apply). Memory is the oracle the WAL property tests compare
-// FileStore recovery against, and a cheap drop-in for tests that need a
-// non-nil store.
+// deletes; FileStore's log replay mirrors these semantics (replayLog).
+// Memory is the oracle the store's property tests compare FileStore
+// recovery against, and a cheap drop-in for tests that need a non-nil
+// store.
 type Memory struct {
 	mu    sync.Mutex
 	state map[string]*Session
 }
 
 // NewMemory returns an empty in-memory store. No production path calls
-// it: it is the oracle of this package's WAL tests and the non-nil store
+// it: it is the oracle of this package's store tests and the non-nil store
 // of internal/server's recovery tests.
 func NewMemory() *Memory {
 	return &Memory{state: make(map[string]*Session)}

@@ -3,7 +3,10 @@ package sessionstore
 import (
 	"bufio"
 	"bytes"
+	"cmp"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,6 +16,7 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -21,8 +25,7 @@ import (
 	"hyperear/internal/sessionio"
 )
 
-// WAL framing. Every record — in the log and in snapshots, which reuse
-// the same framing — is one CRC-guarded frame:
+// Log framing. Every record of a session log is one CRC-guarded frame:
 //
 //	offset  size  field
 //	0       4     body length N (uint32 LE)
@@ -37,24 +40,19 @@ import (
 //	10      L     session id
 //	10+L    …     payload (type-specific)
 //
-// The sequence number makes replay idempotent: a snapshot carries the
-// watermark of the last event it folded in, and recovery skips WAL
-// records at or below it — so the crash window between "snapshot
-// renamed" and "WAL truncated" (or an outright duplicated log suffix)
-// replays to the same state. Snapshot replay ignores sequence numbers:
-// a snapshot's create records carry 0, and its audio and IMU frames are
-// the log's own frames copied verbatim, sequence numbers included.
-// Recovery stops at the first frame whose length is implausible or whose
-// CRC disagrees — a torn tail after SIGKILL — and truncates the log back
-// to the last valid frame.
+// A session log writes sequence number 0 and never reads it; only the
+// legacy importer (importLegacy) reads the sequence numbers of the
+// shared-log layout. Recovery stops at the first frame whose length is
+// implausible or whose CRC disagrees — a torn tail after SIGKILL — and
+// truncates the log back to the last valid frame.
 const (
 	recCreate byte = 1 // payload: createPayload JSON
 	recAudio  byte = 2 // payload: raw interleaved stereo int16 LE PCM
 	recIMU    byte = 3 // payload: raw sessionio IMU CSV
 	recLocate byte = 4 // payload: empty
-	recEvict  byte = 5 // payload: reason string
-	// recSnapshot is the first record of a snapshot file: id empty,
-	// payload the uint64 LE sequence watermark the snapshot covers.
+	// recEvict (payload: reason) and recSnapshot (id empty, payload the
+	// uint64 LE sequence watermark) exist only in the legacy layout.
+	recEvict    byte = 5
 	recSnapshot byte = 6
 )
 
@@ -72,16 +70,38 @@ const (
 	scanChunkBytes = 1 << 20
 )
 
-// Filenames inside the data directory.
+// Filenames inside the data directory: one log per live session, plus
+// the shared-log layout's files that importLegacy converts.
 const (
-	walFile      = "session.wal"
-	snapshotFile = "snapshot.wal"
-	snapshotTmp  = "snapshot.wal.tmp"
+	logSuffix      = ".log"
+	legacyWAL      = "session.wal"
+	legacySnapshot = "snapshot.wal"
+	legacyTmp      = "snapshot.wal.tmp"
 )
+
+// logName is the file of session id's log: the hex SHA-256 of the id,
+// which fits any id the store accepts (1–255 arbitrary bytes).
+func logName(id string) string {
+	sum := sha256.Sum256([]byte(id))
+	return hex.EncodeToString(sum[:]) + logSuffix
+}
+
+// isLogName reports whether a directory entry is named like a log;
+// everything else in the data directory (a mounted volume's lost+found,
+// say) is left alone.
+func isLogName(name string) bool {
+	h, ok := strings.CutSuffix(name, logSuffix)
+	_, err := hex.DecodeString(h)
+	return ok && len(h) == 2*sha256.Size && err == nil
+}
 
 var errClosed = errors.New("sessionstore: store closed")
 
-// FsyncPolicy selects when WAL appends reach durable media.
+// fsyncFile syncs one session log to durable media; tests swap it to
+// inject fsync failures.
+var fsyncFile = (*os.File).Sync
+
+// FsyncPolicy selects when log appends reach durable media.
 type FsyncPolicy int
 
 const (
@@ -133,116 +153,50 @@ type Options struct {
 	// FsyncInterval is the background flush period under FsyncInterval
 	// (default 100ms).
 	FsyncInterval time.Duration
-	// SnapshotBytes compacts the WAL into a snapshot once it exceeds
-	// this size (default 8 MiB; negative disables compaction).
-	SnapshotBytes int64
 	// Obs receives the server.store.* counters, gauges and the append
 	// latency histogram; nil disables accounting.
 	Obs *obs.Obs
 }
 
-func (o Options) normalize() Options {
-	if o.FsyncInterval <= 0 {
-		o.FsyncInterval = 100 * time.Millisecond
-	}
-	if o.SnapshotBytes == 0 {
-		o.SnapshotBytes = 8 << 20
-	}
-	return o
-}
-
-// FileStore is the durable SessionStore: an append-only WAL under a
-// data directory, compacted into a snapshot when it grows past
-// Options.SnapshotBytes. It holds no payload bytes between calls: its
-// state records where each session's frames lie in snapshot.wal and
-// session.wal, and the files themselves hold the bytes. Safe for
+// FileStore is the durable SessionStore: one append-only log per live
+// session under a data directory. Create makes the log, AppendAudio,
+// SetIMU and NoteLocate append to it, Evict deletes it, and Recover
+// reads each log back; no payload is held between calls. Safe for
 // concurrent use.
 type FileStore struct {
 	dir  string
 	opts Options
 	o    *obs.Obs
 
-	// mu serializes the log, the state map, and the counters below.
-	mu sync.Mutex
-	// wal is the open log file, positioned at walBytes; frames in it are
-	// read back with ReadAt.
-	//
-	// guarded by mu
-	wal *os.File
-	// snap is snapshot.wal open for reading, nil until a snapshot exists.
-	// After a compaction it is the renamed tmp file's own descriptor.
-	//
-	// guarded by mu
-	snap *os.File
-	// walBytes is the valid log length (everything before it framed and
-	// CRC-clean).
-	//
-	// guarded by mu
-	walBytes int64
-	// nextSeq numbers the next append.
-	//
-	// guarded by mu
-	nextSeq uint64
-	// state is every live session's create parameters, locate count and
-	// frame locations: what the next snapshot is cut from and what
-	// Recover reads back.
-	//
-	// guarded by mu
-	state fileState
-	// dirty marks unsynced appends under FsyncInterval/FsyncNever.
-	//
-	// guarded by mu
+	// mu serializes the fields below and every sessionLog's size and
+	// dirty.
+	mu       sync.Mutex
+	logs     map[string]*sessionLog // guarded by mu; the live sessions' logs by id
+	bytes    int64                  // guarded by mu; the live logs' total length
+	dirDirty bool                   // guarded by mu; a log was created or removed since the last directory fsync
+	closed   bool                   // guarded by mu
+	enc      []byte                 // guarded by mu; the append path's reusable encode buffer
+	stopSync func()                 // guarded by mu; stops the interval tick and waits for it, nil without one
+	// syncMu serializes syncDirty runs, so a Flush waits for the fsyncs
+	// an interval tick has in flight.
+	syncMu sync.Mutex
+}
+
+// sessionLog is one live session's open log. f never changes, so the
+// interval tick fsyncs it without the store lock; size and dirty change
+// only under FileStore.mu.
+type sessionLog struct {
+	id string
+	f  *os.File
+	// size is the acknowledged length: every byte before it is framed
+	// and CRC-clean, and the next append lands at it.
+	size int64
+	// dirty marks appends not yet fsynced (FsyncInterval, FsyncNever).
 	dirty bool
-	// closed fails every later call fast.
-	//
-	// guarded by mu
-	closed bool
-	// enc is the append path's reusable encode buffer.
-	//
-	// guarded by mu
-	enc []byte
-	// snapW is compaction's one write buffer, reset onto each new
-	// snapshot file; copied frames are read straight into it.
-	//
-	// guarded by mu
-	snapW *bufio.Writer
-
-	syncStop chan struct{}
-	syncDone chan struct{}
 }
 
-// frameFile names the file a frame lies in.
-type frameFile uint8
-
-const (
-	inWAL frameFile = iota
-	inSnapshot
-)
-
-// frameLoc is where one whole frame — header, CRC and body — lies.
-type frameLoc struct {
-	off  int64
-	size uint32 // frameHeaderBytes + body length; 0 marks no frame
-	file frameFile
-}
-
-// fileSession is one live session as FileStore holds it: the create
-// parameters and locate count, and the locations of its audio frames in
-// append order and of its latest IMU frame. The payloads stay on disk.
-type fileSession struct {
-	meta    sessionio.Meta
-	src     chirp.Params
-	fs      float64
-	locates uint64
-	audio   []frameLoc
-	imu     frameLoc
-}
-
-// fileState maps session id to its live state.
-type fileState map[string]*fileSession
-
-// createPayload is the JSON body of a create record. Snapshots reuse it
-// with the session's running Locates count folded in.
+// createPayload is the JSON body of a create record. Its Locates field
+// seeds the session's locate count (the legacy snapshots wrote it).
 type createPayload struct {
 	Meta    sessionio.Meta `json:"meta"`
 	Src     chirp.Params   `json:"src"`
@@ -250,15 +204,12 @@ type createPayload struct {
 	Locates uint64         `json:"locates,omitempty"`
 }
 
-// record is one decoded WAL frame and where it lies in the file it was
-// read from or written to.
+// record is one decoded frame.
 type record struct {
 	seq     uint64
 	typ     byte
 	id      string
 	payload []byte
-	off     int64
-	size    uint32
 }
 
 // appendFrame appends the framed record to dst and returns it.
@@ -329,192 +280,193 @@ func scanLog(r io.Reader, fn func(rec record)) (valid int64, torn bool, err erro
 			typ:     body[8],
 			id:      string(body[bodyHeaderBytes : bodyHeaderBytes+idLen]),
 			payload: body[bodyHeaderBytes+idLen:],
-			off:     valid,
-			size:    uint32(frameHeaderBytes + n),
 		})
 		valid += int64(frameHeaderBytes) + int64(n)
 	}
 }
 
-// apply folds one record, whose frame lies in file in, into the state:
-// Memory's event semantics over frame locations. Live appends and replay
-// both run it, so live and recovered state cannot drift. Records for
-// unknown sessions (their create compacted away by a later evict, or a
-// duplicated suffix) are skipped, not errors: replay is convergent.
-func (st fileState) apply(rec record, in frameFile) error {
-	loc := frameLoc{off: rec.off, size: rec.size, file: in}
-	switch rec.typ {
-	case recCreate:
-		var p createPayload
-		if err := json.Unmarshal(rec.payload, &p); err != nil {
-			return fmt.Errorf("sessionstore: create payload: %w", err)
+// replayLog reads the session log named name back. Its first frame must
+// be a create whose id names the file and whose payload decodes, or the
+// log holds no session (nil). Later frames of that id apply Memory's
+// event semantics: a create that decodes resets the session (its locates
+// field seeds the count), audio appends, IMU replaces, a locate counts.
+// Frames of another id, evicts and unknown types are skipped: a log ends
+// by being deleted, not by a record. Applied records count under
+// MReplayed on o.
+func replayLog(r io.Reader, name string, o *obs.Obs) (s *Session, valid int64, torn bool, err error) {
+	first := true
+	valid, torn, err = scanLog(r, func(rec record) {
+		if first {
+			first = false
+			if rec.typ != recCreate || logName(rec.id) != name {
+				return
+			}
+		} else if s == nil || rec.id != s.ID {
+			return
 		}
-		st[rec.id] = &fileSession{meta: p.Meta, src: p.Src, fs: p.FS, locates: p.Locates}
-	case recAudio:
-		if s := st[rec.id]; s != nil {
-			s.audio = append(s.audio, loc)
+		switch rec.typ {
+		case recCreate:
+			var p createPayload
+			if json.Unmarshal(rec.payload, &p) != nil {
+				return
+			}
+			s = &Session{ID: rec.id, Meta: p.Meta, Src: p.Src, FS: p.FS, Locates: p.Locates}
+		case recAudio:
+			s.Audio = append(s.Audio, rec.payload...)
+		case recIMU:
+			s.IMU = nil
+			if len(rec.payload) > 0 {
+				s.IMU = bytes.Clone(rec.payload)
+			}
+		case recLocate:
+			s.Locates++
+		default:
+			return
 		}
-	case recIMU:
-		if s := st[rec.id]; s != nil {
-			s.imu = loc
-		}
-	case recLocate:
-		if s := st[rec.id]; s != nil {
-			s.locates++
-		}
-	case recEvict:
-		delete(st, rec.id)
-	}
-	// Unknown types are skipped for forward compatibility.
-	return nil
+		o.Inc(MReplayed)
+	})
+	return s, valid, torn, err
 }
 
-// Open loads (or initializes) the store under dir: replays the latest
-// snapshot, then the WAL over it — truncating a torn tail back to the
-// last valid frame — and leaves the log open for appends. See DESIGN.md
-// §11 "Durability" for the full recovery sequence.
-//
-// The state map, files and log position are assembled in locals and
-// handed to the FileStore fully formed: no other goroutine can see the
-// store until Open returns.
-func Open(dir string, opts Options) (_ *FileStore, err error) {
-	opts = opts.normalize()
-	o := opts.Obs
+// Open loads (or initializes) the store under dir: it imports a
+// directory the shared-log layout wrote (importLegacy), then reads every
+// log back — truncating a torn tail to the last valid frame and removing
+// a log that holds no session — and keeps each live log open for
+// appends. See DESIGN.md §11 "Durability" for the recovery sequence.
+func Open(dir string, opts Options) (*FileStore, error) {
+	if opts.FsyncInterval <= 0 {
+		opts.FsyncInterval = 100 * time.Millisecond
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("sessionstore: %w", err)
 	}
-	// A leftover .tmp is an interrupted compaction that never renamed:
-	// the previous snapshot + WAL are still authoritative.
-	os.Remove(filepath.Join(dir, snapshotTmp))
-
-	var snap, wal *os.File
-	defer func() {
-		if err != nil {
-			for _, fh := range []*os.File{snap, wal} {
-				if fh != nil {
-					fh.Close()
-				}
-			}
-		}
-	}()
-	state := make(fileState)
-
-	// 1. Snapshot: its header record carries the seq watermark of the
-	// last WAL event folded in. It stays open: Recover and compaction
-	// read its frames back.
-	var watermark uint64
-	snap, err = os.Open(filepath.Join(dir, snapshotFile))
-	switch {
-	case err == nil:
-		_, torn, serr := scanLog(snap, func(rec record) {
-			if rec.typ == recSnapshot {
-				if len(rec.payload) == 8 {
-					watermark = binary.LittleEndian.Uint64(rec.payload)
-				}
-				return
-			}
-			state.apply(rec, inSnapshot)
-			o.Inc(MReplayed)
-		})
-		if serr != nil {
-			return nil, fmt.Errorf("sessionstore: snapshot: %w", serr)
-		}
-		if torn {
-			// Snapshots are written to a tmp file and renamed whole, so a
-			// torn snapshot means real media corruption; keep the valid
-			// prefix and count it rather than refusing to boot.
-			o.Inc(MTruncations)
-		}
-	case errors.Is(err, os.ErrNotExist):
-		err = nil
-	default:
-		return nil, fmt.Errorf("sessionstore: %w", err)
+	if err := importLegacy(dir); err != nil {
+		return nil, err
 	}
-
-	// 2. WAL: replay events newer than the watermark, then truncate any
-	// torn tail so appends continue from a clean frame boundary.
-	wal, err = os.OpenFile(filepath.Join(dir, walFile), os.O_RDWR|os.O_CREATE, 0o644)
+	f := &FileStore{dir: dir, opts: opts, o: opts.Obs, logs: make(map[string]*sessionLog)}
+	f.mu.Lock()
+	err := f.loadLocked()
+	if err == nil && opts.Fsync == FsyncInterval {
+		stop, done := make(chan struct{}), make(chan struct{})
+		f.stopSync = func() { close(stop); <-done }
+		go func() {
+			defer close(done)
+			t := time.NewTicker(opts.FsyncInterval)
+			defer t.Stop()
+			for {
+				select {
+				case <-t.C:
+					f.syncDirty()
+				case <-stop:
+					return
+				}
+			}
+		}()
+	}
+	f.mu.Unlock()
 	if err != nil {
-		return nil, fmt.Errorf("sessionstore: %w", err)
-	}
-	maxSeq := watermark
-	valid, torn, serr := scanLog(wal, func(rec record) {
-		if rec.seq <= watermark {
-			o.Inc(MSkipped)
-			return
-		}
-		state.apply(rec, inWAL)
-		o.Inc(MReplayed)
-		if rec.seq > maxSeq {
-			maxSeq = rec.seq
-		}
-	})
-	if serr != nil {
-		return nil, fmt.Errorf("sessionstore: wal: %w", serr)
-	}
-	if torn {
-		o.Inc(MTruncations)
-	}
-	if st, err := wal.Stat(); err == nil && st.Size() != valid {
-		if err := wal.Truncate(valid); err != nil {
-			return nil, fmt.Errorf("sessionstore: truncating torn wal tail: %w", err)
-		}
-	}
-	if _, err := wal.Seek(valid, io.SeekStart); err != nil {
-		return nil, fmt.Errorf("sessionstore: %w", err)
-	}
-	o.Gauge(GWALBytes).Set(valid)
-	o.Gauge(GSessions).Set(int64(len(state)))
-
-	f := &FileStore{
-		dir:      dir,
-		opts:     opts,
-		o:        o,
-		wal:      wal,
-		snap:     snap,
-		walBytes: valid,
-		nextSeq:  maxSeq + 1,
-		state:    state,
-	}
-	if opts.Fsync == FsyncInterval {
-		f.syncStop = make(chan struct{})
-		f.syncDone = make(chan struct{})
-		go f.syncLoop()
+		f.Close()
+		return nil, err
 	}
 	return f, nil
 }
 
-func (f *FileStore) syncLoop() {
-	defer close(f.syncDone)
-	t := time.NewTicker(f.opts.FsyncInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			f.mu.Lock()
-			if f.dirty && !f.closed {
-				f.wal.Sync()
-				f.dirty = false
-				f.o.Inc(MFsyncs)
+// loadLocked opens every log in the directory; callers hold f.mu.
+func (f *FileStore) loadLocked() error {
+	entries, err := os.ReadDir(f.dir)
+	if err != nil {
+		return fmt.Errorf("sessionstore: %w", err)
+	}
+	for _, e := range entries {
+		name := e.Name()
+		if !e.Type().IsRegular() || !isLogName(name) {
+			continue
+		}
+		path := filepath.Join(f.dir, name)
+		fh, err := os.OpenFile(path, os.O_RDWR, 0)
+		if err != nil {
+			return fmt.Errorf("sessionstore: %w", err)
+		}
+		s, valid, torn, err := replayLog(fh, name, f.o)
+		switch {
+		case err != nil:
+			fh.Close()
+		case s == nil:
+			fh.Close()
+			err = os.Remove(path)
+			f.entriesChangedLocked()
+		default:
+			f.logs[s.ID] = &sessionLog{id: s.ID, f: fh, size: valid}
+			f.bytes += valid
+			if torn {
+				f.o.Inc(MTruncations)
+				err = fh.Truncate(valid)
 			}
-			f.mu.Unlock()
-		case <-f.syncStop:
-			return
+		}
+		if err != nil {
+			return fmt.Errorf("sessionstore: log %s: %w", name, err)
 		}
 	}
+	f.o.Gauge(GSessions).Set(int64(len(f.logs)))
+	f.o.Gauge(GWALBytes).Set(f.bytes)
+	return nil
 }
 
-// append frames, writes, applies and (policy permitting) syncs one
-// record. Live state is mutated only after the bytes are in the log —
-// the WAL-first ordering the recovery contract needs — and through the
-// same applyRecord path replay uses, so live and recovered state can
-// never drift.
+// syncDirty fsyncs every log written since it last ran, plus the
+// directory when logs were created or removed; the interval tick, Flush
+// and Close run it. It takes the dirty logs under the store lock and
+// fsyncs them outside it, so appends do not wait on the disk. A failed
+// fsync is counted, returned, and leaves its log dirty for the next run,
+// unless the log was evicted meanwhile.
+func (f *FileStore) syncDirty() error {
+	f.syncMu.Lock()
+	defer f.syncMu.Unlock()
+	f.mu.Lock()
+	if f.closed {
+		f.mu.Unlock()
+		return errClosed
+	}
+	var dirty []*sessionLog
+	for _, sl := range f.logs {
+		if sl.dirty {
+			sl.dirty = false
+			dirty = append(dirty, sl)
+		}
+	}
+	dir := f.dirDirty
+	f.dirDirty = false
+	f.mu.Unlock()
+
+	errs := make([]error, len(dirty))
+	for i, sl := range dirty {
+		if errs[i] = fsyncFile(sl.f); errs[i] == nil {
+			f.o.Inc(MFsyncs)
+		}
+	}
+	if dir {
+		syncDir(f.dir)
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	var first error
+	for i, sl := range dirty {
+		if errs[i] != nil && f.logs[sl.id] == sl {
+			sl.dirty = true
+			f.o.Inc(MFsyncFailures)
+			first = cmp.Or(first, fmt.Errorf("sessionstore: log fsync: %w", errs[i]))
+		}
+	}
+	return first
+}
+
+// append applies one record through applyLocked, refusing first what the
+// store must not log: an id outside [1,255] bytes, or a frame recovery
+// would take for a torn tail and truncate, losing an acknowledged record
+// at the next boot.
 func (f *FileStore) append(typ byte, id string, payload []byte) error {
 	if len(id) == 0 || len(id) > 255 {
 		return fmt.Errorf("sessionstore: session id length %d out of range [1,255]", len(id))
 	}
-	// Recovery takes a longer frame for a torn tail and truncates it, so
-	// logging one would lose an acknowledged record at the next boot.
 	if n := bodyHeaderBytes + len(id) + len(payload); n > maxRecordBytes {
 		return fmt.Errorf("sessionstore: %d-byte record exceeds the %d-byte frame limit", n, maxRecordBytes)
 	}
@@ -524,69 +476,102 @@ func (f *FileStore) append(typ byte, id string, payload []byte) error {
 	if f.closed {
 		return errClosed
 	}
-	// Validate against current state before touching the log so a bad
-	// event (unknown id) costs nothing durable. Evicting an unknown id
-	// is an idempotent no-op, matching Memory.
-	switch typ {
-	case recCreate:
-	case recEvict:
-		if _, ok := f.state[id]; !ok {
-			return nil
-		}
-	default:
-		if _, ok := f.state[id]; !ok {
-			return errUnknownSession
-		}
-	}
-	seq, off := f.nextSeq, f.walBytes
-	f.enc = appendFrame(f.enc[:0], seq, typ, id, payload)
-	n, err := f.wal.Write(f.enc)
-	if err != nil {
-		// A short write leaves a torn frame; cut back to the last clean
-		// boundary so the log stays scannable and the next append does
-		// not land mid-frame.
-		if n > 0 {
-			f.wal.Truncate(f.walBytes)
-			f.wal.Seek(f.walBytes, io.SeekStart)
-		}
-		return fmt.Errorf("sessionstore: wal append: %w", err)
-	}
-	f.nextSeq++
-	f.walBytes += int64(len(f.enc))
-	if f.opts.Fsync == FsyncAlways {
-		if err := f.wal.Sync(); err != nil {
-			return fmt.Errorf("sessionstore: wal fsync: %w", err)
-		}
-		f.o.Inc(MFsyncs)
-	} else {
-		f.dirty = true
-	}
-	rec := record{seq: seq, typ: typ, id: id, payload: payload, off: off, size: uint32(len(f.enc))}
-	if err := f.state.apply(rec, inWAL); err != nil {
+	if err := f.applyLocked(record{typ: typ, id: id, payload: payload}); err != nil {
 		return err
 	}
+	f.o.Observe(MAppendDuration, time.Since(start).Seconds())
+	return nil
+}
+
+// applyLocked applies one record to the logs: a create makes its
+// session's log, replacing a live one's; an evict closes and deletes the
+// log (evicting an unknown id is a no-op, as in Memory); any other record
+// is appended verbatim to its live session's log. Callers hold f.mu.
+func (f *FileStore) applyLocked(rec record) error {
+	sl := f.logs[rec.id]
+	if sl != nil && (rec.typ == recCreate || rec.typ == recEvict) {
+		delete(f.logs, rec.id)
+		f.bytes -= sl.size
+		sl.f.Close()
+		err := os.Remove(filepath.Join(f.dir, logName(rec.id)))
+		f.entriesChangedLocked()
+		if err != nil {
+			return fmt.Errorf("sessionstore: %w", err)
+		}
+		sl = nil
+	}
+	switch {
+	case rec.typ == recEvict:
+		return nil
+	case rec.typ == recCreate:
+		path := filepath.Join(f.dir, logName(rec.id))
+		fh, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+		if err != nil {
+			return fmt.Errorf("sessionstore: %w", err)
+		}
+		sl = &sessionLog{id: rec.id, f: fh}
+		if err := f.writeLocked(sl, rec); err != nil {
+			fh.Close()
+			os.Remove(path)
+			return err
+		}
+		f.logs[rec.id] = sl
+		f.entriesChangedLocked()
+		return nil
+	case sl == nil:
+		return errUnknownSession
+	}
+	return f.writeLocked(sl, rec)
+}
+
+// writeLocked appends rec's frame to sl and, under FsyncAlways, fsyncs
+// it. A failed write or fsync truncates the log back to its acknowledged
+// length before the error returns, so a failed append leaves no record
+// for the next boot to replay and a client's retry logs it once.
+// Callers hold f.mu.
+func (f *FileStore) writeLocked(sl *sessionLog, rec record) error {
+	f.enc = appendFrame(f.enc[:0], rec.seq, rec.typ, rec.id, rec.payload)
+	_, err := sl.f.WriteAt(f.enc, sl.size)
+	if err == nil && f.opts.Fsync == FsyncAlways {
+		if err = fsyncFile(sl.f); err != nil {
+			f.o.Inc(MFsyncFailures)
+		} else {
+			f.o.Inc(MFsyncs)
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("sessionstore: log append: %w", errors.Join(err, sl.f.Truncate(sl.size)))
+	}
+	sl.size += int64(len(f.enc))
+	sl.dirty = f.opts.Fsync != FsyncAlways
+	f.bytes += int64(len(f.enc))
 	f.o.Inc(MAppends)
 	f.o.Add(MAppendBytes, uint64(len(f.enc)))
+	f.o.Gauge(GWALBytes).Set(f.bytes)
 	if cap(f.enc) > 1<<25 {
 		// One oversized chunk must not pin tens of megabytes of encode
 		// scratch for the store's lifetime.
 		f.enc = nil
 	}
-	f.o.Observe(MAppendDuration, time.Since(start).Seconds())
-	f.o.Gauge(GWALBytes).Set(f.walBytes)
-	f.o.Gauge(GSessions).Set(int64(len(f.state)))
-	if f.opts.SnapshotBytes > 0 && f.walBytes > f.opts.SnapshotBytes {
-		// The record is logged and applied: a failed compaction must not
-		// fail the append, or a client retry would log it twice. The log
-		// stays past the threshold, so the next append retries.
-		if err := f.compactLocked(); err != nil {
-			f.o.Inc(MCompactionFailures)
-		}
-	}
 	return nil
 }
 
-// Create implements SessionStore.
+// entriesChangedLocked makes a created or removed log durable by
+// policy: the directory is fsynced now under FsyncAlways, else by the
+// next tick or Flush. Callers hold f.mu.
+func (f *FileStore) entriesChangedLocked() {
+	if f.opts.Fsync == FsyncAlways {
+		syncDir(f.dir)
+	} else {
+		f.dirDirty = true
+	}
+	f.o.Gauge(GSessions).Set(int64(len(f.logs)))
+	f.o.Gauge(GWALBytes).Set(f.bytes)
+}
+
+// Create implements SessionStore. A live session under the id is reset,
+// as Memory resets it; if the new log cannot be written, no session
+// remains under the id.
 func (f *FileStore) Create(id string, meta sessionio.Meta, src chirp.Params, fs float64) error {
 	payload, err := json.Marshal(createPayload{Meta: meta, Src: src, FS: fs})
 	if err != nil {
@@ -611,282 +596,142 @@ func (f *FileStore) NoteLocate(id string) error {
 	return f.append(recLocate, id, nil)
 }
 
-// Evict implements SessionStore.
+// Evict implements SessionStore: it deletes the session's log; the
+// reason is not logged.
 func (f *FileStore) Evict(id, reason string) error {
 	return f.append(recEvict, id, []byte(reason))
 }
 
-// Recover implements SessionStore: the live sessions sorted by ID, their
-// audio and IMU read back from the frames the state locates, each
-// frame's CRC checked again.
+// Recover implements SessionStore: the live sessions sorted by ID, each
+// read back from its log.
 func (f *FileStore) Recover() ([]Session, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
 		return nil, errClosed
 	}
-	ids := f.sortedIDsLocked()
-	out := make([]Session, 0, len(ids))
-	var frame []byte
-	var err error
-	for _, id := range ids {
-		s := f.state[id]
-		rs := Session{ID: id, Meta: s.meta, Src: s.src, FS: s.fs, Locates: s.locates}
-		n := 0
-		for _, loc := range s.audio {
-			n += int(loc.size) - frameHeaderBytes - bodyHeaderBytes - len(id)
+	out := make([]Session, 0, len(f.logs))
+	for id, sl := range f.logs {
+		name := logName(id)
+		s, valid, _, err := replayLog(io.NewSectionReader(sl.f, 0, sl.size), name, nil)
+		if err != nil {
+			return nil, fmt.Errorf("sessionstore: log %s: %w", name, err)
 		}
-		if n > 0 {
-			rs.Audio = make([]byte, 0, n)
+		if s == nil || valid != sl.size {
+			return nil, fmt.Errorf("sessionstore: log %s changed on disk", name)
 		}
-		for _, loc := range s.audio {
-			if frame, err = f.readFrameLocked(frame, loc); err != nil {
-				return nil, err
-			}
-			rs.Audio = append(rs.Audio, framePayload(frame, id)...)
-		}
-		if s.imu.size > 0 {
-			if frame, err = f.readFrameLocked(frame, s.imu); err != nil {
-				return nil, err
-			}
-			if p := framePayload(frame, id); len(p) > 0 {
-				rs.IMU = bytes.Clone(p)
-			}
-		}
-		out = append(out, rs)
+		out = append(out, *s)
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out, nil
 }
 
-// sortedIDsLocked returns the live session ids in order; callers hold
-// f.mu.
-func (f *FileStore) sortedIDsLocked() []string {
-	ids := make([]string, 0, len(f.state))
-	for id := range f.state {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
-}
+// Flush forces unsynced appends, and created or removed logs, to
+// durable media, after any fsyncs an interval tick has in flight.
+func (f *FileStore) Flush() error { return f.syncDirty() }
 
-// fileLocked returns the open file a frame lies in; callers hold f.mu.
-func (f *FileStore) fileLocked(loc frameLoc) *os.File {
-	if loc.file == inSnapshot {
-		return f.snap
-	}
-	return f.wal
-}
-
-// readFrameLocked reads the whole frame at loc into buf, grown as
-// needed, and checks its CRC; callers hold f.mu.
-func (f *FileStore) readFrameLocked(buf []byte, loc frameLoc) ([]byte, error) {
-	buf = slices.Grow(buf[:0], int(loc.size))[:loc.size]
-	if _, err := f.fileLocked(loc).ReadAt(buf, loc.off); err != nil {
-		return nil, fmt.Errorf("sessionstore: reading frame at %d: %w", loc.off, err)
-	}
-	if crc32.ChecksumIEEE(buf[frameHeaderBytes:]) != binary.LittleEndian.Uint32(buf[4:]) {
-		return nil, fmt.Errorf("sessionstore: frame at %d changed on disk", loc.off)
-	}
-	return buf, nil
-}
-
-// framePayload returns the payload of a whole frame of session id.
-func framePayload(frame []byte, id string) []byte {
-	return frame[frameHeaderBytes+bodyHeaderBytes+len(id):]
-}
-
-// Flush forces unsynced appends to durable media.
-func (f *FileStore) Flush() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.flushLocked()
-}
-
-func (f *FileStore) flushLocked() error {
-	if f.closed {
-		return errClosed
-	}
-	if !f.dirty {
-		return nil
-	}
-	if err := f.wal.Sync(); err != nil {
-		return fmt.Errorf("sessionstore: wal fsync: %w", err)
-	}
-	f.dirty = false
-	f.o.Inc(MFsyncs)
-	return nil
-}
-
-// compactLocked cuts a snapshot of the current state and truncates the
-// WAL. The create records are re-encoded with the running locate
-// counts; every audio and IMU frame the state locates is copied
-// verbatim, header and CRC included, from the open snapshot or WAL
-// through the one write buffer. The sequence tolerates a crash at any
-// step:
-//
-//  1. the full state is framed into snapshot.wal.tmp and fsynced
-//     (crash here: tmp is ignored on the next Open);
-//  2. tmp is renamed over snapshot.wal and the directory fsynced
-//     (crash here: the new snapshot's watermark makes every WAL record
-//     a skipped duplicate — same state);
-//  3. the WAL is truncated to zero.
-//
-// The state points at the new snapshot's frames only once the rename
-// has succeeded; a compaction that fails before it leaves the state on
-// the old snapshot and the WAL, whose descriptors stay open.
-func (f *FileStore) compactLocked() error {
-	tmpPath := filepath.Join(f.dir, snapshotTmp)
-	tmp, err := os.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	ids := f.sortedIDsLocked()
-	frames, err := f.writeSnapshotLocked(tmp, ids)
-	if err == nil {
-		err = os.Rename(tmpPath, filepath.Join(f.dir, snapshotFile))
-	}
-	if err != nil {
-		tmp.Close()
-		os.Remove(tmpPath)
-		return err
-	}
-	syncDir(f.dir)
-
-	// Renamed: the snapshot holds every frame the state locates, at the
-	// offsets writeSnapshotLocked laid them out at.
-	if f.snap != nil {
-		f.snap.Close()
-	}
-	f.snap = tmp
-	for i, id := range ids {
-		s, at := f.state[id], frames[i]
-		for j, loc := range s.audio {
-			s.audio[j] = frameLoc{off: at, size: loc.size, file: inSnapshot}
-			at += int64(loc.size)
-		}
-		if s.imu.size > 0 {
-			s.imu = frameLoc{off: at, size: s.imu.size, file: inSnapshot}
-			at += int64(s.imu.size)
-		}
-	}
-
-	if err := f.wal.Truncate(0); err != nil {
-		return err
-	}
-	if _, err := f.wal.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	if f.opts.Fsync != FsyncNever {
-		f.wal.Sync()
-	}
-	f.walBytes = 0
-	f.dirty = false
-	f.o.Inc(MSnapshots)
-	f.o.Gauge(GWALBytes).Set(0)
-	return nil
-}
-
-// writeSnapshotLocked writes the snapshot of the sessions ids to dst and
-// fsyncs it: the watermark header, then per session its create record
-// and its audio and IMU frames copied verbatim. frames[i] is the offset
-// of ids[i]'s first copied frame; the rest follow it back to back.
-// Callers hold f.mu.
-func (f *FileStore) writeSnapshotLocked(dst *os.File, ids []string) ([]int64, error) {
-	if f.snapW == nil {
-		f.snapW = bufio.NewWriterSize(dst, 1<<16)
-	} else {
-		f.snapW.Reset(dst)
-	}
-	w := f.snapW
-	var wm [8]byte
-	binary.LittleEndian.PutUint64(wm[:], f.nextSeq-1)
-	f.enc = appendFrame(f.enc[:0], 0, recSnapshot, "", wm[:])
-	if _, err := w.Write(f.enc); err != nil {
-		return nil, err
-	}
-	at := int64(len(f.enc))
-	frames := make([]int64, len(ids))
-	for i, id := range ids {
-		s := f.state[id]
-		payload, err := json.Marshal(createPayload{Meta: s.meta, Src: s.src, FS: s.fs, Locates: s.locates})
-		if err != nil {
-			return nil, err
-		}
-		f.enc = appendFrame(f.enc[:0], 0, recCreate, id, payload)
-		if _, err := w.Write(f.enc); err != nil {
-			return nil, err
-		}
-		at += int64(len(f.enc))
-		frames[i] = at
-		for _, loc := range s.audio {
-			if err := f.copyFrameLocked(w, loc); err != nil {
-				return nil, err
-			}
-			at += int64(loc.size)
-		}
-		if s.imu.size > 0 {
-			if err := f.copyFrameLocked(w, s.imu); err != nil {
-				return nil, err
-			}
-			at += int64(s.imu.size)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		return nil, err
-	}
-	return frames, dst.Sync()
-}
-
-// copyFrameLocked appends the frame at loc to w verbatim, reading it
-// from its file straight into w's free buffer space; callers hold f.mu.
-func (f *FileStore) copyFrameLocked(w *bufio.Writer, loc frameLoc) error {
-	src := f.fileLocked(loc)
-	for off, end := loc.off, loc.off+int64(loc.size); off < end; {
-		if w.Available() == 0 {
-			if err := w.Flush(); err != nil {
-				return err
-			}
-		}
-		b := w.AvailableBuffer()[:min(int64(w.Available()), end-off)]
-		if _, err := src.ReadAt(b, off); err != nil {
-			return fmt.Errorf("sessionstore: reading frame at %d: %w", loc.off, err)
-		}
-		if _, err := w.Write(b); err != nil {
-			return err
-		}
-		off += int64(len(b))
-	}
-	return nil
-}
-
-// Close flushes and closes the log. Later calls fail with a closed
-// error.
+// Close stops the interval tick, then flushes and closes every log.
+// Later calls fail with a closed error.
 func (f *FileStore) Close() error {
 	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return nil
-	}
-	ferr := f.flushLocked()
-	f.closed = true
-	cerr := f.wal.Close()
-	if f.snap != nil {
-		f.snap.Close()
-	}
-	stop := f.syncStop
+	stop := f.stopSync
+	f.stopSync = nil
 	f.mu.Unlock()
 	if stop != nil {
-		close(stop)
-		<-f.syncDone
+		stop()
 	}
-	if ferr != nil {
-		return ferr
+	err := f.syncDirty()
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.closed {
+		return nil
 	}
-	return cerr
+	f.closed = true
+	for _, sl := range f.logs {
+		err = cmp.Or(err, sl.f.Close())
+	}
+	return err
 }
 
-// syncDir fsyncs a directory so a rename within it is durable;
-// best-effort (some filesystems reject directory fsync).
+// importLegacy converts a directory the shared-log layout wrote —
+// session.wal, plus snapshot.wal once it had compacted — into one log
+// per session. It replays that layout once with its own rule, the
+// snapshot first (its header carries the sequence watermark), then the
+// WAL records above the watermark, through applyLocked: a create resets
+// its session, an evict removes it, and every other frame lands verbatim
+// in its session's log. The logs and the directory are fsynced before
+// session.wal is removed, which commits the import: while session.wal
+// exists any log is a partial import, discarded and imported again;
+// once it is gone the legacy files left are removed unread. This is the
+// only code that reads sequence numbers or the watermark.
+func importLegacy(dir string) error {
+	walPath := filepath.Join(dir, legacyWAL)
+	wal, err := os.Open(walPath)
+	if errors.Is(err, os.ErrNotExist) {
+		return removeLegacy(dir, legacySnapshot, legacyTmp)
+	}
+	if err != nil {
+		return fmt.Errorf("sessionstore: %w", err)
+	}
+	defer wal.Close()
+	im := &FileStore{dir: dir, opts: Options{Fsync: FsyncNever}, logs: make(map[string]*sessionLog)}
+	im.mu.Lock()
+	// Logs beside session.wal are a partial import: discard them.
+	err = im.loadLocked()
+	for id := range im.logs {
+		err = cmp.Or(err, im.applyLocked(record{typ: recEvict, id: id}))
+	}
+	var watermark uint64
+	apply := func(rec record) {
+		// The shared-log replay skipped a create it could not decode.
+		if err == nil && (rec.typ != recCreate || json.Unmarshal(rec.payload, new(createPayload)) == nil) {
+			if aerr := im.applyLocked(rec); aerr != errUnknownSession {
+				err = aerr
+			}
+		}
+	}
+	snap, serr := os.Open(filepath.Join(dir, legacySnapshot))
+	if serr == nil {
+		_, _, serr = scanLog(snap, func(rec record) {
+			if rec.typ != recSnapshot {
+				apply(rec)
+			} else if len(rec.payload) == 8 {
+				watermark = binary.LittleEndian.Uint64(rec.payload)
+			}
+		})
+		snap.Close()
+	} else if errors.Is(serr, os.ErrNotExist) {
+		serr = nil
+	}
+	if serr == nil {
+		_, _, serr = scanLog(wal, func(rec record) {
+			if rec.seq > watermark {
+				apply(rec)
+			}
+		})
+	}
+	im.mu.Unlock()
+	if err = cmp.Or(serr, err, im.Close()); err != nil {
+		return fmt.Errorf("sessionstore: importing %s: %w", legacyWAL, err)
+	}
+	return removeLegacy(dir, legacyWAL, legacySnapshot, legacyTmp)
+}
+
+// removeLegacy removes the named legacy files, in order, each removal
+// made durable before the next.
+func removeLegacy(dir string, names ...string) error {
+	for _, name := range names {
+		if err := os.Remove(filepath.Join(dir, name)); err == nil {
+			syncDir(dir)
+		} else if !errors.Is(err, os.ErrNotExist) {
+			return fmt.Errorf("sessionstore: %w", err)
+		}
+	}
+	return nil
+}
+
+// syncDir fsyncs a directory so a file created or removed in it is
+// durable; best-effort (some filesystems reject directory fsync).
 func syncDir(dir string) {
 	d, err := os.Open(dir)
 	if err != nil {

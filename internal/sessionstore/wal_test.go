@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -108,9 +112,9 @@ func TestFileStoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTornTailTruncated cuts a WAL mid-frame — the shape a crash during
-// a write leaves behind — and requires recovery to keep every complete
-// record, drop the torn tail, and keep accepting appends.
+// TestTornTailTruncated cuts a session log mid-frame — the shape a crash
+// during a write leaves behind — and requires recovery to keep every
+// complete record, drop the torn tail, and keep accepting appends.
 func TestTornTailTruncated(t *testing.T) {
 	reg := obs.NewRegistry()
 	opts := Options{Fsync: FsyncNever, Obs: obs.New(nil, reg)}
@@ -127,7 +131,7 @@ func TestTornTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	path := filepath.Join(dir, walFile)
+	path := filepath.Join(dir, logName("a"))
 	whole, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +150,7 @@ func TestTornTailTruncated(t *testing.T) {
 		// The torn tail is gone from disk and the log accepts new appends
 		// at the clean boundary.
 		if st, err := os.Stat(path); err != nil || st.Size() != int64(len(whole)) {
-			t.Fatalf("cut %d: wal size %v %v, want %d", cut, st.Size(), err, len(whole))
+			t.Fatalf("cut %d: log size %v %v, want %d", cut, st.Size(), err, len(whole))
 		}
 		if err := f.NoteLocate("a"); err != nil {
 			t.Fatal(err)
@@ -195,7 +199,7 @@ func TestCorruptedCRC(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	path := filepath.Join(dir, walFile)
+	path := filepath.Join(dir, logName("a"))
 	whole, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +220,7 @@ func TestCorruptedCRC(t *testing.T) {
 		t.Fatalf("corrupt middle record: recovered %+v, want the pre-corruption prefix %+v", got, wantAfterCreate)
 	}
 	if st, err := os.Stat(path); err != nil || st.Size() != int64(createLen) {
-		t.Fatalf("wal not truncated to valid prefix: size %v %v, want %d", st.Size(), err, createLen)
+		t.Fatalf("log not truncated to valid prefix: size %v %v, want %d", st.Size(), err, createLen)
 	}
 	if reg.Get(MTruncations) == 0 {
 		t.Error("CRC corruption must count under " + MTruncations)
@@ -227,68 +231,58 @@ func le32(b []byte) uint32 {
 	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 }
 
-// TestDuplicateReplay reconstructs the compaction crash window: the
-// snapshot was renamed into place but the WAL was not yet truncated, so
-// every WAL record is already inside the snapshot. The watermark must
-// make replay skip all of them — applying none twice.
+// TestDuplicateReplay imports the compaction crash window the shared-log
+// layout could leave: snapshot.wal renamed into place over a
+// session.wal that was never truncated, so every WAL record is already
+// inside the snapshot. The watermark must make the import skip all of
+// them — applying none twice — and no legacy file may remain.
 func TestDuplicateReplay(t *testing.T) {
-	reg := obs.NewRegistry()
-	opts := Options{Fsync: FsyncNever, Obs: obs.New(nil, reg)}
 	dir := t.TempDir()
-	f := mustOpen(t, dir, opts)
-	if err := f.Create("a", testMeta(1), chirp.Default(), 48000); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if err := f.AppendAudio("a", bytes.Repeat([]byte{byte(i)}, 32)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := recovered(t, f)
-
-	walPath := filepath.Join(dir, walFile)
-	preCompact, err := os.ReadFile(walPath)
+	src := chirp.Default()
+	create, err := json.Marshal(createPayload{Meta: testMeta(1), Src: src, FS: 48000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Compact(); err != nil {
-		t.Fatal(err)
+	wal := appendFrame(nil, 1, recCreate, "a", create)
+	var audio []byte
+	for i := 0; i < 5; i++ {
+		chunk := bytes.Repeat([]byte{byte(i)}, 32)
+		wal = appendFrame(wal, uint64(2+i), recAudio, "a", chunk)
+		audio = append(audio, chunk...)
 	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Undo only the truncation step: snapshot in place, WAL holding the
-	// full pre-compaction suffix again.
-	if err := os.WriteFile(walPath, preCompact, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	var wm [8]byte
+	binary.LittleEndian.PutUint64(wm[:], 6)
+	snap := appendFrame(nil, 0, recSnapshot, "", wm[:])
+	snap = appendFrame(snap, 0, recCreate, "a", create)
+	snap = append(snap, wal[len(appendFrame(nil, 1, recCreate, "a", create)):]...)
+	writeLegacy(t, dir, snap, wal)
+	want := []Session{{ID: "a", Meta: testMeta(1), Src: src, FS: 48000, Audio: audio}}
 
-	f = mustOpen(t, dir, opts)
-	defer f.Close()
+	opts := Options{Fsync: FsyncNever}
+	f := mustOpen(t, dir, opts)
 	if got := recovered(t, f); !reflect.DeepEqual(got, want) {
 		t.Fatalf("duplicate replay diverged:\n got %+v\nwant %+v", got, want)
 	}
-	if got := reg.Get(MSkipped); got == 0 {
-		t.Error("watermark-skipped duplicates must count under " + MSkipped)
+	requireLogs(t, dir, want)
+	f = reopen(t, f, opts)
+	defer f.Close()
+	if got := recovered(t, f); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reopened import diverged:\n got %+v\nwant %+v", got, want)
 	}
 }
 
 // TestPropertyMemoryOracle drives random event sequences into a
-// FileStore — with random compactions and close/reopen cycles thrown in
-// — and requires its recovered state to match the in-memory oracle
-// applying the same events, for every seed.
+// FileStore — with random flushes and close/reopen cycles thrown in —
+// and requires its recovered state to match the in-memory oracle
+// applying the same events, for every seed, and its directory to hold
+// one log per live session and nothing else.
 func TestPropertyMemoryOracle(t *testing.T) {
 	src := chirp.Default()
 	for seed := int64(1); seed <= 8; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			// A tiny snapshot threshold on odd seeds forces mid-sequence
-			// auto-compactions through the inline size trigger too.
 			opts := Options{Fsync: FsyncNever}
-			if seed%2 == 1 {
-				opts.SnapshotBytes = 512
-			}
 			oracle := NewMemory()
 			f := mustOpen(t, t.TempDir(), opts)
 			defer func() { f.Close() }()
@@ -318,14 +312,10 @@ func TestPropertyMemoryOracle(t *testing.T) {
 					ferr = f.Evict(id, "idle")
 					merr = oracle.Evict(id, "idle")
 				default:
-					switch rng.Intn(3) {
+					switch rng.Intn(2) {
 					case 0:
-						if err := f.Compact(); err != nil {
-							t.Fatalf("step %d: compact: %v", step, err)
-						}
-					case 1:
 						f = reopen(t, f, opts)
-					case 2:
+					case 1:
 						if err := f.Flush(); err != nil {
 							t.Fatalf("step %d: flush: %v", step, err)
 						}
@@ -343,12 +333,13 @@ func TestPropertyMemoryOracle(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("recovered state diverged from oracle:\n got %+v\nwant %+v", got, want)
 			}
+			requireLogs(t, f.Dir(), want)
 		})
 	}
 }
 
 // TestOversizedAppendRefused: a record longer than recovery accepts is
-// refused before it touches the log — the WAL length and the state stay
+// refused before it touches the log — the log length and the state stay
 // as they were, later appends still land, and a reopened store equals
 // the Memory oracle.
 func TestOversizedAppendRefused(t *testing.T) {
@@ -369,7 +360,7 @@ func TestOversizedAppendRefused(t *testing.T) {
 	both("create", func(s SessionStore) error { return s.Create("s", testMeta(1), src, 48000) })
 	both("append", func(s SessionStore) error { return s.AppendAudio("s", []byte{1, 2, 3, 4}) })
 
-	walBytes := f.walBytes
+	logBytes := f.logs["s"].size
 	// The smallest payload whose frame body exceeds maxRecordBytes. The
 	// buffer is never written, so it costs address space, not memory.
 	over := make([]byte, maxRecordBytes-bodyHeaderBytes-len("s")+1)
@@ -379,11 +370,11 @@ func TestOversizedAppendRefused(t *testing.T) {
 	if err := f.SetIMU("s", over); err == nil {
 		t.Fatal("oversized SetIMU succeeded")
 	}
-	if f.walBytes != walBytes {
-		t.Fatalf("WAL grew from %d to %d bytes on refused appends", walBytes, f.walBytes)
+	if f.logs["s"].size != logBytes {
+		t.Fatalf("log grew from %d to %d bytes on refused appends", logBytes, f.logs["s"].size)
 	}
-	if st, err := os.Stat(filepath.Join(f.Dir(), walFile)); err != nil || st.Size() != walBytes {
-		t.Fatalf("session.wal: %v, want %d bytes", st, walBytes)
+	if st, err := os.Stat(filepath.Join(f.Dir(), logName("s"))); err != nil || st.Size() != logBytes {
+		t.Fatalf("session log: %v, want %d bytes", st, logBytes)
 	}
 	both("append after refusal", func(s SessionStore) error { return s.AppendAudio("s", []byte{5, 6, 7, 8}) })
 	if got, want := recovered(t, f), recovered(t, oracle); !reflect.DeepEqual(got, want) {
@@ -456,130 +447,10 @@ func TestFsyncIntervalFlush(t *testing.T) {
 	}
 }
 
-// TestSnapshotCompaction checks the explicit compaction invariants: WAL
-// shrinks to zero, a snapshot exists, state is unchanged, and appends
-// after the snapshot land in the (new) WAL.
-func TestSnapshotCompaction(t *testing.T) {
-	reg := obs.NewRegistry()
-	opts := Options{Fsync: FsyncNever, Obs: obs.New(nil, reg)}
-	dir := t.TempDir()
-	f := mustOpen(t, dir, opts)
-	if err := f.Create("a", testMeta(1), chirp.Default(), 48000); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.AppendAudio("a", bytes.Repeat([]byte{1}, 4096)); err != nil {
-		t.Fatal(err)
-	}
-	want := recovered(t, f)
-	if err := f.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if st, err := os.Stat(filepath.Join(dir, walFile)); err != nil || st.Size() != 0 {
-		t.Fatalf("wal after compact: %v %v, want empty", st, err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, snapshotFile)); err != nil {
-		t.Fatalf("snapshot missing: %v", err)
-	}
-	if got := reg.Get(MSnapshots); got != 1 {
-		t.Errorf("snapshots = %d, want 1", got)
-	}
-	if err := f.NoteLocate("a"); err != nil {
-		t.Fatal(err)
-	}
-	f = reopen(t, f, opts)
-	defer f.Close()
-	got := recovered(t, f)
-	want[0].Locates++
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("post-compaction state diverged:\n got %+v\nwant %+v", got, want)
-	}
-}
-
-// TestCompactionFailureKeepsAppend: an inline compaction that fails
-// must not fail the append that triggered it — the record is already in
-// the log, and a client retry would log it twice. Two obstacles fail
-// every compaction: a non-empty directory where the tmp file goes (the
-// first step fails) and one where snapshot.wal goes (the tmp file is
-// written and synced, then the rename fails, so the state must still
-// locate every frame in the WAL). The appends succeed, each failure is
-// counted, a reopen once the obstacle is gone recovers them, and the
-// next append past the threshold compacts. Every recovery equals the
-// Memory oracle.
-func TestCompactionFailureKeepsAppend(t *testing.T) {
-	for _, blocked := range []string{snapshotTmp, snapshotFile} {
-		t.Run(blocked, func(t *testing.T) {
-			reg := obs.NewRegistry()
-			opts := Options{Fsync: FsyncNever, SnapshotBytes: 256, Obs: obs.New(nil, reg)}
-			dir := t.TempDir()
-			f := mustOpen(t, dir, opts)
-			defer func() { f.Close() }()
-			obstacle := filepath.Join(dir, blocked)
-			if err := os.MkdirAll(filepath.Join(obstacle, "blocker"), 0o755); err != nil {
-				t.Fatal(err)
-			}
-			oracle := NewMemory()
-			src := chirp.Default()
-			if err := f.Create("a", testMeta(1), src, 48000); err != nil {
-				t.Fatal(err)
-			}
-			oracle.Create("a", testMeta(1), src, 48000)
-			created := reg.Get(MCompactionFailures)
-			appendBoth := func(i int) {
-				t.Helper()
-				chunk := bytes.Repeat([]byte{byte(i)}, 128)
-				if err := f.AppendAudio("a", chunk); err != nil {
-					t.Fatalf("append %d with compaction failing: %v", i, err)
-				}
-				oracle.AppendAudio("a", chunk)
-			}
-			for i := 0; i < 4; i++ {
-				appendBoth(i)
-			}
-			// The create frame and one chunk already pass the threshold, so
-			// every append tries to compact.
-			if got := reg.Get(MCompactionFailures) - created; got != 4 {
-				t.Fatalf("%s rose by %d over 4 appends, want one per append", MCompactionFailures, got)
-			}
-			if got := reg.Get(MSnapshots); got != 0 {
-				t.Fatalf("snapshots = %d with %s blocked", got, blocked)
-			}
-			if _, err := os.Stat(filepath.Join(dir, snapshotTmp)); blocked == snapshotFile && !os.IsNotExist(err) {
-				t.Fatalf("a failed rename must remove the tmp file: stat %v", err)
-			}
-			want := recovered(t, oracle)
-			if got := recovered(t, f); !reflect.DeepEqual(got, want) {
-				t.Fatalf("live state diverged from oracle:\n got %+v\nwant %+v", got, want)
-			}
-			if err := os.RemoveAll(obstacle); err != nil {
-				t.Fatal(err)
-			}
-			f = reopen(t, f, opts)
-			if got := recovered(t, f); !reflect.DeepEqual(got, want) {
-				t.Fatalf("recovered state diverged from oracle:\n got %+v\nwant %+v", got, want)
-			}
-
-			failures := reg.Get(MCompactionFailures)
-			appendBoth(4)
-			if reg.Get(MSnapshots) != 1 || reg.Get(MCompactionFailures) != failures {
-				t.Fatalf("unblocked append: snapshots %d, failures %d→%d; want the retry to compact",
-					reg.Get(MSnapshots), failures, reg.Get(MCompactionFailures))
-			}
-			if got, want := recovered(t, f), recovered(t, oracle); !reflect.DeepEqual(got, want) {
-				t.Fatalf("post-compaction state diverged from oracle:\n got %+v\nwant %+v", got, want)
-			}
-			f = reopen(t, f, opts)
-			if got, want := recovered(t, f), recovered(t, oracle); !reflect.DeepEqual(got, want) {
-				t.Fatalf("reopened post-compaction state diverged from oracle:\n got %+v\nwant %+v", got, want)
-			}
-		})
-	}
-}
-
 // TestFileStoreHoldsNoPayload pins the bytes the store holds: 32 MiB of
-// audio across four sessions, with inline compaction at the default
-// threshold, may grow the live heap by 2 MiB at most, and its second
-// 16 MiB by 1 MiB at most — the payload lives in the files.
-// Recovery still equals the Memory oracle fed the same chunks.
+// audio across four sessions may grow the live heap by 2 MiB at most,
+// and its second 16 MiB by 1 MiB at most — the payload lives in the
+// logs. Recovery still equals the Memory oracle fed the same chunks.
 func TestFileStoreHoldsNoPayload(t *testing.T) {
 	const (
 		sessions   = 4
@@ -587,8 +458,7 @@ func TestFileStoreHoldsNoPayload(t *testing.T) {
 		chunks     = (32 << 20) / chunkBytes
 		seed       = 7
 	)
-	reg := obs.NewRegistry()
-	f := mustOpen(t, t.TempDir(), Options{Fsync: FsyncNever, Obs: obs.New(nil, reg)})
+	f := mustOpen(t, t.TempDir(), Options{Fsync: FsyncNever})
 	defer f.Close()
 	src := chirp.Default()
 	ids := make([]string, sessions)
@@ -625,9 +495,6 @@ func TestFileStoreHoldsNoPayload(t *testing.T) {
 	if grown-half > 1<<20 {
 		t.Errorf("the second half of the audio grew the heap %d KiB (first half %d KiB): held bytes scale with the audio", (grown-half)>>10, half>>10)
 	}
-	if reg.Get(MSnapshots) < 3 {
-		t.Errorf("snapshots = %d, want inline compaction to run", reg.Get(MSnapshots))
-	}
 
 	oracle := NewMemory()
 	for i, id := range ids {
@@ -643,11 +510,11 @@ func TestFileStoreHoldsNoPayload(t *testing.T) {
 	}
 }
 
-// TestConcatenatedSnapshotRecovers: snapshot.wal may hold a session's
-// audio as one concatenated frame with sequence 0, as snapshots were
-// once cut. Such a directory, with a WAL holding one record the
-// watermark covers and one it does not, recovers to the same sessions,
-// and still does after a compaction copies its frames.
+// TestConcatenatedSnapshotRecovers imports the older snapshot layout:
+// snapshot.wal holding a session's audio as one concatenated frame with
+// sequence 0, beside a session.wal holding one record the watermark
+// covers and one it does not. The import recovers the same session,
+// leaves no legacy file behind, and a reopen agrees.
 func TestConcatenatedSnapshotRecovers(t *testing.T) {
 	dir := t.TempDir()
 	src := chirp.Default()
@@ -663,12 +530,7 @@ func TestConcatenatedSnapshotRecovers(t *testing.T) {
 	snap = appendFrame(snap, 0, recIMU, "a", []byte("ax\n1\n"))
 	wal := appendFrame(nil, 5, recAudio, "a", []byte{5, 6, 7, 8})
 	wal = appendFrame(wal, 6, recAudio, "a", []byte{9, 9, 9, 9})
-	if err := os.WriteFile(filepath.Join(dir, snapshotFile), snap, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, walFile), wal, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeLegacy(t, dir, snap, wal)
 	want := []Session{{
 		ID: "a", Meta: testMeta(1), Src: src, FS: 48000, Locates: 2,
 		Audio: []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 9, 9, 9},
@@ -679,17 +541,365 @@ func TestConcatenatedSnapshotRecovers(t *testing.T) {
 	if got := recovered(t, f); !reflect.DeepEqual(got, want) {
 		t.Fatalf("recovered %+v, want %+v", got, want)
 	}
-	if err := f.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if got := recovered(t, f); !reflect.DeepEqual(got, want) {
-		t.Fatalf("after compaction %+v, want %+v", got, want)
-	}
+	requireLogs(t, dir, want)
 	f = reopen(t, f, opts)
 	defer f.Close()
 	if got := recovered(t, f); !reflect.DeepEqual(got, want) {
-		t.Fatalf("reopened after compaction %+v, want %+v", got, want)
+		t.Fatalf("reopened after import %+v, want %+v", got, want)
 	}
+}
+
+// TestEvictRemovesLog: evicting a session deletes its log from the
+// directory under every fsync policy, and a reopen recovers only the
+// sessions left.
+func TestEvictRemovesLog(t *testing.T) {
+	for _, policy := range []FsyncPolicy{FsyncAlways, FsyncInterval, FsyncNever} {
+		t.Run(policy.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			opts := Options{Fsync: policy, FsyncInterval: time.Millisecond}
+			f := mustOpen(t, dir, opts)
+			defer func() { f.Close() }()
+			for i, id := range []string{"a", "b"} {
+				if err := f.Create(id, testMeta(i), chirp.Default(), 48000); err != nil {
+					t.Fatal(err)
+				}
+				if err := f.AppendAudio(id, []byte{1, 2, 3, byte(i)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := f.Evict("a", "explicit"); err != nil {
+				t.Fatal(err)
+			}
+			want := recovered(t, f)
+			if len(want) != 1 || want[0].ID != "b" {
+				t.Fatalf("live state after evicting a: %+v", want)
+			}
+			requireLogs(t, dir, want)
+			f = reopen(t, f, opts)
+			if got := recovered(t, f); !reflect.DeepEqual(got, want) {
+				t.Fatalf("reopened %+v, want %+v", got, want)
+			}
+			requireLogs(t, dir, want)
+		})
+	}
+}
+
+// TestTornTailIsolated: a torn tail in one session's log costs that
+// session its torn record only; every other session recovers whole.
+func TestTornTailIsolated(t *testing.T) {
+	reg := obs.NewRegistry()
+	opts := Options{Fsync: FsyncNever, Obs: obs.New(nil, reg)}
+	dir := t.TempDir()
+	f := mustOpen(t, dir, opts)
+	oracle := NewMemory()
+	src := chirp.Default()
+	var cut int64
+	for i, id := range []string{"a", "b", "c"} {
+		for _, s := range []SessionStore{f, oracle} {
+			if err := s.Create(id, testMeta(i), src, 48000); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.AppendAudio(id, bytes.Repeat([]byte{byte(i)}, 64)); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.SetIMU(id, []byte("ax\n1\n")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if id == "b" {
+			cut = f.logs["b"].size
+		}
+		if err := f.AppendAudio(id, bytes.Repeat([]byte{9}, 64)); err != nil {
+			t.Fatal(err)
+		}
+		if id != "b" {
+			oracle.AppendAudio(id, bytes.Repeat([]byte{9}, 64))
+		}
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Tear b's last frame three bytes short of complete.
+	path := filepath.Join(dir, logName("b"))
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, st.Size()-3); err != nil {
+		t.Fatal(err)
+	}
+	f = mustOpen(t, dir, opts)
+	defer f.Close()
+	if got, want := recovered(t, f), recovered(t, oracle); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered %+v, want %+v", got, want)
+	}
+	if st, err := os.Stat(path); err != nil || st.Size() != cut {
+		t.Fatalf("b's log: %v %v, want %d bytes", st, err, cut)
+	}
+	if got := reg.Get(MTruncations); got != 1 {
+		t.Errorf("%s = %d, want 1", MTruncations, got)
+	}
+}
+
+// TestOpenSkipsForeignEntries: Open reads only files named like logs. A
+// lost+found directory and other files stay untouched; a log-named file
+// that holds no create record naming it — empty, or another session's —
+// is removed.
+func TestOpenSkipsForeignEntries(t *testing.T) {
+	dir := t.TempDir()
+	f := mustOpen(t, dir, Options{Fsync: FsyncNever})
+	if err := f.Create("a", testMeta(1), chirp.Default(), 48000); err != nil {
+		t.Fatal(err)
+	}
+	want := recovered(t, f)
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(dir, "lost+found", "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	create, err := json.Marshal(createPayload{Meta: testMeta(2), Src: chirp.Default(), FS: 48000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{
+		"notes.txt":   []byte("keep me"),
+		logName("y"):  appendFrame(nil, 0, recCreate, "x", create),
+		logName("e"):  nil,
+		logName("az"): appendFrame(nil, 0, recAudio, "az", []byte{1, 2, 3, 4}),
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f = mustOpen(t, dir, Options{Fsync: FsyncNever})
+	defer f.Close()
+	if got := recovered(t, f); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered %+v, want %+v", got, want)
+	}
+	requireLogs(t, dir, want)
+	for _, name := range []string{"notes.txt", filepath.Join("lost+found", "x")} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
+// TestInterruptedImportRedone: while session.wal exists an import has
+// not committed, so Open discards every log — a partial one for a
+// surviving session, one for a session the legacy files evict, and one
+// for a session they never mention — and imports again. Once
+// session.wal is gone the import has committed, and the legacy files
+// left are removed unread.
+func TestInterruptedImportRedone(t *testing.T) {
+	dir := t.TempDir()
+	src := chirp.Default()
+	create, err := json.Marshal(createPayload{Meta: testMeta(1), Src: src, FS: 48000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wm [8]byte
+	binary.LittleEndian.PutUint64(wm[:], 2)
+	snap := appendFrame(nil, 0, recSnapshot, "", wm[:])
+	snap = appendFrame(snap, 0, recCreate, "a", create)
+	snap = appendFrame(snap, 2, recAudio, "a", []byte{1, 1, 1, 1})
+	wal := appendFrame(nil, 1, recCreate, "a", create)
+	wal = appendFrame(wal, 2, recAudio, "a", []byte{1, 1, 1, 1})
+	wal = appendFrame(wal, 3, recCreate, "z", create)
+	wal = appendFrame(wal, 4, recAudio, "z", []byte{7, 7, 7, 7})
+	wal = appendFrame(wal, 5, recEvict, "z", []byte("explicit"))
+	wal = appendFrame(wal, 6, recAudio, "a", []byte{2, 2, 2, 2})
+	writeLegacy(t, dir, snap, wal)
+	for id, data := range map[string][]byte{
+		"a": appendFrame(nil, 1, recCreate, "a", create),
+		"z": appendFrame(appendFrame(nil, 3, recCreate, "z", create), 4, recAudio, "z", []byte{7, 7, 7, 7}),
+		"q": appendFrame(nil, 0, recCreate, "q", create),
+	} {
+		if err := os.WriteFile(filepath.Join(dir, logName(id)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []Session{{ID: "a", Meta: testMeta(1), Src: src, FS: 48000, Audio: []byte{1, 1, 1, 1, 2, 2, 2, 2}}}
+	opts := Options{Fsync: FsyncNever}
+	f := mustOpen(t, dir, opts)
+	if got := recovered(t, f); !reflect.DeepEqual(got, want) {
+		t.Fatalf("re-import recovered %+v, want %+v", got, want)
+	}
+	requireLogs(t, dir, want)
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A committed import's leftovers: another session in snapshot.wal
+	// and a tmp file, with no session.wal beside them.
+	other := appendFrame(nil, 0, recSnapshot, "", wm[:])
+	other = appendFrame(other, 0, recCreate, "x", create)
+	if err := os.WriteFile(filepath.Join(dir, legacySnapshot), other, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, legacyTmp), other, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f = mustOpen(t, dir, opts)
+	defer f.Close()
+	if got := recovered(t, f); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after a committed import %+v, want %+v", got, want)
+	}
+	requireLogs(t, dir, want)
+}
+
+// failFsyncs swaps the fsync hook for the test's duration and returns
+// the number of fsyncs still to fail; every other fsync runs.
+func failFsyncs(t *testing.T) *atomic.Int64 {
+	var fails atomic.Int64
+	orig := fsyncFile
+	fsyncFile = func(fh *os.File) error {
+		for n := fails.Load(); n > 0; n = fails.Load() {
+			if fails.CompareAndSwap(n, n-1) {
+				return errors.New("injected fsync failure")
+			}
+		}
+		return orig(fh)
+	}
+	t.Cleanup(func() { fsyncFile = orig })
+	return &fails
+}
+
+// TestFailedAppendLeavesNoRecord: under FsyncAlways an append whose
+// fsync fails returns an error with its record truncated away, so the
+// client's retry leaves exactly one copy — live and after a reopen —
+// equal to the Memory oracle. A create whose fsync fails leaves no log,
+// and its retry creates the session.
+func TestFailedAppendLeavesNoRecord(t *testing.T) {
+	fails := failFsyncs(t)
+	reg := obs.NewRegistry()
+	opts := Options{Fsync: FsyncAlways, Obs: obs.New(nil, reg)}
+	dir := t.TempDir()
+	f := mustOpen(t, dir, opts)
+	defer func() { f.Close() }()
+	oracle := NewMemory()
+	src := chirp.Default()
+	both := func(what string, fn func(SessionStore) error) {
+		t.Helper()
+		if err := fn(f); err != nil {
+			t.Fatalf("%s: file store: %v", what, err)
+		}
+		if err := fn(oracle); err != nil {
+			t.Fatalf("%s: memory: %v", what, err)
+		}
+	}
+	both("create", func(s SessionStore) error { return s.Create("a", testMeta(1), src, 48000) })
+	both("append", func(s SessionStore) error { return s.AppendAudio("a", []byte{1, 2, 3, 4}) })
+
+	size := f.logs["a"].size
+	chunk := []byte{5, 6, 7, 8}
+	fails.Store(1)
+	if err := f.AppendAudio("a", chunk); err == nil {
+		t.Fatal("append with a failing fsync succeeded")
+	}
+	if st, err := os.Stat(filepath.Join(dir, logName("a"))); err != nil || st.Size() != size || f.logs["a"].size != size {
+		t.Fatalf("failed append left the log at %v %v (held %d), want %d bytes", st, err, f.logs["a"].size, size)
+	}
+	both("retried append", func(s SessionStore) error { return s.AppendAudio("a", chunk) })
+
+	fails.Store(1)
+	if err := f.Create("b", testMeta(2), src, 48000); err == nil {
+		t.Fatal("create with a failing fsync succeeded")
+	}
+	if err := f.AppendAudio("b", chunk); err == nil {
+		t.Fatal("a failed create left session b live")
+	}
+	requireLogs(t, dir, recovered(t, oracle))
+	both("retried create", func(s SessionStore) error { return s.Create("b", testMeta(2), src, 48000) })
+
+	if got := reg.Get(MFsyncFailures); got != 2 {
+		t.Errorf("%s = %d, want 2", MFsyncFailures, got)
+	}
+	want := recovered(t, oracle)
+	if got := recovered(t, f); !reflect.DeepEqual(got, want) {
+		t.Fatalf("live state diverged from oracle:\n got %+v\nwant %+v", got, want)
+	}
+	f = reopen(t, f, opts)
+	if got := recovered(t, f); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered state diverged from oracle:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestIntervalFsyncFailureRetried: a background fsync that fails is
+// counted under MFsyncFailures and leaves its log dirty, so later ticks
+// retry it until one succeeds — with no further append to prompt them.
+func TestIntervalFsyncFailureRetried(t *testing.T) {
+	fails := failFsyncs(t)
+	fails.Store(3)
+	reg := obs.NewRegistry()
+	f := mustOpen(t, t.TempDir(), Options{Fsync: FsyncInterval, FsyncInterval: time.Millisecond, Obs: obs.New(nil, reg)})
+	defer f.Close()
+	if err := f.Create("a", testMeta(1), chirp.Default(), 48000); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for reg.Get(MFsyncs) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("no successful fsync after %d failures", reg.Get(MFsyncFailures))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := reg.Get(MFsyncFailures); got != 3 {
+		t.Errorf("%s = %d, want 3", MFsyncFailures, got)
+	}
+	f.mu.Lock()
+	dirty := f.logs["a"].dirty
+	f.mu.Unlock()
+	if dirty {
+		t.Error("log still dirty after a successful retry")
+	}
+}
+
+// TestConcurrentSessionsWithTick drives four sessions from four
+// goroutines — creates, appends, locates, evicts and Flushes — while the
+// interval tick fsyncs outside the store lock, then requires the
+// recovered state to equal the Memory oracle fed the same events. Run
+// under -race it pins the tick's and Flush's sharing of the logs.
+func TestConcurrentSessionsWithTick(t *testing.T) {
+	opts := Options{Fsync: FsyncInterval, FsyncInterval: time.Millisecond}
+	f := mustOpen(t, t.TempDir(), opts)
+	defer func() { f.Close() }()
+	oracle := NewMemory()
+	src := chirp.Default()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			id := fmt.Sprintf("s%d", g)
+			for round := 0; round < 20; round++ {
+				for _, s := range []SessionStore{f, oracle} {
+					steps := []error{s.Create(id, testMeta(g), src, 48000)}
+					for k := 0; k < 5; k++ {
+						steps = append(steps, s.AppendAudio(id, bytes.Repeat([]byte{byte(g), byte(round), byte(k), 0}, 64)))
+					}
+					steps = append(steps, s.NoteLocate(id), s.Flush())
+					if round%3 == 2 {
+						steps = append(steps, s.Evict(id, "explicit"))
+					}
+					if err := errors.Join(steps...); err != nil {
+						t.Errorf("session %s round %d: %v", id, round, err)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	want := recovered(t, oracle)
+	if got := recovered(t, f); !reflect.DeepEqual(got, want) {
+		t.Fatalf("live state diverged from oracle:\n got %+v\nwant %+v", got, want)
+	}
+	f = reopen(t, f, opts)
+	if got := recovered(t, f); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered state diverged from oracle:\n got %+v\nwant %+v", got, want)
+	}
+	requireLogs(t, f.Dir(), want)
 }
 
 // BenchmarkWALAppend pins the per-chunk append cost of the durable
@@ -700,8 +910,8 @@ func BenchmarkWALAppend(b *testing.B) {
 		name string
 		opts Options
 	}{
-		{"fsync=none", Options{Fsync: FsyncNever, SnapshotBytes: -1}},
-		{"fsync=always", Options{Fsync: FsyncAlways, SnapshotBytes: -1}},
+		{"fsync=none", Options{Fsync: FsyncNever}},
+		{"fsync=always", Options{Fsync: FsyncAlways}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			f, err := Open(b.TempDir(), c.opts)
@@ -724,47 +934,42 @@ func BenchmarkWALAppend(b *testing.B) {
 	}
 }
 
-// BenchmarkWALCompact times one compaction of 16 sessions × 2 MiB of
-// audio held as 16 KiB chunks: every frame is copied from the open files
-// through the store's one write buffer, so B/op stays flat whatever the
-// audio held.
-func BenchmarkWALCompact(b *testing.B) {
-	f, err := Open(b.TempDir(), Options{Fsync: FsyncNever, SnapshotBytes: -1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer f.Close()
-	chunk := bytes.Repeat([]byte{0x5a}, 16<<10)
-	for i := 0; i < 16; i++ {
-		id := fmt.Sprintf("bench-%02d", i)
-		if err := f.Create(id, testMeta(i), chirp.Default(), 48000); err != nil {
-			b.Fatal(err)
-		}
-		for k := 0; k < (2<<20)/len(chunk); k++ {
-			if err := f.AppendAudio(id, chunk); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.SetBytes(16 << 21)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := f.Compact(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // Dir returns the store's data directory.
 func (f *FileStore) Dir() string { return f.dir }
 
-// Compact forces a snapshot + WAL truncation regardless of size.
-func (f *FileStore) Compact() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed {
-		return errClosed
+// writeLegacy writes a directory as the shared-log layout left it:
+// snap as snapshot.wal (none when nil) and wal as session.wal.
+func writeLegacy(t testing.TB, dir string, snap, wal []byte) {
+	t.Helper()
+	if snap != nil {
+		if err := os.WriteFile(filepath.Join(dir, legacySnapshot), snap, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return f.compactLocked()
+	if err := os.WriteFile(filepath.Join(dir, legacyWAL), wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// requireLogs fails unless dir holds exactly one log per session in want
+// and no legacy file.
+func requireLogs(t testing.TB, dir string, want []Session) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, names []string
+	for _, e := range entries {
+		if isLogName(e.Name()) || e.Name() == legacyWAL || e.Name() == legacySnapshot || e.Name() == legacyTmp {
+			got = append(got, e.Name())
+		}
+	}
+	for _, s := range want {
+		names = append(names, logName(s.ID))
+	}
+	sort.Strings(names)
+	if !reflect.DeepEqual(got, names) {
+		t.Fatalf("directory holds %q, want the logs %q", got, names)
+	}
 }
