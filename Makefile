@@ -141,15 +141,16 @@ crash-soak:
 # hot paths; ASP is the per-locate detection stage (both channels) on the
 # 5-slide bench session; PipelineLocate2D tracks end-to-end latency;
 # ServerThroughput measures locates/sec through the full HTTP service,
-# and ReadBundleMultipart its multipart WAV+CSV+meta decode alone;
+# ReadBundleMultipart its multipart WAV+CSV+meta decode alone, and
+# DecodeWAV the WAV inside it alone;
 # SessionIngest streams a session's audio chunk by chunk with and without
 # the session store underneath, SessionLocate times a streamed session's
 # locate alone, and WALAppend pins the raw durable append to a session
 # log under both fsync policies; DisabledSpan/EnabledSpan pin the per-hook
 # observability overhead (the disabled path must stay 0 B/op) and
 # PromExposition the /metrics scrape-render cost.
-BENCH_RE := FFTReal|MatchedFilter|Detect|DetectSegmented|Stream|ASP|PipelineLocate2D|ServerThroughput|ReadBundleMultipart|SessionIngest|SessionLocate|WALAppend|DisabledSpan|EnabledSpan|PromExposition
-BENCH_PKGS := ./ ./internal/dsp/ ./internal/chirp/ ./internal/obs/ ./internal/server/ ./internal/sessionstore/
+BENCH_RE := FFTReal|MatchedFilter|Detect|DetectSegmented|Stream|ASP|PipelineLocate2D|ServerThroughput|ReadBundleMultipart|DecodeWAV|SessionIngest|SessionLocate|WALAppend|DisabledSpan|EnabledSpan|PromExposition
+BENCH_PKGS := ./ ./internal/dsp/ ./internal/chirp/ ./internal/obs/ ./internal/server/ ./internal/sessionio/ ./internal/sessionstore/
 
 bench:
 	$(GO) test -run NONE -bench '$(BENCH_RE)' -benchmem $(BENCH_PKGS)

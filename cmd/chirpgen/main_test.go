@@ -13,12 +13,11 @@ func TestRunWritesPlayableWAV(t *testing.T) {
 	if err := run([]string{"-out", out, "-seconds", "0.5"}); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(out)
+	data, err := os.ReadFile(out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	rate, chans, err := sessionio.ReadWAV(f)
+	rate, chans, err := sessionio.ReadWAV(data)
 	if err != nil {
 		t.Fatal(err)
 	}

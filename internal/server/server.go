@@ -29,6 +29,7 @@ import (
 	"hyperear/internal/core"
 	"hyperear/internal/dsp"
 	"hyperear/internal/geom"
+	"hyperear/internal/mic"
 	"hyperear/internal/obs"
 	"hyperear/internal/sessionio"
 	"hyperear/internal/sessionstore"
@@ -376,36 +377,20 @@ func (s *Server) shed(w http.ResponseWriter, r *http.Request, err error) {
 	s.writeJSON(w, http.StatusTooManyRequests, errorBody{Error: errQueueFull.Error()})
 }
 
-// bodyPool recycles request-body buffers across requests; a locate
-// upload is around a megabyte of WAV, and draining it into a fresh
-// io.ReadAll slice every request was the single biggest allocator on the
-// ingestion path.
-var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// maxPooledBodyBytes caps what returns to bodyPool so one oversized
-// upload cannot pin tens of megabytes in the pool.
-const maxPooledBodyBytes = 1 << 25
-
-// readBody drains the (already size-limited) body into a pooled buffer,
-// mapping the over-limit error to 413. On success the caller owns the
-// buffer until it hands it back with putBody (handlers defer that);
-// nothing decoded from the bytes may alias them past that point — every
-// decoder on these paths copies what it keeps.
+// readBody drains the (already size-limited) body into a buffer from
+// sessionio's byte pool, mapping the over-limit error to 413. The buffer
+// grows only as bytes arrive: a Content-Length claim reserves nothing,
+// so a stalled connection holds what it sent, not what it announced. On
+// success the caller owns the buffer until it hands it back with
+// sessionio.RecycleBuffer (handlers defer that); nothing decoded from
+// the bytes may alias them past that point — every decoder on these
+// paths copies what it keeps.
 //
 //hyperearvet:pooled
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, bool) {
-	buf := bodyPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	if n := r.ContentLength; n > 0 {
-		// Pre-size to skip growth doublings; a lying Content-Length
-		// cannot balloon this past the MaxBytesReader bound.
-		if n > s.cfg.MaxBodyBytes {
-			n = s.cfg.MaxBodyBytes
-		}
-		buf.Grow(int(n))
-	}
+	buf := sessionio.BorrowBuffer()
 	if _, err := buf.ReadFrom(r.Body); err != nil {
-		putBody(buf)
+		sessionio.RecycleBuffer(buf)
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			s.reject(w, r, http.StatusRequestEntityTooLarge,
@@ -416,13 +401,6 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer
 		return nil, false
 	}
 	return buf, true
-}
-
-// putBody returns a readBody buffer to the pool.
-func putBody(buf *bytes.Buffer) {
-	if buf != nil && buf.Cap() <= maxPooledBodyBytes {
-		bodyPool.Put(buf)
-	}
 }
 
 // --- localizer cache ---
@@ -652,7 +630,7 @@ func (s *Server) handleLocate(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	defer putBody(body)
+	defer sessionio.RecycleBuffer(body)
 	b, err := sessionio.ReadBundleMultipart(multipart.NewReader(bytes.NewReader(body.Bytes()), params["boundary"]))
 	if err != nil {
 		s.reject(w, r, http.StatusBadRequest, "decoding bundle: "+err.Error())
@@ -686,7 +664,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	defer putBody(body)
+	defer sessionio.RecycleBuffer(body)
 	var meta sessionio.Meta
 	if body.Len() > 0 {
 		meta, ok = s.parseMetaBody(w, r, body.Bytes())
@@ -759,7 +737,7 @@ func (s *Server) handleSessionAudio(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	defer putBody(body)
+	defer sessionio.RecycleBuffer(body)
 	dets, buffered, consumed, err := sess.appendAudio(r.Context(), body.Bytes(), s.cfg.MaxSessionSamples, s.clock())
 	if err != nil {
 		if errors.Is(err, errStoreFailed) {
@@ -796,7 +774,7 @@ func (s *Server) handleSessionIMU(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	defer putBody(body)
+	defer sessionio.RecycleBuffer(body)
 	tr, err := sessionio.ReadIMU(bytes.NewReader(body.Bytes()))
 	if err != nil {
 		s.reject(w, r, http.StatusBadRequest, "imu: "+err.Error())
@@ -837,7 +815,8 @@ func (s *Server) handleSessionLocate(w http.ResponseWriter, r *http.Request) {
 		s.reject(w, r, code, err.Error())
 		return
 	}
-	b := &sessionio.Bundle{Recording: decodeRecording(pcm, sess.fs), IMU: tr, Meta: sess.meta}
+	mic1, mic2 := sessionio.DecodeStereo16(pcm)
+	b := &sessionio.Bundle{Recording: &mic.Recording{Fs: sess.fs, Mic1: mic1, Mic2: mic2}, IMU: tr, Meta: sess.meta}
 	defer sessionio.RecycleBundle(b)
 	s.runLocate(w, r, b, mode, sess.loc, pre)
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
@@ -35,10 +36,14 @@ import (
 // the package (rendering and the pipeline dominate test time; two slides
 // keep both short while still producing fixes).
 var testSession = sync.OnceValues(func() (*sim.Session, error) {
-	phone := mic.GalaxyS4()
-	return sim.Run(sim.Scenario{
+	return sim.Run(testScenario())
+})
+
+// testScenario is the shared session's scenario.
+func testScenario() sim.Scenario {
+	return sim.Scenario{
 		Env:            room.MeetingRoom(),
-		Phone:          phone,
+		Phone:          mic.GalaxyS4(),
 		Source:         chirp.Default(),
 		SpeakerPos:     geom.Vec3{X: 8, Y: 6, Z: 1.2},
 		SpeakerSkewPPM: 25,
@@ -54,8 +59,8 @@ var testSession = sync.OnceValues(func() (*sim.Session, error) {
 		Noise: room.WhiteNoise{},
 		SNRdB: 18,
 		Seed:  7,
-	})
-})
+	}
+}
 
 // testBundle lazily serializes the shared session as a multipart body.
 var testBundle = sync.OnceValues(func() (encodedBundle, error) {
@@ -75,6 +80,16 @@ type encodedBundle struct {
 // encodeBundle serializes a simulated session as a /v1/locate multipart
 // body: the recording as WAV, the IMU trace as CSV, and the phone's meta.
 func encodeBundle(s *sim.Session) (encodedBundle, error) {
+	return encodeBundleMeta(s, sessionio.Meta{
+		PhoneName:     s.Scenario.Phone.Name,
+		MicSeparation: s.Scenario.Phone.MicSeparation,
+		SampleRate:    s.Scenario.Phone.SampleRate,
+	})
+}
+
+// encodeBundleMeta is encodeBundle with meta, any JSON value, as the
+// meta part.
+func encodeBundleMeta(s *sim.Session, meta any) (encodedBundle, error) {
 	var buf bytes.Buffer
 	w := multipart.NewWriter(&buf)
 	aw, err := w.CreateFormFile(sessionio.PartAudio, "audio.wav")
@@ -94,11 +109,6 @@ func encodeBundle(s *sim.Session) (encodedBundle, error) {
 	mw, err := w.CreateFormFile(sessionio.PartMeta, "meta.json")
 	if err != nil {
 		return encodedBundle{}, err
-	}
-	meta := sessionio.Meta{
-		PhoneName:     s.Scenario.Phone.Name,
-		MicSeparation: s.Scenario.Phone.MicSeparation,
-		SampleRate:    s.Scenario.Phone.SampleRate,
 	}
 	if err := json.NewEncoder(mw).Encode(meta); err != nil {
 		return encodedBundle{}, err
@@ -189,11 +199,11 @@ func TestLocate2D(t *testing.T) {
 	}
 }
 
-// TestLocate3DUndefinedBeta: a hand-mode session whose stature triangle
-// cannot exist still answers 200 with a body that decodes, β as null.
-// The session is trial 7 of Fig. 17 at 1 m under -trials 12 -seed 1.
-func TestLocate3DUndefinedBeta(t *testing.T) {
-	s, err := sim.Run(sim.Scenario{
+// undefinedBetaScenario is trial 7 of Fig. 17 at 1 m under -trials 12
+// -seed 1 (fig17Trial(7)), a hand-mode session whose stature triangle
+// cannot exist.
+func undefinedBetaScenario() sim.Scenario {
+	return sim.Scenario{
 		Env:            room.MeetingRoom(),
 		Phone:          mic.GalaxyS4(),
 		Source:         chirp.Default(),
@@ -212,7 +222,13 @@ func TestLocate3DUndefinedBeta(t *testing.T) {
 		Noise: room.WhiteNoise{},
 		SNRdB: 15,
 		Seed:  359074445092262394,
-	})
+	}
+}
+
+// TestLocate3DUndefinedBeta: a hand-mode session whose stature triangle
+// cannot exist still answers 200 with a body that decodes, β as null.
+func TestLocate3DUndefinedBeta(t *testing.T) {
+	s, err := sim.Run(undefinedBetaScenario())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,6 +255,178 @@ func TestLocate3DUndefinedBeta(t *testing.T) {
 	}
 	if res.Mode != "3d" || res.BetaRad != nil {
 		t.Fatalf("want mode 3d with betaRad null, got %s", body)
+	}
+}
+
+// fig17Trial rebuilds trial i of Fig. 17 at 1 m under `hyperearsim
+// -trials 12 -seed 1`: the condition's seed is 1 + 53·1, and trial i
+// draws from rand.NewSource(54 + 7919·i) in the experiment harness's
+// order — phone height, stature change, the room placement, the
+// speaker's clock skew, the render seed.
+func fig17Trial(i int) sim.Scenario {
+	rng := rand.New(rand.NewSource(54 + 7919*int64(i)))
+	env := room.MeetingRoom()
+	phoneZ := 1.0 + 0.4*rng.Float64()
+	stature := 0.35 + 0.15*rng.Float64()
+	const dist, margin = 1.0, 1.0
+	var phone, speaker geom.Vec3
+	for {
+		px := margin + rng.Float64()*(env.Size.X-2*margin)
+		py := margin + rng.Float64()*(env.Size.Y-2*margin)
+		theta := rng.Float64() * 2 * math.Pi
+		sx, sy := px+dist*math.Cos(theta), py+dist*math.Sin(theta)
+		if sx >= margin && sx <= env.Size.X-margin && sy >= margin && sy <= env.Size.Y-margin {
+			phone, speaker = geom.Vec3{X: px, Y: py, Z: phoneZ}, geom.Vec3{X: sx, Y: sy, Z: 0.5}
+			break
+		}
+	}
+	skew := -30 + 60*rng.Float64()
+	return sim.Scenario{
+		Env:            env,
+		Phone:          mic.GalaxyS4(),
+		Source:         chirp.Default(),
+		SpeakerPos:     speaker,
+		SpeakerSkewPPM: skew,
+		PhoneStart:     phone,
+		Protocol: sim.Protocol{
+			SlideDist:     0.55,
+			SlideDur:      1.0,
+			HoldDur:       0.45,
+			Slides:        10,
+			Mode:          sim.ModeHand,
+			StatureChange: stature,
+		},
+		IMU:   imu.DefaultConfig(),
+		Noise: room.WhiteNoise{},
+		SNRdB: 15,
+		Seed:  rng.Int63(),
+	}
+}
+
+// TestLocate3DHandTrials posts all twelve hand-mode 3D sessions of
+// Fig. 17 at 1 m to /v1/locate?mode=3d: every answer is 200 or 422 with
+// a body that decodes. Trials 5 and 7 have an unrealizable stature
+// triangle (β null); the other ten skip under -short.
+func TestLocate3DHandTrials(t *testing.T) {
+	got, want := fig17Trial(7), undefinedBetaScenario()
+	if got.SpeakerPos != want.SpeakerPos || got.PhoneStart != want.PhoneStart || got.Seed != want.Seed ||
+		got.SpeakerSkewPPM != want.SpeakerSkewPPM || got.Protocol != want.Protocol {
+		t.Fatalf("trial 7 rebuilt as %+v, want %+v", got, want)
+	}
+	_, ts, _ := newTestServer(t, func(c *Config) { c.Queue = 12 })
+	for i := 0; i < 12; i++ {
+		t.Run(fmt.Sprintf("trial%d", i), func(t *testing.T) {
+			if testing.Short() && i != 5 && i != 7 {
+				t.Skip("-short runs trials 5 and 7 only")
+			}
+			t.Parallel()
+			s, err := sim.Run(fig17Trial(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := encodeBundle(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			code, body := post(t, ts, "/v1/locate?mode=3d", b.contentType, b.body)
+			switch code {
+			case http.StatusOK:
+				var res locate3DResponse
+				if err := json.Unmarshal(body, &res); err != nil || res.Mode != "3d" {
+					t.Fatalf("200 body does not decode as a 3D fix (%v):\n%s", err, body)
+				}
+			case http.StatusUnprocessableEntity:
+				var e errorBody
+				if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
+					t.Fatalf("422 body does not decode as an error (%v):\n%s", err, body)
+				}
+			default:
+				t.Fatalf("status %d: %s", code, body)
+			}
+		})
+	}
+}
+
+// TestLocateRateFromWAV: a 48 kHz session posted without sampleRateHz
+// localizes at the WAV header's rate, not the server's 44.1 kHz
+// default, and answers what it answers with the rate stated.
+func TestLocateRateFromWAV(t *testing.T) {
+	sc := testScenario()
+	sc.Phone = sc.Phone.HiResVariant()
+	s, err := sim.Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stated, err := encodeBundle(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	omitted, err := encodeBundleMeta(s, map[string]any{
+		"phoneName": sc.Phone.Name, "micSeparationM": sc.Phone.MicSeparation,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts, _ := newTestServer(t, nil)
+	code, want := post(t, ts, "/v1/locate", stated.contentType, stated.body)
+	if code != http.StatusOK {
+		t.Fatalf("rate stated: status %d: %s", code, want)
+	}
+	code, got := post(t, ts, "/v1/locate", omitted.contentType, omitted.body)
+	if code != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("rate omitted: status %d, body\n%s\nwant\n%s", code, got, want)
+	}
+}
+
+// TestMetaUnknownFieldRejected: a meta with a mistyped key answers 400
+// on both endpoints that take one, instead of localizing with the
+// server's defaults.
+func TestMetaUnknownFieldRejected(t *testing.T) {
+	s, err := testSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	typo := map[string]any{"sampleRate": 44100, "micSeparation": s.Scenario.Phone.MicSeparation}
+	b, err := encodeBundleMeta(s, typo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(typo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts, reg := newTestServer(t, nil)
+	if code, body := post(t, ts, "/v1/locate", b.contentType, b.body); code != http.StatusBadRequest {
+		t.Errorf("/v1/locate: status %d, want 400: %s", code, body)
+	}
+	if code, body := post(t, ts, "/v1/sessions", "application/json", raw); code != http.StatusBadRequest {
+		t.Errorf("/v1/sessions: status %d, want 400: %s", code, body)
+	}
+	if got := reg.Get(MReqRejected); got != 2 {
+		t.Errorf("rejected = %d, want 2", got)
+	}
+}
+
+// TestReadBodyClaimAllocatesNothing: a Content-Length claim reserves no
+// memory. A 4-byte body claiming 64 MiB allocates in proportion to the
+// bytes that arrived.
+func TestReadBodyClaimAllocatesNothing(t *testing.T) {
+	srv, _, _ := newTestServer(t, nil)
+	req := httptest.NewRequest(http.MethodPost, "/v1/sessions", strings.NewReader("{}\n\n"))
+	req.ContentLength = 64 << 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	body, ok := srv.readBody(httptest.NewRecorder(), req)
+	runtime.ReadMemStats(&after)
+	if !ok {
+		t.Fatal("readBody refused a 4-byte body")
+	}
+	defer sessionio.RecycleBuffer(body)
+	if body.String() != "{}\n\n" {
+		t.Errorf("read %q", body.String())
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("allocated %d bytes for a 4-byte body, want < 1 MiB", got)
 	}
 }
 

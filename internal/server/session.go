@@ -6,7 +6,6 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
@@ -14,7 +13,6 @@ import (
 	"hyperear/internal/core"
 	"hyperear/internal/dsp"
 	"hyperear/internal/imu"
-	"hyperear/internal/mic"
 	"hyperear/internal/obs"
 	"hyperear/internal/sessionio"
 	"hyperear/internal/sessionstore"
@@ -78,23 +76,6 @@ type session struct {
 // touch marks activity; callers hold s.mu.
 func (s *session) touchLocked(now time.Time) { s.lastTouch = now }
 
-// decodeChunk decodes a PCM chunk into pooled per-channel buffers with
-// the WAV reader's decoder, so a session's samples equal those of the
-// same audio uploaded to /v1/locate, and recovery's replay of the
-// persisted bytes equals the uninterrupted run's; hand them back with
-// sessionio.RecycleSamples.
-//
-//hyperearvet:pooled
-func decodeChunk(raw []byte) (c1, c2 []float64, err error) {
-	if len(raw) == 0 || len(raw)%4 != 0 {
-		return nil, nil, fmt.Errorf("audio chunk must be interleaved stereo int16 (got %d bytes)", len(raw))
-	}
-	c1 = sessionio.BorrowSamples(len(raw) / 4)
-	c2 = sessionio.BorrowSamples(len(raw) / 4)
-	sessionio.DecodeStereo16(raw, c1, c2)
-	return c1, c2, nil
-}
-
 // ingestLocked applies one decoded chunk — raw and its channels c1, c2
 // — to the stream state: the PCM grows by raw, mic1 pushes through its
 // detector and mic2 through its feed. The chunk path and recovery's
@@ -122,10 +103,10 @@ func (s *session) ingestLocked(ctx context.Context, raw []byte, c1, c2 []float64
 // boot instead of losing it, and a failed durable write leaves the
 // session exactly as it was.
 func (s *session) appendAudio(ctx context.Context, raw []byte, maxSamples int, now time.Time) (dets []chirp.Detection, buffered, consumed int, err error) {
-	c1, c2, err := decodeChunk(raw)
-	if err != nil {
-		return nil, 0, 0, err
+	if len(raw) == 0 || len(raw)%4 != 0 {
+		return nil, 0, 0, fmt.Errorf("audio chunk must be interleaved stereo int16 (got %d bytes)", len(raw))
 	}
+	c1, c2 := sessionio.DecodeStereo16(raw)
 	defer sessionio.RecycleSamples(c1, c2)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -203,22 +184,6 @@ func (s *session) snapshotLocate(now time.Time) (pcm []byte, pre [2]dsp.Envelope
 	}
 	s.touchLocked(now)
 	return s.pcm[:len(s.pcm):len(s.pcm)], pre, s.trace, nil
-}
-
-// decodeRecording decodes a locate's PCM snapshot into a Recording over
-// pooled sample buffers; hand them back with sessionio.RecycleBundle once
-// the response is written.
-//
-//hyperearvet:pooled
-func decodeRecording(pcm []byte, fs float64) *mic.Recording {
-	rec := &mic.Recording{
-		Fs:        fs,
-		Mic1:      sessionio.BorrowSamples(len(pcm) / 4),
-		Mic2:      sessionio.BorrowSamples(len(pcm) / 4),
-		TrueSNRdB: math.Inf(1),
-	}
-	sessionio.DecodeStereo16(pcm, rec.Mic1, rec.Mic2)
-	return rec
 }
 
 var (
@@ -394,10 +359,7 @@ func (t *sessionTable) insertRecovered(rs sessionstore.Session, loc *core.Locali
 	defer s.mu.Unlock()
 	s.trace = tr
 	if len(rs.Audio) > 0 {
-		c1, c2, err := decodeChunk(rs.Audio)
-		if err != nil {
-			return err
-		}
+		c1, c2 := sessionio.DecodeStereo16(rs.Audio)
 		s.ingestLocked(context.Background(), rs.Audio, c1, c2)
 		sessionio.RecycleSamples(c1, c2)
 	}

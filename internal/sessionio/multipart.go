@@ -7,8 +7,6 @@ import (
 	"io"
 	"math"
 	"mime/multipart"
-
-	"hyperear/internal/mic"
 )
 
 // Form-part names of a multipart localization upload (the wire mirror of
@@ -50,30 +48,21 @@ func (m Meta) Validate() error {
 	return nil
 }
 
-// checkAgainst verifies the meta sidecar is consistent with the decoded
-// recording (shared by disk loads and multipart uploads).
-func (m Meta) checkAgainst(rec *mic.Recording) error {
-	if err := m.Validate(); err != nil {
-		return err
-	}
-	// The WAV header rate is an integer the store wrote itself, so a
-	// mismatch is exact, never a rounding artifact.
-	//hyperearvet:allow floatguard exact compare of an integral WAV header rate against its own meta echo
-	if m.SampleRate != 0 && m.SampleRate != rec.Fs {
-		return fmt.Errorf("sessionio: meta sample rate %v != WAV rate %v", m.SampleRate, rec.Fs)
-	}
-	return nil
-}
-
-// ParseMeta decodes a meta.json payload, rejecting unknown fields and
-// non-finite values.
+// ParseMeta decodes a meta.json payload, rejecting unknown fields (a
+// mistyped key would otherwise select the server defaults silently),
+// trailing data and non-finite values. An empty payload is the zero Meta.
 func ParseMeta(raw []byte) (Meta, error) {
 	var meta Meta
 	if len(raw) == 0 {
 		return meta, nil
 	}
-	if err := json.Unmarshal(raw, &meta); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&meta); err != nil {
 		return Meta{}, fmt.Errorf("sessionio: parse meta: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Meta{}, fmt.Errorf("sessionio: parse meta: data after the JSON value")
 	}
 	if err := meta.Validate(); err != nil {
 		return Meta{}, err
@@ -81,25 +70,36 @@ func ParseMeta(raw []byte) (Meta, error) {
 	return meta, nil
 }
 
-// ReadBundleParts assembles a Bundle from its component streams: a WAV
-// audio stream, an IMU CSV stream, and an optional raw meta.json payload
-// (nil for an empty Meta). It is the transport-agnostic core of
-// ReadBundleMultipart.
-func ReadBundleParts(audio, imuCSV io.Reader, metaJSON []byte) (*Bundle, error) {
-	rec, err := ReadRecording(audio)
-	if err != nil {
-		return nil, err
-	}
-	tr, err := ReadIMU(imuCSV)
-	if err != nil {
-		return nil, err
-	}
+// ReadBundleParts assembles a Bundle from its three parts' bytes: the
+// WAV, the IMU CSV and the optional meta.json (empty for a zero Meta).
+// Disk bundles (Load) and uploads (ReadBundleMultipart) both come through
+// it. The WAV header states the recording's rate: a meta that omits
+// sampleRateHz takes it, and one that states it must agree. The
+// recording's channels come from the sample pool (see RecycleBundle).
+//
+//hyperearvet:pooled
+func ReadBundleParts(audio, imuCSV, metaJSON []byte) (*Bundle, error) {
 	meta, err := ParseMeta(metaJSON)
 	if err != nil {
 		return nil, err
 	}
-	if err := meta.checkAgainst(rec); err != nil {
+	tr, err := ReadIMU(bytes.NewReader(imuCSV))
+	if err != nil {
 		return nil, err
+	}
+	rec, err := ReadRecording(audio)
+	if err != nil {
+		return nil, err
+	}
+	if meta.SampleRate == 0 {
+		meta.SampleRate = rec.Fs
+	}
+	// The WAV header rate is an integer, so a mismatch is exact, never a
+	// rounding artifact.
+	//hyperearvet:allow floatguard exact compare of an integral WAV header rate against its own meta echo
+	if meta.SampleRate != rec.Fs {
+		RecycleSamples(rec.Mic1, rec.Mic2)
+		return nil, fmt.Errorf("sessionio: meta sample rate %v != WAV rate %v", meta.SampleRate, rec.Fs)
 	}
 	return &Bundle{Recording: rec, IMU: tr, Meta: meta}, nil
 }
@@ -112,13 +112,13 @@ func ReadBundleParts(audio, imuCSV io.Reader, metaJSON []byte) (*Bundle, error) 
 // The bundle aliases nothing from the upload bytes (the decoders copy
 // into their own structures), so the part bodies live in pooled buffers
 // released before returning; the recording's sample slices come from the
-// sample pool via ReadWAV (see RecycleBundle).
+// sample pool (see RecycleBundle).
 //
 //hyperearvet:pooled
 func ReadBundleMultipart(mr *multipart.Reader) (*Bundle, error) {
-	audio, imuCSV := getBuf(), getBuf()
-	defer putBuf(audio)
-	defer putBuf(imuCSV)
+	audio, imuCSV := BorrowBuffer(), BorrowBuffer()
+	defer RecycleBuffer(audio)
+	defer RecycleBuffer(imuCSV)
 	var haveAudio, haveIMU bool
 	var metaJSON []byte
 	seen := map[string]bool{}
@@ -159,5 +159,5 @@ func ReadBundleMultipart(mr *multipart.Reader) (*Bundle, error) {
 	if !haveAudio || !haveIMU {
 		return nil, fmt.Errorf("sessionio: multipart upload needs %q and %q parts", PartAudio, PartIMU)
 	}
-	return ReadBundleParts(bytes.NewReader(audio.Bytes()), bytes.NewReader(imuCSV.Bytes()), metaJSON)
+	return ReadBundleParts(audio.Bytes(), imuCSV.Bytes(), metaJSON)
 }

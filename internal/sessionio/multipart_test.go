@@ -68,15 +68,44 @@ func TestReadBundleMultipart(t *testing.T) {
 	}
 }
 
+// TestReadBundleMultipartNoMeta: without a meta part, and with one that
+// omits sampleRateHz, the bundle's meta takes the WAV header's rate and
+// nothing else.
 func TestReadBundleMultipartNoMeta(t *testing.T) {
 	wav, imuCSV := testParts(t)
-	mr, _ := buildMultipart(t, map[string][]byte{PartAudio: wav, PartIMU: imuCSV})
-	b, err := ReadBundleMultipart(mr)
-	if err != nil {
-		t.Fatal(err)
+	for _, parts := range []map[string][]byte{
+		{PartAudio: wav, PartIMU: imuCSV},
+		{PartAudio: wav, PartIMU: imuCSV, PartMeta: []byte(`{"phoneName":""}`)},
+	} {
+		mr, _ := buildMultipart(t, parts)
+		b, err := ReadBundleMultipart(mr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.Meta != (Meta{SampleRate: 44100}) {
+			t.Fatalf("want only the WAV's rate, got %+v", b.Meta)
+		}
 	}
-	if b.Meta != (Meta{}) {
-		t.Fatalf("expected empty meta, got %+v", b.Meta)
+}
+
+// TestParseMetaRejectsUnknownFields: a mistyped key, or anything after
+// the JSON value, is an error rather than a silently empty Meta.
+func TestParseMetaRejectsUnknownFields(t *testing.T) {
+	for _, raw := range []string{
+		`{"sampleRate": 48000, "micSeparation": 0.1}`,
+		`{"sampleRateHz": 48000, "extra": null}`,
+		`{"sampleRateHz": 48000} {}`,
+		`{"sampleRateHz": 48000}]`,
+		`{"sampleRateHz": 48000`,
+		` `,
+	} {
+		if m, err := ParseMeta([]byte(raw)); err == nil {
+			t.Errorf("%s: parsed to %+v, want an error", raw, m)
+		}
+	}
+	m, err := ParseMeta([]byte(" {\"sampleRateHz\": 48000, \"micSeparationM\": 0.1}\n"))
+	if err != nil || m != (Meta{SampleRate: 48000, MicSeparation: 0.1}) {
+		t.Fatalf("known fields: %+v, %v", m, err)
 	}
 }
 

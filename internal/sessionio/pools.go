@@ -5,13 +5,13 @@ import (
 	"sync"
 )
 
-// Decode-path pools. A localization upload passes through three large
-// transient buffers — the multipart part bodies, the WAV data chunk
-// scratch, and the decoded sample channels — all dead by the time the
-// response is written. Recycling them turns the ~16 MB of per-locate
-// ingestion garbage into a handful of steady-state-warm buffers. The
-// poolleak analyzer enforces the borrowing discipline: every function
-// that hands pooled memory to its caller carries //hyperearvet:pooled.
+// Upload pools. An upload passes through two kinds of large transient
+// buffer, both dead by the time the response is written: the bytes (a
+// request body, a multipart part) and the decoded sample channels.
+// Recycling them turns the ~16 MB of per-locate ingestion garbage into a
+// handful of steady-state-warm buffers. The poolleak analyzer enforces
+// the borrowing discipline: every function that hands pooled memory to
+// its caller carries //hyperearvet:pooled.
 
 // maxPooledBufBytes caps what goes back into bufPool: a single hostile
 // oversized upload must not pin tens of megabytes in the pool forever.
@@ -21,32 +21,27 @@ const maxPooledBufBytes = 1 << 25
 // 95 s at 44.1 kHz, comfortably above any real session).
 const maxPooledSamples = 1 << 22
 
-// bufPool recycles the byte buffers that hold multipart part bodies and
-// pre-fmt WAV data chunks during a decode.
+// bufPool recycles the byte buffers that hold request bodies and
+// multipart part bodies.
 var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// getBuf borrows an empty byte buffer; pair with putBuf.
+// BorrowBuffer returns an empty byte buffer from the pool. Hand it back
+// with RecycleBuffer once nothing reads its bytes.
 //
 //hyperearvet:pooled
-func getBuf() *bytes.Buffer {
+func BorrowBuffer() *bytes.Buffer {
 	b := bufPool.Get().(*bytes.Buffer)
 	b.Reset()
 	return b
 }
 
-func putBuf(b *bytes.Buffer) {
+// RecycleBuffer returns a BorrowBuffer buffer to the pool. The caller
+// must not touch it, or any slice of its bytes, afterwards.
+func RecycleBuffer(b *bytes.Buffer) {
 	if b.Cap() <= maxPooledBufBytes {
 		bufPool.Put(b)
 	}
 }
-
-// pcmScratchPool recycles the fixed 64 KiB windows the streaming PCM
-// decoder reads through (it reads the largest whole number of frames
-// that fits).
-var pcmScratchPool = sync.Pool{New: func() any {
-	b := make([]byte, 64<<10)
-	return &b
-}}
 
 // samplePool recycles decoded sample slices ([]float64) across requests.
 // It holds *[]float64 boxes so Put does not allocate for the header.
@@ -67,7 +62,8 @@ func BorrowSamples(n int) []float64 {
 }
 
 // RecycleSamples returns sample slices obtained from BorrowSamples (for
-// example via ReadWAV or a Bundle's recording channels) to the pool.
+// example via ReadWAV, DecodeStereo16 or a Bundle's recording channels)
+// to the pool.
 // The caller must not touch the slices afterwards.
 func RecycleSamples(chans ...[]float64) {
 	for _, s := range chans {

@@ -3,7 +3,7 @@ package sessionio
 import (
 	"bytes"
 	"encoding/binary"
-	"io"
+	"fmt"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -29,7 +29,7 @@ func TestWAVRoundTrip(t *testing.T) {
 	if err := WriteWAV(&buf, rate, left, right); err != nil {
 		t.Fatal(err)
 	}
-	gotRate, chans, err := ReadWAV(&buf)
+	gotRate, chans, err := ReadWAV(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestWAVMono(t *testing.T) {
 	if err := WriteWAV(&buf, 8000, []float64{0, 0.5, -0.5}); err != nil {
 		t.Fatal(err)
 	}
-	rate, chans, err := ReadWAV(&buf)
+	rate, chans, err := ReadWAV(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestWAVClipsOutOfRange(t *testing.T) {
 	if err := WriteWAV(&buf, 8000, []float64{2, -3}); err != nil {
 		t.Fatal(err)
 	}
-	_, chans, err := ReadWAV(&buf)
+	_, chans, err := ReadWAV(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,10 +88,10 @@ func TestWriteWAVValidation(t *testing.T) {
 }
 
 func TestReadWAVRejectsGarbage(t *testing.T) {
-	if _, _, err := ReadWAV(strings.NewReader("not a wav file at all")); err == nil {
+	if _, _, err := ReadWAV([]byte("not a wav file at all")); err == nil {
 		t.Error("garbage should error")
 	}
-	if _, _, err := ReadWAV(strings.NewReader("")); err == nil {
+	if _, _, err := ReadWAV(nil); err == nil {
 		t.Error("empty should error")
 	}
 }
@@ -106,7 +106,7 @@ func TestRecordingRoundTrip(t *testing.T) {
 	if err := WriteRecording(&buf, rec); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadRecording(&buf)
+	got, err := ReadRecording(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestReadRecordingRejectsMono(t *testing.T) {
 	if err := WriteWAV(&buf, 8000, []float64{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadRecording(&buf); err == nil {
+	if _, err := ReadRecording(buf.Bytes()); err == nil {
 		t.Error("mono WAV should be rejected as a recording")
 	}
 }
@@ -266,69 +266,116 @@ func wavHeader(dataLen uint32) []byte {
 }
 
 // TestReadWAVHugeDataClaim is the regression test for header-sized
-// allocation: a 44-byte stream whose data chunk claims 0xFFFFFFF0 bytes
-// must fail after allocating in proportion to the bytes present, not to
-// the claim (which used to request two 8 GiB channel slices) — both when
-// the reader reports its remaining length and when it does not.
+// allocation: a 44-byte file whose data chunk claims 0xFFFFFFF0 bytes
+// must fail without allocating in proportion to the claim (which used
+// to request two 8 GiB channel slices).
 func TestReadWAVHugeDataClaim(t *testing.T) {
 	head := wavHeader(0xFFFFFFF0)
-	for _, tc := range []struct {
-		name string
-		r    func() io.Reader
-	}{
-		{"bytes.Reader", func() io.Reader { return bytes.NewReader(head) }},
-		{"plain reader", func() io.Reader { return struct{ io.Reader }{bytes.NewReader(head)} }},
-	} {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		_, _, err := ReadWAV(tc.r())
-		runtime.ReadMemStats(&after)
-		if err == nil {
-			t.Fatalf("%s: truncated data chunk decoded without error", tc.name)
-		}
-		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
-			t.Errorf("%s: allocated %d bytes for a 44-byte stream, want < 1 MiB", tc.name, got)
-		}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := ReadWAV(head)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("truncated data chunk decoded without error")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("allocated %d bytes for a 44-byte file, want < 1 MiB", got)
 	}
 }
 
-// TestReadWAVGrowsWithoutLength decodes a valid multi-window stream
-// through a reader that does not report its length, so the channels
-// grow as data arrives, and checks it against the presized path.
-func TestReadWAVGrowsWithoutLength(t *testing.T) {
-	n := 100000
-	a, b := make([]float64, n), make([]float64, n)
-	for i := range a {
-		a[i] = math.Sin(float64(i) * 0.01)
-		b[i] = math.Cos(float64(i) * 0.013)
+// riffChunk frames one RIFF chunk: id, little-endian size, body, and
+// the pad byte an odd size takes unless pad is false.
+func riffChunk(id string, body []byte, pad bool) []byte {
+	c := binary.LittleEndian.AppendUint32([]byte(id), uint32(len(body)))
+	c = append(c, body...)
+	if pad && len(body)%2 == 1 {
+		c = append(c, 0)
 	}
-	var buf bytes.Buffer
-	if err := WriteWAV(&buf, 48000, a, b); err != nil {
-		t.Fatal(err)
+	return c
+}
+
+// riffFile wraps chunks in a RIFF/WAVE header.
+func riffFile(chunks ...[]byte) []byte {
+	body := []byte("WAVE")
+	for _, c := range chunks {
+		body = append(body, c...)
 	}
-	_, want, err := ReadWAV(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, got, err := ReadWAV(struct{ io.Reader }{bytes.NewReader(buf.Bytes())})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c := range want {
-		if len(got[c]) != n || len(want[c]) != n {
-			t.Fatalf("channel %d: %d and %d frames, want %d", c, len(got[c]), len(want[c]), n)
+	return append(binary.LittleEndian.AppendUint32([]byte("RIFF"), uint32(len(body))), body...)
+}
+
+// fmtBody is a 16-byte PCM "fmt " body.
+func fmtBody(nCh, rate, bits int) []byte {
+	b := binary.LittleEndian.AppendUint16(nil, 1)
+	b = binary.LittleEndian.AppendUint16(b, uint16(nCh))
+	b = binary.LittleEndian.AppendUint32(b, uint32(rate))
+	b = binary.LittleEndian.AppendUint32(b, uint32(rate*nCh*bits/8))
+	b = binary.LittleEndian.AppendUint16(b, uint16(nCh*bits/8))
+	return binary.LittleEndian.AppendUint16(b, uint16(bits))
+}
+
+// TestReadWAVChunkRules pins the chunk walk: odd chunks are padded, a
+// missing final pad byte and a partial trailing chunk header are
+// tolerated, a trailing partial frame is dropped, the last "fmt " and
+// the last "data" decide, and a chunk claiming more bytes than follow or
+// a channel count WriteWAV cannot write is refused.
+func TestReadWAVChunkRules(t *testing.T) {
+	stereo, mono := fmtBody(2, 8000, 16), fmtBody(1, 8000, 16)
+	// Frames (1, -1), (2, -2) as int16: 1/32767 etc. after decoding.
+	frames := []byte{1, 0, 0xff, 0xff, 2, 0, 0xfe, 0xff}
+	other := []byte{9, 0, 9, 0}
+	for _, tc := range []struct {
+		name    string
+		file    []byte
+		nCh     int
+		samples []int16 // channel 0, then channel 1
+	}{
+		{"canonical", riffFile(riffChunk("fmt ", stereo, true), riffChunk("data", frames, true)), 2, []int16{1, 2, -1, -2}},
+		{"odd chunk padded", riffFile(riffChunk("LIST", []byte{7, 7, 7}, true), riffChunk("fmt ", stereo, true), riffChunk("data", frames, true)), 2, []int16{1, 2, -1, -2}},
+		{"partial frame, no pad byte", riffFile(riffChunk("fmt ", stereo, true), riffChunk("data", append(frames, 5), false)), 2, []int16{1, 2, -1, -2}},
+		{"partial chunk header", append(riffFile(riffChunk("fmt ", stereo, true), riffChunk("data", frames, true)), 'L', 'I'), 2, []int16{1, 2, -1, -2}},
+		{"data before fmt", riffFile(riffChunk("data", frames, true), riffChunk("fmt ", stereo, true)), 2, []int16{1, 2, -1, -2}},
+		{"last data decides", riffFile(riffChunk("fmt ", stereo, true), riffChunk("data", other, true), riffChunk("data", frames, true)), 2, []int16{1, 2, -1, -2}},
+		{"last fmt decides", riffFile(riffChunk("fmt ", stereo, true), riffChunk("data", frames, true), riffChunk("fmt ", mono, true)), 1, []int16{1, -1, 2, -2}},
+		{"overlong chunk", riffFile(riffChunk("fmt ", stereo, true), riffChunk("data", frames, true))[:48], 0, nil},
+		{"overlong unknown chunk", riffFile(riffChunk("fmt ", stereo, true), riffChunk("data", frames, true), riffChunk("LIST", other, true)[:10]), 0, nil},
+		{"zero channels", riffFile(riffChunk("fmt ", fmtBody(0, 8000, 16), true), riffChunk("data", frames, true)), 0, nil},
+		{"three channels", riffFile(riffChunk("fmt ", fmtBody(3, 8000, 16), true), riffChunk("data", frames[:6], true)), 0, nil},
+		{"three channels overridden", riffFile(riffChunk("fmt ", fmtBody(3, 8000, 16), true), riffChunk("fmt ", stereo, true), riffChunk("data", frames, true)), 0, nil},
+		{"8-bit", riffFile(riffChunk("fmt ", fmtBody(2, 8000, 8), true), riffChunk("data", frames, true)), 0, nil},
+		{"no data", riffFile(riffChunk("fmt ", stereo, true)), 0, nil},
+		{"no fmt", riffFile(riffChunk("data", frames, true)), 0, nil},
+	} {
+		rate, chans, err := ReadWAV(tc.file)
+		if tc.nCh == 0 {
+			if err == nil {
+				t.Errorf("%s: decoded %d channels, want an error", tc.name, len(chans))
+			}
+			continue
 		}
-		for i := range want[c] {
-			if got[c][i] != want[c][i] {
-				t.Fatalf("channel %d sample %d: %v vs %v", c, i, got[c][i], want[c][i])
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		if rate != 8000 || len(chans) != tc.nCh {
+			t.Errorf("%s: rate %d, %d channels; want 8000, %d", tc.name, rate, len(chans), tc.nCh)
+			continue
+		}
+		var got []int16
+		for _, ch := range chans {
+			for _, v := range ch {
+				got = append(got, int16(math.Round(v*32767)))
 			}
 		}
+		if fmt.Sprint(got) != fmt.Sprint(tc.samples) {
+			t.Errorf("%s: samples %v, want %v", tc.name, got, tc.samples)
+		}
 	}
 }
 
-// TestDecodeStereo16MatchesGeneric decodes every int16 value through
-// the stereo loop and the any-channel loop, both channels, and requires
-// the same bits: the stereo loop is the generic rule unrolled.
+// TestDecodeStereo16MatchesGeneric decodes every int16 value on both
+// channels and requires each sample to be the generic rule,
+// float64(int16)/32767, bit for bit, and the mono WAV path to decode the
+// same values to the same bits.
 func TestDecodeStereo16MatchesGeneric(t *testing.T) {
 	const n = 1 << 16
 	raw := make([]byte, 4*n)
@@ -336,15 +383,26 @@ func TestDecodeStereo16MatchesGeneric(t *testing.T) {
 		binary.LittleEndian.PutUint16(raw[4*i:], uint16(i))
 		binary.LittleEndian.PutUint16(raw[4*i+2:], uint16(n-1-i))
 	}
-	c1, c2 := make([]float64, n), make([]float64, n)
-	DecodeStereo16(raw, c1, c2)
-	want := [][]float64{make([]float64, n), make([]float64, n)}
-	decodePCM16(raw, want, 0, n)
-	for c, got := range [][]float64{c1, c2} {
-		for i := range got {
-			if math.Float64bits(got[i]) != math.Float64bits(want[c][i]) {
-				t.Fatalf("channel %d, frame %d: stereo loop %v, generic %v", c, i, got[i], want[c][i])
-			}
+	c1, c2 := DecodeStereo16(append(raw, 1, 2, 3)) // a partial frame is dropped
+	if len(c1) != n || len(c2) != n {
+		t.Fatalf("%d and %d frames, want %d", len(c1), len(c2), n)
+	}
+	monoRaw := make([]byte, 2*n)
+	for i := 0; i < n; i++ {
+		binary.LittleEndian.PutUint16(monoRaw[2*i:], uint16(i))
+	}
+	_, mono, err := ReadWAV(riffFile(riffChunk("fmt ", fmtBody(1, 8000, 16), true), riffChunk("data", monoRaw, true)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		want1 := float64(int16(uint16(i))) / 32767
+		want2 := float64(int16(uint16(n-1-i))) / 32767
+		if math.Float64bits(c1[i]) != math.Float64bits(want1) || math.Float64bits(c2[i]) != math.Float64bits(want2) {
+			t.Fatalf("frame %d: decoded (%v, %v), rule (%v, %v)", i, c1[i], c2[i], want1, want2)
+		}
+		if math.Float64bits(mono[0][i]) != math.Float64bits(want1) {
+			t.Fatalf("mono sample %d: %v, rule %v", i, mono[0][i], want1)
 		}
 	}
 	if c1[0x7fff] != 1 || c1[0x8000] != -32768.0/32767 {
@@ -352,10 +410,37 @@ func TestDecodeStereo16MatchesGeneric(t *testing.T) {
 	}
 }
 
+// BenchmarkDecodeWAV is the WAV row of the stage ledger: a stereo
+// 44.1 kHz WAV as long as the server benchmarks' session (the 5.9 s
+// recording inside BenchmarkReadBundleMultipart's body) decoded from its
+// bytes, the channels handed back to the sample pool every op.
+func BenchmarkDecodeWAV(b *testing.B) {
+	const frames = 260190
+	m1, m2 := make([]float64, frames), make([]float64, frames)
+	for i := range m1 {
+		m1[i] = 0.5 * math.Sin(float64(i)*0.05)
+		m2[i] = 0.5 * math.Cos(float64(i)*0.07)
+	}
+	var buf bytes.Buffer
+	if err := WriteWAV(&buf, 44100, m1, m2); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(buf.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, chans, err := ReadWAV(buf.Bytes())
+		if err != nil {
+			b.Fatal(err)
+		}
+		RecycleSamples(chans...)
+	}
+}
+
 // FuzzReadWAV feeds arbitrary bytes to ReadWAV. It must never panic; on
-// success every channel has the same length, the decoded frames fit in
-// the input (frames × channels × 2 ≤ len(input)), and every sample is a
-// 16-bit value scaled by 1/32767.
+// success there are one or two channels of the same length, the decoded
+// frames fit in the input (frames × channels × 2 ≤ len(input)), and
+// every sample is a 16-bit value scaled by 1/32767.
 func FuzzReadWAV(f *testing.F) {
 	var stereo, mono bytes.Buffer
 	if err := WriteWAV(&stereo, 44100, []float64{0, 0.5, -1, 1}, []float64{0.25, -0.25, 1, -1}); err != nil {
@@ -371,9 +456,12 @@ func FuzzReadWAV(f *testing.F) {
 	f.Add([]byte("RIFF\x00\x00\x00\x00WAVE"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, chans, err := ReadWAV(bytes.NewReader(data))
+		_, chans, err := ReadWAV(data)
 		if err != nil {
 			return
+		}
+		if len(chans) != 1 && len(chans) != 2 {
+			t.Fatalf("%d channels decoded, WriteWAV writes 1 or 2", len(chans))
 		}
 		for c, ch := range chans {
 			if len(ch) != len(chans[0]) {

@@ -86,38 +86,19 @@ func Save(dir string, b *Bundle) error {
 }
 
 // Load reads a bundle saved by Save (or assembled by hand from real
-// captures following the same layout).
+// captures following the same layout): its three files go through
+// ReadBundleParts, the function uploads are decoded by. The recording's
+// channels come from the sample pool (see RecycleBundle).
+//
+//hyperearvet:pooled
 func Load(dir string) (*Bundle, error) {
-	af, err := os.Open(filepath.Join(dir, audioFile))
-	if err != nil {
-		return nil, fmt.Errorf("sessionio: %w", err)
+	var parts [3][]byte
+	for i, name := range [...]string{audioFile, imuFile, metaFile} {
+		raw, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			return nil, fmt.Errorf("sessionio: %w", err)
+		}
+		parts[i] = raw
 	}
-	defer af.Close()
-	rec, err := ReadRecording(af)
-	if err != nil {
-		return nil, err
-	}
-
-	mf, err := os.Open(filepath.Join(dir, imuFile))
-	if err != nil {
-		return nil, fmt.Errorf("sessionio: %w", err)
-	}
-	defer mf.Close()
-	trace, err := ReadIMU(mf)
-	if err != nil {
-		return nil, err
-	}
-
-	raw, err := os.ReadFile(filepath.Join(dir, metaFile))
-	if err != nil {
-		return nil, fmt.Errorf("sessionio: %w", err)
-	}
-	meta, err := ParseMeta(raw)
-	if err != nil {
-		return nil, err
-	}
-	if err := meta.checkAgainst(rec); err != nil {
-		return nil, err
-	}
-	return &Bundle{Recording: rec, IMU: trace, Meta: meta}, nil
+	return ReadBundleParts(parts[0], parts[1], parts[2])
 }

@@ -6,7 +6,6 @@
 package sessionio
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -70,220 +69,94 @@ func WriteWAV(w io.Writer, rate int, channels ...[]float64) error {
 	return nil
 }
 
-// ReadWAV parses a 16-bit PCM WAV stream into float channels in [-1, 1].
+// ReadWAV decodes a 16-bit PCM RIFF/WAVE file held whole in data into
+// float channels in [-1, 1].
 //
-// The data chunk is decoded incrementally through a small pooled window
-// rather than buffered whole, and the channel slices come from the
-// package sample pool — callers that are finished with them may hand
-// them back via RecycleSamples (letting the GC take them is also fine).
+// It walks the chunks over data itself: a chunk that claims more bytes
+// than follow is an error, a missing final pad byte is not, and a
+// trailing partial frame is dropped. The last "fmt " and the last
+// "data" chunk decide, and a "fmt " naming a channel count WriteWAV
+// cannot write (0, or more than 2) is refused where it stands. The
+// channels come from the sample pool: callers that are finished with
+// them may hand them back via RecycleSamples (letting the GC take them
+// is also fine).
 //
 //hyperearvet:pooled
-func ReadWAV(r io.Reader) (rate int, channels [][]float64, err error) {
-	var riff [12]byte
-	if _, err := io.ReadFull(r, riff[:]); err != nil {
-		return 0, nil, fmt.Errorf("sessionio: read RIFF header: %w", err)
-	}
-	if string(riff[0:4]) != "RIFF" || string(riff[8:12]) != "WAVE" {
-		return 0, nil, fmt.Errorf("sessionio: not a RIFF/WAVE stream")
+func ReadWAV(data []byte) (rate int, channels [][]float64, err error) {
+	if len(data) < 12 || string(data[0:4]) != "RIFF" || string(data[8:12]) != "WAVE" {
+		return 0, nil, fmt.Errorf("sessionio: not a RIFF/WAVE file")
 	}
 	var nCh, bits int
-	// pending buffers a data chunk that arrives before "fmt " (the chunk
-	// order is unconstrained); with the usual fmt-first layout the data
-	// chunk streams straight into sample slices instead.
-	var pending *bytes.Buffer
-	defer func() {
-		if pending != nil {
-			putBuf(pending)
+	var pcm []byte
+	haveData := false
+	for rest := data[12:]; len(rest) >= 8; {
+		id, size := string(rest[0:4]), binary.LittleEndian.Uint32(rest[4:8])
+		rest = rest[8:]
+		if int64(size) > int64(len(rest)) {
+			return 0, nil, fmt.Errorf("sessionio: %q chunk claims %d bytes, %d follow", id, size, len(rest))
 		}
-	}()
-	for {
-		var chunk [8]byte
-		if _, err := io.ReadFull(r, chunk[:]); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				break
-			}
-			return 0, nil, fmt.Errorf("sessionio: read chunk header: %w", err)
+		body := rest[:size]
+		rest = rest[size:]
+		if size%2 == 1 && len(rest) > 0 {
+			rest = rest[1:] // chunks are word-aligned
 		}
-		id := string(chunk[0:4])
-		size := int64(binary.LittleEndian.Uint32(chunk[4:8]))
-		switch {
-		case id == "fmt ":
+		switch id {
+		case "fmt ":
 			if size < 16 {
 				return 0, nil, fmt.Errorf("sessionio: fmt chunk too short (%d bytes)", size)
-			}
-			var body [16]byte
-			if _, err := io.ReadFull(r, body[:]); err != nil {
-				return 0, nil, fmt.Errorf("sessionio: read %q chunk: %w", id, err)
 			}
 			if format := binary.LittleEndian.Uint16(body[0:2]); format != 1 {
 				return 0, nil, fmt.Errorf("sessionio: unsupported WAV format %d (want PCM)", format)
 			}
-			nCh = int(binary.LittleEndian.Uint16(body[2:4]))
+			if nCh = int(binary.LittleEndian.Uint16(body[2:4])); nCh == 0 || nCh > 2 {
+				return 0, nil, fmt.Errorf("sessionio: %d channels unsupported (want 1 or 2)", nCh)
+			}
 			rate = int(binary.LittleEndian.Uint32(body[4:8]))
 			bits = int(binary.LittleEndian.Uint16(body[14:16]))
-			if _, err := io.CopyN(io.Discard, r, size-16); err != nil {
-				return 0, nil, fmt.Errorf("sessionio: read %q chunk: %w", id, err)
-			}
-		case id == "data" && nCh > 0 && bits == 16:
-			// A later data chunk wins (mirroring the pre-streaming
-			// behavior), so drop anything decoded or buffered already.
-			RecycleSamples(channels...)
-			if pending != nil {
-				putBuf(pending)
-				pending = nil
-			}
-			channels, err = readPCM16(r, size, nCh)
-			if err != nil {
-				return 0, nil, err
-			}
-		case id == "data":
-			if pending == nil {
-				pending = getBuf()
-			}
-			pending.Reset()
-			if _, err := io.CopyN(pending, r, size); err != nil {
-				return 0, nil, fmt.Errorf("sessionio: read %q chunk: %w", id, err)
-			}
-		default:
-			if _, err := io.CopyN(io.Discard, r, size); err != nil {
-				return 0, nil, fmt.Errorf("sessionio: read %q chunk: %w", id, err)
-			}
-		}
-		if size%2 == 1 {
-			// Chunks are word-aligned; skip the pad byte.
-			var pad [1]byte
-			if _, err := io.ReadFull(r, pad[:]); err != nil && err != io.EOF {
-				return 0, nil, fmt.Errorf("sessionio: chunk padding: %w", err)
-			}
+		case "data":
+			pcm, haveData = body, true
 		}
 	}
-	if nCh == 0 || rate == 0 {
+	switch {
+	case nCh == 0 || rate == 0:
 		return 0, nil, fmt.Errorf("sessionio: missing fmt chunk")
-	}
-	if bits != 16 {
+	case bits != 16:
 		return 0, nil, fmt.Errorf("sessionio: %d-bit WAV unsupported (want 16)", bits)
-	}
-	if pending != nil {
-		RecycleSamples(channels...)
-		channels, err = readPCM16(pending, int64(pending.Len()), nCh)
-		if err != nil {
-			return 0, nil, err
-		}
-	}
-	if channels == nil {
+	case !haveData:
 		return 0, nil, fmt.Errorf("sessionio: missing data chunk")
-	}
-	return rate, channels, nil
-}
-
-// readPCM16 stream-decodes size bytes of interleaved 16-bit PCM into
-// nCh pooled channel slices, reading through a fixed pooled window so
-// the raw bytes are never buffered whole. Trailing bytes that do not
-// fill a frame are discarded, matching the buffered decoder's n =
-// len(data)/frame truncation.
-//
-// The channels are sized from the bytes actually present, never from
-// the header's claim alone: a reader that reports its remaining length
-// (the multipart path's *bytes.Reader) caps the claim, and any other
-// reader starts at one window of frames and grows as data arrives. A
-// 44-byte stream claiming a 4 GiB data chunk therefore fails with EOF
-// after allocating one window, not gigabytes.
-//
-//hyperearvet:pooled
-func readPCM16(r io.Reader, size int64, nCh int) ([][]float64, error) {
-	frame := int64(nCh * 2)
-	n := int(size / frame)
-	wp := pcmScratchPool.Get().(*[]byte)
-	defer pcmScratchPool.Put(wp)
-	// Whole frames per window read: channel counts whose frame exceeds
-	// the window cannot be decoded through it.
-	step := int64(len(*wp)) / frame * frame
-	if step == 0 {
-		return nil, fmt.Errorf("sessionio: %d-channel frames exceed the %d-byte decode window", nCh, len(*wp))
-	}
-	win := (*wp)[:step]
-	pre := min(n, len(win)/int(frame))
-	if l, ok := r.(interface{ Len() int }); ok {
-		pre = min(n, l.Len()/int(frame))
-	}
-	channels := make([][]float64, nCh)
-	for c := range channels {
-		// The container is this pooled function's own return value:
-		// ownership of the borrowed slices transfers to the caller, who
-		// hands them back via RecycleSamples (or lets the GC take them).
-		//hyperearvet:allow poolleak borrowed slices are the pooled return value; RecycleSamples is the give-back
-		channels[c] = BorrowSamples(pre)
-	}
-	done := 0
-	for rem := int64(n) * frame; rem > 0; {
-		want := int64(len(win))
-		if want > rem {
-			want = rem
+	case nCh == 1:
+		mono := BorrowSamples(len(pcm) / 2)
+		for i := range mono {
+			mono[i] = pcm16(pcm[2*i:])
 		}
-		// len(win) and rem are both frame multiples, so each read holds
-		// whole frames only.
-		if _, err := io.ReadFull(r, win[:want]); err != nil {
-			RecycleSamples(channels...)
-			return nil, fmt.Errorf("sessionio: read \"data\" chunk: %w", err)
-		}
-		frames := int(want / frame)
-		if need := done + frames; need > len(channels[0]) {
-			for c, ch := range channels {
-				//hyperearvet:allow poolleak the grown slice replaces ch in the pooled return value
-				channels[c] = growSamples(ch, done, min(max(2*len(ch), need), n))
-			}
-		}
-		if nCh == 2 {
-			DecodeStereo16(win[:want], channels[0][done:done+frames], channels[1][done:done+frames])
-		} else {
-			decodePCM16(win[:want], channels, done, frames)
-		}
-		done += frames
-		rem -= want
+		return rate, [][]float64{mono}, nil
 	}
-	if tail := size - int64(n)*frame; tail > 0 {
-		if _, err := io.CopyN(io.Discard, r, tail); err != nil {
-			RecycleSamples(channels...)
-			return nil, fmt.Errorf("sessionio: read \"data\" chunk: %w", err)
-		}
-	}
-	return channels, nil
+	c1, c2 := DecodeStereo16(pcm)
+	return rate, [][]float64{c1, c2}, nil
 }
 
 // DecodeStereo16 decodes interleaved stereo int16 little-endian PCM into
-// two channels, len(c1) frames: every sample is int16/32767, so a WAV
-// upload and the same bytes streamed to a session decode to the same
-// bits.
-func DecodeStereo16(raw []byte, c1, c2 []float64) {
-	raw, c2 = raw[:4*len(c1)], c2[:len(c1)]
-	for i := range c1 {
-		f := raw[4*i : 4*i+4]
-		c1[i] = float64(int16(binary.LittleEndian.Uint16(f))) / 32767
-		c2[i] = float64(int16(binary.LittleEndian.Uint16(f[2:]))) / 32767
-	}
-}
-
-// decodePCM16 is DecodeStereo16 for any channel count: frames frames of
-// interleaved int16 PCM into channels[c][at:], with the same rule.
-func decodePCM16(raw []byte, channels [][]float64, at, frames int) {
-	nCh := len(channels)
-	for i := 0; i < frames; i++ {
-		for c := 0; c < nCh; c++ {
-			v := int16(binary.LittleEndian.Uint16(raw[(i*nCh+c)*2:]))
-			channels[c][at+i] = float64(v) / 32767
-		}
-	}
-}
-
-// growSamples returns a pooled slice of length n holding s[:keep], and
-// hands s back to the pool.
+// two channels of len(raw)/4 frames borrowed from the sample pool (a
+// trailing partial frame is dropped); hand them back with
+// RecycleSamples. It is the one PCM decoder: a WAV upload's data chunk,
+// a streamed session's chunks, its locate and its recovery all decode
+// through it, so the same bytes decode to the same bits on every path.
 //
 //hyperearvet:pooled
-func growSamples(s []float64, keep, n int) []float64 {
-	g := BorrowSamples(n)
-	copy(g, s[:keep])
-	RecycleSamples(s)
-	return g
+func DecodeStereo16(raw []byte) (c1, c2 []float64) {
+	n := len(raw) / 4
+	c1, c2 = BorrowSamples(n), BorrowSamples(n)
+	raw, c2 = raw[:4*n], c2[:n]
+	for i := range c1 {
+		f := raw[4*i : 4*i+4]
+		c1[i], c2[i] = pcm16(f), pcm16(f[2:])
+	}
+	return c1, c2
+}
+
+// pcm16 is the sample rule: a little-endian int16 scaled by 1/32767.
+func pcm16(b []byte) float64 {
+	return float64(int16(binary.LittleEndian.Uint16(b))) / 32767
 }
 
 // WriteRecording saves a stereo mic.Recording as WAV.
@@ -294,13 +167,17 @@ func WriteRecording(w io.Writer, rec *mic.Recording) error {
 	return WriteWAV(w, int(rec.Fs), rec.Mic1, rec.Mic2)
 }
 
-// ReadRecording loads a stereo WAV as a mic.Recording.
-func ReadRecording(r io.Reader) (*mic.Recording, error) {
-	rate, channels, err := ReadWAV(r)
+// ReadRecording decodes a stereo WAV held whole in data as a
+// mic.Recording over pooled sample buffers (see RecycleBundle).
+//
+//hyperearvet:pooled
+func ReadRecording(data []byte) (*mic.Recording, error) {
+	rate, channels, err := ReadWAV(data)
 	if err != nil {
 		return nil, err
 	}
 	if len(channels) != 2 {
+		RecycleSamples(channels...)
 		return nil, fmt.Errorf("sessionio: recording needs 2 channels, got %d", len(channels))
 	}
 	return &mic.Recording{
