@@ -139,18 +139,20 @@ crash-soak:
 # runs; MatchedFilter the segmented band-limited envelope kernel over a
 # session; Detect/Stream cover the batch and block-final stream detection
 # hot paths; ASP is the per-locate detection stage (both channels) on the
-# 5-slide bench session; PipelineLocate2D tracks end-to-end latency;
-# ServerThroughput measures locates/sec through the full HTTP service,
-# ReadBundleMultipart its multipart WAV+CSV+meta decode alone, and
-# DecodeWAV the WAV inside it alone;
+# 5-slide bench session, and MSP, PDE and TTL the stages after it on the
+# same session (internal/core); PipelineLocate2D tracks end-to-end
+# latency; ServerThroughput measures locates/sec through the full HTTP
+# service, ReadBundleMultipart its multipart WAV+CSV+meta decode alone,
+# DecodeWAV the WAV inside it alone, and EncodeResponse the JSON answer
+# of the 5-slide session's locate;
 # SessionIngest streams a session's audio chunk by chunk with and without
 # the session store underneath, SessionLocate times a streamed session's
 # locate alone, and WALAppend pins the raw durable append to a session
 # log under both fsync policies; DisabledSpan/EnabledSpan pin the per-hook
 # observability overhead (the disabled path must stay 0 B/op) and
 # PromExposition the /metrics scrape-render cost.
-BENCH_RE := FFTReal|MatchedFilter|Detect|DetectSegmented|Stream|ASP|PipelineLocate2D|ServerThroughput|ReadBundleMultipart|DecodeWAV|SessionIngest|SessionLocate|WALAppend|DisabledSpan|EnabledSpan|PromExposition
-BENCH_PKGS := ./ ./internal/dsp/ ./internal/chirp/ ./internal/obs/ ./internal/server/ ./internal/sessionio/ ./internal/sessionstore/
+BENCH_RE := FFTReal|MatchedFilter|Detect|DetectSegmented|Stream|ASP|MSP|PDE|TTL|PipelineLocate2D|ServerThroughput|ReadBundleMultipart|DecodeWAV|EncodeResponse|SessionIngest|SessionLocate|WALAppend|DisabledSpan|EnabledSpan|PromExposition
+BENCH_PKGS := ./ ./internal/dsp/ ./internal/chirp/ ./internal/core/ ./internal/obs/ ./internal/server/ ./internal/sessionio/ ./internal/sessionstore/
 
 bench:
 	$(GO) test -run NONE -bench '$(BENCH_RE)' -benchmem $(BENCH_PKGS)

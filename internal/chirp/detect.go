@@ -156,12 +156,13 @@ type envCand struct {
 
 // DetectScratch holds the reusable working set of one detection pass: the
 // decimated Hilbert envelope of the matched-filter output, the
-// floor-estimation sample, the candidate lists, and the full-rate timing
-// window. A zero value is ready to use; after the first
-// call on a given input size every buffer is warm and DetectInto performs
-// no heap allocations. A DetectScratch must not be shared between
-// concurrent DetectInto calls (the Detector itself stays safe for
-// concurrent use — each goroutine brings its own scratch).
+// floor-estimation sample, the candidate lists, the full-rate timing
+// window and, over PCM, the decoded samples it reads. A zero value is
+// ready to use; after the first call on a given input size every buffer
+// is warm and DetectInto performs no heap allocations. A DetectScratch
+// must not be shared between concurrent DetectInto calls (the Detector
+// itself stays safe for concurrent use — each goroutine brings its own
+// scratch).
 type DetectScratch struct {
 	env      []float64
 	absSamp  []float64
@@ -171,6 +172,9 @@ type DetectScratch struct {
 	// one accepted peak.
 	win  []float64
 	quad []float64
+	// samp holds the decoded samples one peak's timing reads, when the
+	// samples are PCM.
+	samp []float64
 	// seg holds the matched-filter kernel's block spectrum buffer.
 	seg dsp.SegScratch
 }
@@ -201,13 +205,14 @@ func (d *Detector) Detect(x []float64) []Detection {
 //
 //hyperearvet:zeroalloc
 func (d *Detector) DetectInto(dst []Detection, x []float64, s *DetectScratch) []Detection {
-	dst, _ = d.DetectIntoCtx(context.Background(), dst, x, dsp.EnvelopePrefix{}, s)
+	dst, _ = d.DetectIntoCtx(context.Background(), dst, dsp.FloatSamples(x, 0), dsp.EnvelopePrefix{}, s)
 	return dst
 }
 
-// DetectIntoCtx is DetectInto with mid-recording cancellation. The
-// matched filter's decimated envelope runs as fixed-size overlap-save
-// blocks (dsp.Correlator.MatchedEnvelopeCtx — the blocks the streaming
+// DetectIntoCtx is DetectInto over samples held from index 0, float64
+// or PCM, with mid-recording cancellation. The matched filter's
+// decimated envelope runs as fixed-size overlap-save blocks
+// (dsp.Correlator.MatchedEnvelopeCtx — the blocks the streaming
 // detector's feed runs as audio arrives), and ctx is checked before
 // every block, so a canceled locate aborts between blocks instead of
 // finishing a session-length pass. On cancellation the partial dst plus
@@ -216,13 +221,15 @@ func (d *Detector) DetectInto(dst []Detection, x []float64, s *DetectScratch) []
 // pre is the envelope's leading blocks as one of this Detector's
 // NewEnvelopeFeed feeds computed them while x arrived; only the blocks
 // after them run here. The detections are the same bits with or without
-// it. The zero value, and any other Detector's prefix, leaves every
-// block to run here.
+// it, and over PCM or the float64 samples it decodes to. The zero value,
+// and any other Detector's prefix, leaves every block to run here. Over
+// PCM, only the samples of the blocks that run here and of each
+// accepted peak's timing window are decoded.
 //
 //hyperearvet:zeroalloc
-func (d *Detector) DetectIntoCtx(ctx context.Context, dst []Detection, x []float64, pre dsp.EnvelopePrefix, s *DetectScratch) ([]Detection, error) {
+func (d *Detector) DetectIntoCtx(ctx context.Context, dst []Detection, x dsp.Samples, pre dsp.EnvelopePrefix, s *DetectScratch) ([]Detection, error) {
 	dst = dst[:0]
-	if len(x) < len(d.ref) {
+	if x.Len() < len(d.ref) {
 		return dst, ctx.Err()
 	}
 	if s == nil {
@@ -234,7 +241,7 @@ func (d *Detector) DetectIntoCtx(ctx context.Context, dst []Detection, x []float
 	if err != nil {
 		return dst, err
 	}
-	return d.detectCore(dst, x, 0, s.env, 0, 0, len(x), s), nil
+	return d.detectCore(dst, x, s.env, 0, 0, x.Len(), s), nil
 }
 
 // detectCore is the shared threshold/NMS/timing pass over a window of
@@ -242,14 +249,14 @@ func (d *Detector) DetectIntoCtx(ctx context.Context, dst []Detection, x []float
 // envelope at lag off + D·m of the recording, D = Decimation(). The
 // floor, the candidates and non-maximum suppression all run on env; each
 // accepted peak whose lag lies in [lo, hi) is then timed at full rate
-// from exact sums over x, the recording's samples from index xoff on,
-// which must hold every sample that timing reads (timingReach). Indices
-// and times are the recording's. The batch path passes the whole
-// recording and its envelope with every lag; the streaming detector
-// passes the window around one final block and that block's lags.
+// from exact sums over the window of x that timing reads (timingReach),
+// which x must hold unless the recording ends first. Indices and times
+// are the recording's. The batch path passes the whole recording and its
+// envelope with every lag; the streaming detector passes the samples it
+// keeps, the window around one final block and that block's lags.
 //
 //hyperearvet:zeroalloc
-func (d *Detector) detectCore(dst []Detection, x []float64, xoff int, env []float64, off, lo, hi int, s *DetectScratch) []Detection {
+func (d *Detector) detectCore(dst []Detection, x dsp.Samples, env []float64, off, lo, hi int, s *DetectScratch) []Detection {
 	dec := d.corr.Decimation()
 	var floor float64
 	floor, s.absSamp = correlationFloor(env, s.absSamp)
@@ -259,10 +266,13 @@ func (d *Detector) detectCore(dst []Detection, x []float64, xoff int, env []floa
 	minSep := d.minSepSamples()
 
 	// Collect envelope local maxima above the threshold, at their lags.
+	// The threshold test comes first: most lags fail it, so the branch
+	// predicts well, and the conjunction has no side effects, so the
+	// order changes no candidate.
 	cands := s.cands[:0]
 	thresh := d.Threshold * floor
 	for i := 1; i < len(env)-1; i++ {
-		if env[i] >= env[i-1] && env[i] > env[i+1] && env[i] > thresh {
+		if env[i] > thresh && env[i] >= env[i-1] && env[i] > env[i+1] {
 			cands = append(cands, envCand{off + i*dec, env[i]})
 		}
 	}
@@ -315,13 +325,15 @@ func (d *Detector) detectCore(dst []Detection, x []float64, xoff int, env []floa
 	// narrowScanRel of the candidate, D lags either side of its samples,
 	// and keeps the highest full-rate envelope lag.
 	wideband, half := d.timingRule()
+	before, after := d.timingReach()
 	for _, c := range accepted {
 		if c.idx < lo || c.idx >= hi {
 			continue
 		}
+		xw, xoff := x.Window(&s.samp, c.idx-before, c.idx+after+1)
 		var p windowPeak
 		if wideband {
-			p = d.peakIn(x, xoff, c.idx-half, c.idx+half, false, s)
+			p = d.peakIn(xw, xoff, c.idx-half, c.idx+half, false, s)
 		} else {
 			mc, k := (c.idx-off)/dec, minSep/dec
 			last, lobe := min(mc+k, len(env)-1), narrowScanRel*c.val
@@ -333,7 +345,7 @@ func (d *Detector) detectCore(dst []Detection, x []float64, xoff int, env []floa
 				for m < last && env[m+1] >= lobe {
 					m++
 				}
-				if q := d.peakIn(x, xoff, off+dec*(run-1)+1, off+dec*(m+1)-1, true, s); q.sample > p.sample {
+				if q := d.peakIn(xw, xoff, off+dec*(run-1)+1, off+dec*(m+1)-1, true, s); q.sample > p.sample {
 					p = q
 				}
 			}
@@ -369,6 +381,8 @@ func (d *Detector) timingRule() (wideband bool, half int) {
 // the interpolation adds a lag each side, the correlation sums a
 // template past the last lag, and the quadrature sums its lead each
 // side.
+//
+//hyperearvet:zeroalloc
 func (d *Detector) timingReach() (before, after int) {
 	wideband, half := d.timingRule()
 	w, lead := half+1, 0
@@ -398,9 +412,9 @@ type windowPeak struct {
 // lag in [lo, hi] ∩ [xoff, xoff+len(x)) and interpolates it; x holds the
 // recording's samples from index xoff on, and lags and the returned
 // index are the recording's. The exact lags span one more on each side
-// for the interpolation; at the recording edges the window edge is the
-// slice edge, so ParabolicInterp's edge rule (offset 0) applies exactly
-// there.
+// for the interpolation. x is a peak's timing window: its edges bind
+// only where the recording's do, so ParabolicInterp's edge rule (offset
+// 0) applies exactly at the recording edges.
 //
 //hyperearvet:zeroalloc
 func (d *Detector) peakIn(x []float64, xoff, lo, hi int, analytic bool, s *DetectScratch) windowPeak {

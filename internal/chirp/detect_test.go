@@ -334,7 +334,7 @@ func TestDetectorFilteredRejectsAsymmetricTaps(t *testing.T) {
 // threshold/NMS/timing stage.
 func detectMonolithic(d *Detector, x []float64) []Detection {
 	env := dsp.EnvelopeInto(nil, d.corr.CrossCorrelateInto(nil, x))
-	return d.detectCore(nil, x, 0, onGrid(env, d.corr.Decimation()), 0, 0, len(x), &DetectScratch{})
+	return d.detectCore(nil, dsp.FloatSamples(x, 0), onGrid(env, d.corr.Decimation()), 0, 0, len(x), &DetectScratch{})
 }
 
 // onGrid samples a full-rate sequence at every dec-th lag.
@@ -378,7 +378,7 @@ func TestDetectSegmentedMatchesMonolithic(t *testing.T) {
 		want := detectMonolithic(d, x)
 
 		var s DetectScratch
-		got, err := d.DetectIntoCtx(context.Background(), nil, x, dsp.EnvelopePrefix{}, &s)
+		got, err := d.DetectIntoCtx(context.Background(), nil, dsp.FloatSamples(x, 0), dsp.EnvelopePrefix{}, &s)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -453,7 +453,7 @@ func TestMatchedFilterEnvelopeOracle(t *testing.T) {
 		if n, dec := c.SegmentSize(), c.Decimation(); n != tc.block || dec != tc.dec {
 			t.Fatalf("%s: block size %d at decimation %d, want %d at %d", tc.name, n, dec, tc.block, tc.dec)
 		}
-		env, err := c.MatchedEnvelopeCtx(context.Background(), nil, x, dsp.EnvelopePrefix{}, nil)
+		env, err := c.MatchedEnvelopeCtx(context.Background(), nil, dsp.FloatSamples(x, 0), dsp.EnvelopePrefix{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -545,7 +545,7 @@ func BenchmarkDetectSegmented(b *testing.B) {
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			var scratch DetectScratch
-			dst, err := tc.d.DetectIntoCtx(ctx, nil, x, dsp.EnvelopePrefix{}, &scratch)
+			dst, err := tc.d.DetectIntoCtx(ctx, nil, dsp.FloatSamples(x, 0), dsp.EnvelopePrefix{}, &scratch)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -555,7 +555,7 @@ func BenchmarkDetectSegmented(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				dst, _ = tc.d.DetectIntoCtx(ctx, dst, x, dsp.EnvelopePrefix{}, &scratch)
+				dst, _ = tc.d.DetectIntoCtx(ctx, dst, dsp.FloatSamples(x, 0), dsp.EnvelopePrefix{}, &scratch)
 			}
 		})
 	}

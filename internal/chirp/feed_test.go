@@ -109,7 +109,7 @@ func TestEnvelopeFeedMatchesBatch(t *testing.T) {
 			for k := 0; k*step+n <= l; k++ {
 				blocks++
 			}
-			want, err := c.MatchedEnvelopeCtx(ctx, nil, x, dsp.EnvelopePrefix{}, nil)
+			want, err := c.MatchedEnvelopeCtx(ctx, nil, dsp.FloatSamples(x, 0), dsp.EnvelopePrefix{}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,12 +120,12 @@ func TestEnvelopeFeedMatchesBatch(t *testing.T) {
 				if pre.Len() != blocks*per {
 					t.Fatalf("%s at %d samples: prefix holds %d lags, want %d blocks of %d", what, l, pre.Len(), blocks, per)
 				}
-				got, err := c.MatchedEnvelopeCtx(ctx, nil, x, pre, nil)
+				got, err := c.MatchedEnvelopeCtx(ctx, nil, dsp.FloatSamples(x, 0), pre, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
 				sameEnvelope(t, what, got, want)
-				dets, err := tc.d.DetectIntoCtx(ctx, nil, x, pre, nil)
+				dets, err := tc.d.DetectIntoCtx(ctx, nil, dsp.FloatSamples(x, 0), pre, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -161,14 +161,14 @@ func TestEnvelopePrefixForeignIgnored(t *testing.T) {
 	tcs := feedTemplates(t)
 	flat, folded := tcs[0], tcs[1]
 	x := folded.x
-	want, err := folded.d.corr.MatchedEnvelopeCtx(ctx, nil, x, dsp.EnvelopePrefix{}, nil)
+	want, err := folded.d.corr.MatchedEnvelopeCtx(ctx, nil, dsp.FloatSamples(x, 0), dsp.EnvelopePrefix{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pre := pushChunked(flat.d, x, nil); pre.Len() == 0 {
 		t.Fatal("flat feed built no blocks")
 	} else {
-		got, err := folded.d.corr.MatchedEnvelopeCtx(ctx, nil, x, pre, nil)
+		got, err := folded.d.corr.MatchedEnvelopeCtx(ctx, nil, dsp.FloatSamples(x, 0), pre, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,11 +183,11 @@ func TestEnvelopePrefixForeignIgnored(t *testing.T) {
 	if blocks := pre.Len() * folded.dec / c.BlockStep(); blocks != 4 {
 		t.Fatalf("prefix over %d samples holds %d blocks, want 4", len(x), blocks)
 	}
-	want, err = c.MatchedEnvelopeCtx(ctx, nil, short, dsp.EnvelopePrefix{}, nil)
+	want, err = c.MatchedEnvelopeCtx(ctx, nil, dsp.FloatSamples(short, 0), dsp.EnvelopePrefix{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.MatchedEnvelopeCtx(ctx, nil, short, pre, nil)
+	got, err := c.MatchedEnvelopeCtx(ctx, nil, dsp.FloatSamples(short, 0), pre, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

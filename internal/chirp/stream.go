@@ -122,7 +122,7 @@ func (s *StreamDetector) PushContext(ctx context.Context, chunk []float64) []Det
 		k := s.next
 		from := max(k-s.m, 0)
 		s.scratch.env = s.feed.AppendLags(s.scratch.env[:0], from, k+s.m+1)
-		out = s.det.detectCore(out, s.buf, s.off, s.scratch.env, from*step, k*step, (k+1)*step, &s.scratch)
+		out = s.det.detectCore(out, dsp.FloatSamples(s.buf, s.off), s.scratch.env, from*step, k*step, (k+1)*step, &s.scratch)
 	}
 	// Nothing pending reads before block next's reach.
 	if drop := s.next*step - s.before - s.off; drop > 0 {

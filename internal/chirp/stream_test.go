@@ -43,11 +43,11 @@ func pushChunks(d *Detector, x []float64, sizes []int) ([]Detection, *StreamDete
 func batchFinal(t *testing.T, d *Detector, x []float64, s *StreamDetector) []Detection {
 	t.Helper()
 	var scr DetectScratch
-	env, err := d.corr.MatchedEnvelopeCtx(context.Background(), nil, x, dsp.EnvelopePrefix{}, &scr.seg)
+	env, err := d.corr.MatchedEnvelopeCtx(context.Background(), nil, dsp.FloatSamples(x, 0), dsp.EnvelopePrefix{}, &scr.seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d.detectCore(nil, x, 0, env, 0, 0, s.next*d.corr.BlockStep(), &scr)
+	return d.detectCore(nil, dsp.FloatSamples(x, 0), env, 0, 0, s.next*d.corr.BlockStep(), &scr)
 }
 
 // sameAsBatch fails unless the streamed detections are the batch ones:

@@ -124,7 +124,7 @@ type ASP struct {
 // microphones at once. *chirp.Detector is the only production
 // implementation; tests swap in reference rules to compare whole locates.
 type channelDetector interface {
-	DetectIntoCtx(ctx context.Context, dst []chirp.Detection, x []float64, pre dsp.EnvelopePrefix, s *chirp.DetectScratch) ([]chirp.Detection, error)
+	DetectIntoCtx(ctx context.Context, dst []chirp.Detection, x dsp.Samples, pre dsp.EnvelopePrefix, s *chirp.DetectScratch) ([]chirp.Detection, error)
 }
 
 // NewASP builds the stage for a beacon waveform and sampling rate.
@@ -173,7 +173,7 @@ func (a *ASP) Process(rec *mic.Recording) (*ASPResult, error) {
 // matched-filter block, and the stage returns ctx's error instead of
 // pairing partial results.
 func (a *ASP) ProcessContext(ctx context.Context, rec *mic.Recording) (*ASPResult, error) {
-	return a.process(ctx, rec, [2]dsp.EnvelopePrefix{})
+	return a.process(ctx, rec.Channels(), [2]dsp.EnvelopePrefix{})
 }
 
 // detector returns the *chirp.Detector NewASP built, whose blocks a
@@ -181,12 +181,15 @@ func (a *ASP) ProcessContext(ctx context.Context, rec *mic.Recording) (*ASPResul
 // rule.
 func (a *ASP) detector() *chirp.Detector { return a.det.(*chirp.Detector) }
 
-// process is ProcessContext with each channel's envelope prefix (the
-// zero value on the batch path): pre[0] for Mic1, pre[1] for Mic2.
-func (a *ASP) process(ctx context.Context, rec *mic.Recording, pre [2]dsp.EnvelopePrefix) (*ASPResult, error) {
+// process is ProcessContext over the channels ch (ch[0] Mic1, ch[1]
+// Mic2, float64 or PCM) with each channel's envelope prefix (the zero
+// value on the batch path): pre[0] for Mic1, pre[1] for Mic2. Each
+// channel's goroutine reads, and over PCM decodes, only what its
+// detection reads.
+func (a *ASP) process(ctx context.Context, ch [2]dsp.Samples, pre [2]dsp.EnvelopePrefix) (*ASPResult, error) {
 	sp := a.cfg.Obs.SpanCtx(ctx, "asp")
 	defer sp.End()
-	if rec == nil || len(rec.Mic1) == 0 || len(rec.Mic2) == 0 {
+	if ch[0].Len() == 0 || ch[1].Len() == 0 {
 		sp.AttrStr("error", "empty recording")
 		return nil, fmt.Errorf("core: empty recording")
 	}
@@ -201,7 +204,6 @@ func (a *ASP) process(ctx context.Context, rec *mic.Recording, pre [2]dsp.Envelo
 	// panic on either channel is recovered and re-raised here once both
 	// have returned, so it unwinds the caller instead of killing the
 	// process from a bare goroutine.
-	chans := [2][]float64{rec.Mic1, rec.Mic2}
 	var (
 		dets    [2][]chirp.Detection
 		detErrs [2]error
@@ -211,7 +213,7 @@ func (a *ASP) process(ctx context.Context, rec *mic.Recording, pre [2]dsp.Envelo
 	detect := func(i int) {
 		defer func() { panics[i] = recover() }()
 		sc := a.scratch.Get().(*chirp.DetectScratch)
-		dets[i], detErrs[i] = a.det.DetectIntoCtx(ctx, nil, chans[i], pre[i], sc)
+		dets[i], detErrs[i] = a.det.DetectIntoCtx(ctx, nil, ch[i], pre[i], sc)
 		a.scratch.Put(sc)
 	}
 	wg.Add(1)

@@ -208,8 +208,8 @@ type panicDetector struct {
 	returned *atomic.Bool
 }
 
-func (p panicDetector) DetectIntoCtx(_ context.Context, dst []chirp.Detection, x []float64, _ dsp.EnvelopePrefix, _ *chirp.DetectScratch) ([]chirp.Detection, error) {
-	if &x[0] == p.panicOn {
+func (p panicDetector) DetectIntoCtx(_ context.Context, dst []chirp.Detection, x dsp.Samples, _ dsp.EnvelopePrefix, _ *chirp.DetectScratch) ([]chirp.Detection, error) {
+	if &floats(x)[0] == p.panicOn {
 		close(p.started)
 		panic("boom")
 	}

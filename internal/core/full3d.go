@@ -171,7 +171,7 @@ func (l *Localizer) LocateFull3DContext(ctx context.Context, rec *mic.Recording,
 	defer sp.End()
 	scr := getScratch()
 	defer putScratch(scr)
-	aspRes, msp, ests, err := l.analyzeSession(ctx, rec, tr, [2]dsp.EnvelopePrefix{}, scr)
+	aspRes, msp, ests, err := l.analyzeSession(ctx, rec.Channels(), tr, [2]dsp.EnvelopePrefix{}, scr)
 	if err != nil {
 		sp.AttrStr("error", err.Error())
 		return nil, err

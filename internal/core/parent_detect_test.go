@@ -31,7 +31,8 @@ type fullRateDetector struct {
 	delay float64
 }
 
-func (f fullRateDetector) DetectIntoCtx(_ context.Context, dst []chirp.Detection, x []float64, _ dsp.EnvelopePrefix, _ *chirp.DetectScratch) ([]chirp.Detection, error) {
+func (f fullRateDetector) DetectIntoCtx(_ context.Context, dst []chirp.Detection, samples dsp.Samples, _ dsp.EnvelopePrefix, _ *chirp.DetectScratch) ([]chirp.Detection, error) {
+	x := floats(samples)
 	ref := f.det.Reference()
 	r := dsp.CrossCorrelate(x, ref)
 	// The envelope is the exact analytic one: len(ref)-1 leading and 2^16
@@ -209,11 +210,11 @@ func TestBandKernelMatchesFullRateRule(t *testing.T) {
 		full := fullRateDetector{det: band.(*chirp.Detector), src: sc.Source, fs: sc.Phone.SampleRate,
 			delay: float64(cfg.ASP.FilterTaps-1) / 2}
 		for ch, x := range [][]float64{s.Recording.Mic1, s.Recording.Mic2} {
-			got, err := band.DetectIntoCtx(context.Background(), nil, x, dsp.EnvelopePrefix{}, nil)
+			got, err := band.DetectIntoCtx(context.Background(), nil, dsp.FloatSamples(x, 0), dsp.EnvelopePrefix{}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, _ := full.DetectIntoCtx(context.Background(), nil, x, dsp.EnvelopePrefix{}, nil)
+			want, _ := full.DetectIntoCtx(context.Background(), nil, dsp.FloatSamples(x, 0), dsp.EnvelopePrefix{}, nil)
 			if len(got) != len(want) {
 				t.Fatalf("%s mic%d: %d detections, full-rate rule %d", name, ch+1, len(got), len(want))
 			}

@@ -213,8 +213,8 @@ func (l *Localizer) SpeedOfSound() float64 { return l.cfg.SpeedOfSound }
 // movement estimates so an abandoned request (dead client, expired
 // deadline) stops burning CPU mid-pipeline instead of completing a result
 // nobody will read.
-func (l *Localizer) analyzeSession(ctx context.Context, rec *mic.Recording, tr *imu.Trace, pre [2]dsp.EnvelopePrefix, s *Scratch) (*ASPResult, *MSPResult, []SlideEstimate, error) {
-	aspRes, err := l.asp.process(ctx, rec, pre)
+func (l *Localizer) analyzeSession(ctx context.Context, ch [2]dsp.Samples, tr *imu.Trace, pre [2]dsp.EnvelopePrefix, s *Scratch) (*ASPResult, *MSPResult, []SlideEstimate, error) {
+	aspRes, err := l.asp.process(ctx, ch, pre)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -376,7 +376,7 @@ func (l *Localizer) Locate2D(rec *mic.Recording, tr *imu.Trace) (*Result2D, erro
 // (and between ASP's matched-filter blocks and between movements) and
 // returns an error wrapping ctx's cause.
 func (l *Localizer) Locate2DContext(ctx context.Context, rec *mic.Recording, tr *imu.Trace) (*Result2D, error) {
-	return l.Locate2DStreamed(ctx, rec, tr, [2]dsp.EnvelopePrefix{})
+	return l.Locate2DStreamed(ctx, rec.Channels(), tr, [2]dsp.EnvelopePrefix{})
 }
 
 // NewEnvelopeFeed returns a feed that runs ASP's matched-filter blocks
@@ -394,18 +394,20 @@ func (l *Localizer) NewStreamDetector() *chirp.StreamDetector {
 	return l.asp.detector().NewStreamDetector()
 }
 
-// Locate2DStreamed is Locate2DContext over a recording whose channels
-// were pushed, as they arrived, through feeds from this Localizer's
-// NewEnvelopeFeed: pre[0] and pre[1] are the Mic1 and Mic2 feeds'
-// Prefixes, and ASP runs only the matched-filter blocks after them. The
-// result is the same bits as Locate2DContext's; a prefix from any other
-// feed is ignored.
-func (l *Localizer) Locate2DStreamed(ctx context.Context, rec *mic.Recording, tr *imu.Trace, pre [2]dsp.EnvelopePrefix) (*Result2D, error) {
+// Locate2DStreamed is Locate2DContext over a recording's channels ch
+// (ch[0] Mic1, ch[1] Mic2) that were pushed, as they arrived, through
+// feeds from this Localizer's NewEnvelopeFeed: pre[0] and pre[1] are the
+// Mic1 and Mic2 feeds' Prefixes, and ASP runs only the matched-filter
+// blocks after them. Over PCM channels (dsp.Stereo16Samples) ASP decodes
+// only the samples those blocks and its timing windows read. The result
+// is the same bits as Locate2DContext's over the decoded recording; a
+// prefix from any other feed is ignored.
+func (l *Localizer) Locate2DStreamed(ctx context.Context, ch [2]dsp.Samples, tr *imu.Trace, pre [2]dsp.EnvelopePrefix) (*Result2D, error) {
 	sp := l.cfg.Obs.SpanCtx(ctx, "locate2d")
 	defer sp.End()
 	scr := getScratch()
 	defer putScratch(scr)
-	aspRes, msp, ests, err := l.analyzeSession(ctx, rec, tr, pre, scr)
+	aspRes, msp, ests, err := l.analyzeSession(ctx, ch, tr, pre, scr)
 	if err != nil {
 		sp.AttrStr("error", err.Error())
 		return nil, err
@@ -455,17 +457,17 @@ func (l *Localizer) Locate3D(rec *mic.Recording, tr *imu.Trace) (*Result3D, erro
 
 // Locate3DContext is Locate3D with cancellation (see Locate2DContext).
 func (l *Localizer) Locate3DContext(ctx context.Context, rec *mic.Recording, tr *imu.Trace) (*Result3D, error) {
-	return l.Locate3DStreamed(ctx, rec, tr, [2]dsp.EnvelopePrefix{})
+	return l.Locate3DStreamed(ctx, rec.Channels(), tr, [2]dsp.EnvelopePrefix{})
 }
 
 // Locate3DStreamed is Locate3DContext reusing the channels' streamed
 // matched-filter blocks (see Locate2DStreamed).
-func (l *Localizer) Locate3DStreamed(ctx context.Context, rec *mic.Recording, tr *imu.Trace, pre [2]dsp.EnvelopePrefix) (*Result3D, error) {
+func (l *Localizer) Locate3DStreamed(ctx context.Context, ch [2]dsp.Samples, tr *imu.Trace, pre [2]dsp.EnvelopePrefix) (*Result3D, error) {
 	sp := l.cfg.Obs.SpanCtx(ctx, "locate3d")
 	defer sp.End()
 	scr := getScratch()
 	defer putScratch(scr)
-	aspRes, msp, ests, err := l.analyzeSession(ctx, rec, tr, pre, scr)
+	aspRes, msp, ests, err := l.analyzeSession(ctx, ch, tr, pre, scr)
 	if err != nil {
 		sp.AttrStr("error", err.Error())
 		return nil, err

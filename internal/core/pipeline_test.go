@@ -153,8 +153,16 @@ func TestNewLocalizerSpeedOfSoundValidation(t *testing.T) {
 // beforehand, keyed by the address of the channel's first sample.
 type replayDetector map[*float64][]chirp.Detection
 
-func (r replayDetector) DetectIntoCtx(_ context.Context, dst []chirp.Detection, x []float64, _ dsp.EnvelopePrefix, _ *chirp.DetectScratch) ([]chirp.Detection, error) {
-	return append(dst[:0], r[&x[0]]...), nil
+func (r replayDetector) DetectIntoCtx(_ context.Context, dst []chirp.Detection, x dsp.Samples, _ dsp.EnvelopePrefix, _ *chirp.DetectScratch) ([]chirp.Detection, error) {
+	return append(dst[:0], r[&floats(x)[0]]...), nil
+}
+
+// floats returns every sample of x as float64: x itself when it holds
+// float64 samples, a decoded copy when it holds PCM.
+func floats(x dsp.Samples) []float64 {
+	var buf []float64
+	w, _ := x.Window(&buf, 0, x.Len())
+	return w
 }
 
 // TestLocalizerSerialMatchesParallel pins serial == parallel: ASP detects
@@ -180,11 +188,11 @@ func TestLocalizerSerialMatchesParallel(t *testing.T) {
 	}
 
 	ctx := context.Background()
-	d1, err := loc.asp.det.DetectIntoCtx(ctx, nil, rec.Mic1, dsp.EnvelopePrefix{}, nil)
+	d1, err := loc.asp.det.DetectIntoCtx(ctx, nil, dsp.FloatSamples(rec.Mic1, 0), dsp.EnvelopePrefix{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := loc.asp.det.DetectIntoCtx(ctx, nil, rec.Mic2, dsp.EnvelopePrefix{}, nil)
+	d2, err := loc.asp.det.DetectIntoCtx(ctx, nil, dsp.FloatSamples(rec.Mic2, 0), dsp.EnvelopePrefix{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,11 +394,11 @@ func TestLocate3DSplitsFixesByMovement(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	d1, err := loc.asp.det.DetectIntoCtx(ctx, nil, rec.Mic1, dsp.EnvelopePrefix{}, nil)
+	d1, err := loc.asp.det.DetectIntoCtx(ctx, nil, dsp.FloatSamples(rec.Mic1, 0), dsp.EnvelopePrefix{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := loc.asp.det.DetectIntoCtx(ctx, nil, rec.Mic2, dsp.EnvelopePrefix{}, nil)
+	d2, err := loc.asp.det.DetectIntoCtx(ctx, nil, dsp.FloatSamples(rec.Mic2, 0), dsp.EnvelopePrefix{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -571,7 +579,7 @@ func TestLocateStreamedMatchesBatch(t *testing.T) {
 		t.Fatal("feeds built no blocks")
 	}
 	for name, pre := range map[string][2]dsp.EnvelopePrefix{"own": own, "foreign": feed(other)} {
-		got, err := loc.Locate2DStreamed(context.Background(), rec, s.IMU, pre)
+		got, err := loc.Locate2DStreamed(context.Background(), rec.Channels(), s.IMU, pre)
 		if err != nil {
 			t.Fatal(err)
 		}

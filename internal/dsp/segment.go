@@ -2,6 +2,7 @@ package dsp
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/cmplx"
 	"sync"
@@ -50,12 +51,14 @@ func (c *Correlator) SegmentSize() int {
 	return n
 }
 
-// SegScratch holds the spectrum buffer of segmented matched-filter
-// passes. A zero value is ready to use; after the first call at a given
-// size the buffer is warm and the pass performs no heap allocations. A
+// SegScratch holds the buffers of segmented matched-filter passes: the
+// block spectrum, and the decoded block input when the samples are PCM.
+// A zero value is ready to use; after the first call at a given size the
+// buffers are warm and the pass performs no heap allocations. A
 // SegScratch must not be shared between concurrent calls.
 type SegScratch struct {
 	spec []complex128
+	in   []float64
 }
 
 // bandFloorRel is the in-band cut of the band-limited kernel: bins whose
@@ -140,30 +143,36 @@ func (c *Correlator) Decimation() int { return c.band().d }
 // and allocation-free once scratch is warm. It writes the Hilbert
 // envelope of the correlation
 // r[k] = Σ_j x[k+j]·ref[j] at every D-th lag into env, env[m] = |z(D·m)|
-// for m in [0, ⌈len(x)/D⌉), D = Decimation(), growing/reusing env, and
-// returns it. ctx is checked before every block; on cancellation the
-// partial output plus ctx's error are returned. A nil scratch is allowed
-// and degrades to per-call buffers.
+// for m in [0, ⌈x.Len()/D⌉), D = Decimation(), growing/reusing env, and
+// returns it. x must hold its samples from index 0. ctx is checked
+// before every block; on cancellation the partial output plus ctx's
+// error are returned. A nil scratch is allowed and degrades to per-call
+// buffers.
 //
 // Block k reads x[k·BlockStep(), k·BlockStep()+SegmentSize()) and
 // writes lags [k·BlockStep()/D, (k+1)·BlockStep()/D): the grid is
 // anchored at lag 0, whatever x's length. pre, when an EnvelopeFeed of
 // this Correlator built it over a prefix of x, supplies the leading
 // blocks: those whose whole input lies inside x are copied instead of
-// recomputed, and the loop runs only the blocks after them. Any other
-// prefix — the zero value, or another Correlator's — is ignored.
+// recomputed, and the loop runs only the blocks after them, so PCM
+// samples are decoded only for those. Any other prefix — the zero value,
+// or another Correlator's — is ignored.
 //
 //hyperearvet:zeroalloc
-func (c *Correlator) MatchedEnvelopeCtx(ctx context.Context, env, x []float64, pre EnvelopePrefix, s *SegScratch) ([]float64, error) {
-	if len(x) == 0 || len(c.ref) == 0 {
+func (c *Correlator) MatchedEnvelopeCtx(ctx context.Context, env []float64, x Samples, pre EnvelopePrefix, s *SegScratch) ([]float64, error) {
+	n := x.Len()
+	if n == 0 || len(c.ref) == 0 {
 		return env[:0], ctx.Err()
+	}
+	if x.pcm == nil && x.off != 0 {
+		panic(fmt.Sprintf("dsp: matched filter over samples held from index %d, not 0", x.off))
 	}
 	b := c.band()
 	per := b.step / b.d
-	env = resizeF64(env, (len(x)+b.d-1)/b.d)
+	env = resizeF64(env, (n+b.d-1)/b.d)
 	from := 0
 	if pre.c == c {
-		blocks := pre.blocks[:min(len(pre.blocks), c.completeBlocks(len(x)))]
+		blocks := pre.blocks[:min(len(pre.blocks), c.completeBlocks(n))]
 		for k, lags := range blocks {
 			copy(env[k*per:], lags)
 		}
@@ -182,7 +191,9 @@ func (c *Correlator) MatchedEnvelopeCtx(ctx context.Context, env, x []float64, p
 		if err := ctx.Err(); err != nil {
 			return env, err
 		}
-		bandBlock(env, x, m0, b, p, buf)
+		at := m0 * b.d
+		in, _ := x.Window(&s.in, at, at+p.Size())
+		bandBlock(env[m0:min(m0+per, len(env))], in, b, p, buf)
 	}
 	return env, nil
 }
@@ -275,7 +286,7 @@ func (f *EnvelopeFeed) Push(x []float64) {
 		//hyperearvet:allow zeroalloc each complete block's lags are kept in a slice of their own for the feed's life
 		lags := make([]float64, b.step/b.d)
 		s := segPool.Get().(*SegScratch)
-		bandBlock(lags, f.in, 0, b, p, s.blockBuf(b, p))
+		bandBlock(lags, f.in, b, p, s.blockBuf(b, p))
 		segPool.Put(s)
 		f.blocks = append(f.blocks, lags)
 		f.in = f.in[:copy(f.in, f.in[b.step:])]
@@ -320,8 +331,8 @@ func (s *SegScratch) blockBuf(b *bandKernel, p *RealPlan) []complex128 {
 }
 
 // bandBlock is the band-limited analytic matched filter on one
-// overlap-save block: decimated lags [m0, m0+step/D) of env (clipped to
-// len(env)) from the block input x[D·m0 : D·m0+n], n = p.Size().
+// overlap-save block: the block's first len(out) ≤ step/D decimated lags
+// from its input in, at most n = p.Size() samples and zero past its end.
 //
 // The block's product spectrum X·conj(T) has energy only in the
 // template's band. Doubling its positive-frequency bins and dropping the
@@ -335,11 +346,10 @@ func (s *SegScratch) blockBuf(b *bandKernel, p *RealPlan) []complex128 {
 // block edges (DESIGN.md §8, "Segmented matched filtering").
 //
 //hyperearvet:zeroalloc
-func bandBlock(env, x []float64, m0 int, b *bandKernel, p *RealPlan, buf []complex128) {
-	at := m0 * b.d
+func bandBlock(out, in []float64, b *bandKernel, p *RealPlan, buf []complex128) {
 	fx := buf[:p.SpectrumLen()]
 	y := buf[len(fx):]
-	p.ForwardReal(fx, x[at:min(at+p.Size(), len(x))])
+	p.ForwardReal(fx, in)
 	// Bin k lands on slot k mod n/d: the kept bins run from slot lo mod
 	// n/d to the end and wrap to the front. They fill every slot unless
 	// d = 1, where they are bins 0..n/2 of n slots and the rest are zero.
@@ -355,7 +365,6 @@ func bandBlock(env, x []float64, m0 int, b *bandKernel, p *RealPlan, buf []compl
 	}
 	clear(y[len(w):])
 	b.inv.inverseBitReversed(y)
-	out := env[m0:min(m0+b.step/b.d, len(env))]
 	rev := b.inv.rev
 	for m := range out {
 		v := y[rev[m]]
@@ -394,7 +403,10 @@ func (c *Correlator) buildHilbert() { c.hilb, c.hilbLead = hilbertTemplate(c.ref
 // QuadratureLead returns how far QuadratureWindow's reads reach past
 // CorrelateWindow's on each side: a window from lag a to lag b reads the
 // samples [a−lead, b+RefLen()+lead), lead the truncated Hilbert
-// template's margin.
+// template's margin. Like QuadratureWindow it builds the template on
+// first use, once per Correlator; every later call allocates nothing.
+//
+//hyperearvet:zeroalloc
 func (c *Correlator) QuadratureLead() int {
 	c.hilbOnce.Do(c.buildHilbert)
 	return c.hilbLead

@@ -86,7 +86,7 @@ func TestSegmentedMatchesMonolithic(t *testing.T) {
 		seen[dec] = true
 		rng.Intn(4) // the retired worker count, still drawn so every trial keeps its input
 		var s SegScratch
-		env, err := c.MatchedEnvelopeCtx(context.Background(), nil, x, EnvelopePrefix{}, &s)
+		env, err := c.MatchedEnvelopeCtx(context.Background(), nil, FloatSamples(x, 0), EnvelopePrefix{}, &s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +123,7 @@ func TestSegmentedBlockExact(t *testing.T) {
 	if c.Decimation() != 1 {
 		t.Fatalf("white template decimation %d, want 1", c.Decimation())
 	}
-	env, err := c.MatchedEnvelopeCtx(context.Background(), nil, x, EnvelopePrefix{}, nil)
+	env, err := c.MatchedEnvelopeCtx(context.Background(), nil, FloatSamples(x, 0), EnvelopePrefix{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestSegmentedCtxCancelStopsBetweenBlocks(t *testing.T) {
 		t.Fatalf("want ≥4 blocks for a meaningful cancel point, got %d", blocks)
 	}
 	ctx := &countdownCtx{Context: context.Background(), after: 2}
-	env, err := c.MatchedEnvelopeCtx(ctx, env, x, EnvelopePrefix{}, nil)
+	env, err := c.MatchedEnvelopeCtx(ctx, env, FloatSamples(x, 0), EnvelopePrefix{}, nil)
 	if err != context.Canceled {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -226,10 +226,10 @@ func TestSegmentedZeroAlloc(t *testing.T) {
 	c := NewCorrelator(bandChirp(300, 0.05, 0.15))
 	var s SegScratch
 	ctx := context.Background()
-	env, _ := c.MatchedEnvelopeCtx(ctx, nil, x, EnvelopePrefix{}, &s)
+	env, _ := c.MatchedEnvelopeCtx(ctx, nil, FloatSamples(x, 0), EnvelopePrefix{}, &s)
 	win := make([]float64, 33)
 	allocs := testing.AllocsPerRun(5, func() {
-		env, _ = c.MatchedEnvelopeCtx(ctx, env, x, EnvelopePrefix{}, &s)
+		env, _ = c.MatchedEnvelopeCtx(ctx, env, FloatSamples(x, 0), EnvelopePrefix{}, &s)
 		c.CorrelateWindow(win, x, 5000)
 		c.QuadratureWindow(win, x, 5000)
 	})
@@ -251,10 +251,10 @@ func BenchmarkMatchedFilterSession(b *testing.B) {
 	c := NewCorrelator(bandChirp(2700, 1800.0/48000, 6600.0/48000))
 	var s SegScratch
 	ctx := context.Background()
-	env, _ := c.MatchedEnvelopeCtx(ctx, nil, x, EnvelopePrefix{}, &s)
+	env, _ := c.MatchedEnvelopeCtx(ctx, nil, FloatSamples(x, 0), EnvelopePrefix{}, &s)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		env, _ = c.MatchedEnvelopeCtx(ctx, env, x, EnvelopePrefix{}, &s)
+		env, _ = c.MatchedEnvelopeCtx(ctx, env, FloatSamples(x, 0), EnvelopePrefix{}, &s)
 	}
 }

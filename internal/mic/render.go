@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"hyperear/internal/chirp"
+	"hyperear/internal/dsp"
 	"hyperear/internal/geom"
 	"hyperear/internal/motion"
 	"hyperear/internal/room"
@@ -55,6 +56,15 @@ type Recording struct {
 	// TrueSNRdB is the measured chirp-to-noise ratio of channel 1
 	// (+Inf when no noise was added).
 	TrueSNRdB float64
+}
+
+// Channels returns Mic1 and Mic2 as the detector reads them; a nil
+// Recording has no samples.
+func (r *Recording) Channels() [2]dsp.Samples {
+	if r == nil {
+		return [2]dsp.Samples{}
+	}
+	return [2]dsp.Samples{dsp.FloatSamples(r.Mic1, 0), dsp.FloatSamples(r.Mic2, 0)}
 }
 
 // Render synthesizes the stereo recording for cfg.

@@ -9,10 +9,17 @@ import (
 	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 
+	"hyperear/internal/chirp"
 	"hyperear/internal/core"
+	"hyperear/internal/geom"
+	"hyperear/internal/imu"
+	"hyperear/internal/mic"
+	"hyperear/internal/room"
 	"hyperear/internal/sessionio"
+	"hyperear/internal/sim"
 )
 
 // BenchmarkServerThroughput drives concurrent multipart /v1/locate
@@ -79,6 +86,59 @@ func BenchmarkReadBundleMultipart(b *testing.B) {
 			b.Fatal(err)
 		}
 		sessionio.RecycleBundle(bundle)
+	}
+}
+
+// benchSession lazily renders the root package's benchScenario (its
+// bench_test.go): the 5-slide session the stage-ledger rows share.
+var benchSession = sync.OnceValues(func() (*sim.Session, error) {
+	return sim.Run(sim.Scenario{
+		Env:            room.MeetingRoom(),
+		Phone:          mic.GalaxyS4(),
+		Source:         chirp.Default(),
+		SpeakerPos:     geom.Vec3{X: 9, Y: 6, Z: 1.2},
+		SpeakerSkewPPM: 20,
+		PhoneStart:     geom.Vec3{X: 4, Y: 6, Z: 1.2},
+		Protocol:       sim.DefaultProtocol(),
+		IMU:            imu.DefaultConfig(),
+		Noise:          room.WhiteNoise{},
+		SNRdB:          15,
+		Seed:           12,
+	})
+})
+
+// discardWriter is a ResponseWriter that keeps its header map and drops
+// the body.
+type discardWriter struct{ h http.Header }
+
+func (w discardWriter) Header() http.Header       { return w.h }
+func (discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (discardWriter) WriteHeader(int)             {}
+
+// BenchmarkEncodeResponse is the response-encode row of the stage ledger:
+// the 5-slide bench session's Locate2D result rendered as the /v1/locate
+// body and JSON-encoded as a locate answers it.
+func BenchmarkEncodeResponse(b *testing.B) {
+	sess, err := benchSession()
+	if err != nil {
+		b.Fatal(err)
+	}
+	phone := sess.Scenario.Phone
+	loc, err := core.NewLocalizer(core.DefaultConfig(sess.Scenario.Source, phone.SampleRate, phone.MicSeparation))
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := loc.Locate2D(sess.Recording, sess.IMU)
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := New(Config{})
+	defer srv.FinishShutdown()
+	w := discardWriter{h: http.Header{}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		srv.writeJSON(w, http.StatusOK, response2D(res))
 	}
 }
 

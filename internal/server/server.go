@@ -29,7 +29,7 @@ import (
 	"hyperear/internal/core"
 	"hyperear/internal/dsp"
 	"hyperear/internal/geom"
-	"hyperear/internal/mic"
+	"hyperear/internal/imu"
 	"hyperear/internal/obs"
 	"hyperear/internal/sessionio"
 	"hyperear/internal/sessionstore"
@@ -506,14 +506,15 @@ type locate3DResponse struct {
 	Diagnostics   []diagJSON `json:"diagnostics"`
 }
 
-// runLocate admits, runs and renders one localization over a decoded
-// bundle. mode is "2d" or "3d" (validated by the caller). loc is a
-// streamed session's own Localizer; when nil (the batch path, or a
-// session whose Localizer could not be built) the bundle's meta resolves
-// one from the cache once admitted. pre holds a streamed session's
-// envelope prefixes (zero on the batch path); the Localizer ignores any
-// that its own feeds did not build.
-func (s *Server) runLocate(w http.ResponseWriter, r *http.Request, b *sessionio.Bundle, mode string, loc *core.Localizer, pre [2]dsp.EnvelopePrefix) {
+// runLocate admits, runs and renders one localization over the channels
+// ch (Mic1, Mic2: a decoded bundle's samples, or a streamed session's
+// PCM, which ASP decodes where it reads it) and the IMU trace tr. mode is
+// "2d" or "3d" (validated by the caller). loc is a streamed session's
+// own Localizer; when nil (the batch path, or a session whose Localizer
+// could not be built) meta resolves one from the cache once admitted.
+// pre holds a streamed session's envelope prefixes (zero on the batch
+// path); the Localizer ignores any that its own feeds did not build.
+func (s *Server) runLocate(w http.ResponseWriter, r *http.Request, mode string, ch [2]dsp.Samples, tr *imu.Trace, meta sessionio.Meta, loc *core.Localizer, pre [2]dsp.EnvelopePrefix) {
 	release, err := s.pool.acquire(r.Context())
 	if err != nil {
 		if errors.Is(err, errQueueFull) || errors.Is(err, errDraining) {
@@ -533,7 +534,7 @@ func (s *Server) runLocate(w http.ResponseWriter, r *http.Request, b *sessionio.
 	defer cancel()
 
 	if loc == nil {
-		if loc, err = s.localizerFor(b.Meta); err != nil {
+		if loc, err = s.localizerFor(meta); err != nil {
 			s.o.Inc(MReqCompleted)
 			setOutcome(r.Context(), outcomeFailed)
 			s.writeJSON(w, http.StatusUnprocessableEntity, errorBody{Error: "pipeline config: " + err.Error()})
@@ -543,21 +544,16 @@ func (s *Server) runLocate(w http.ResponseWriter, r *http.Request, b *sessionio.
 
 	switch mode {
 	case "2d":
-		res, err := loc.Locate2DStreamed(ctx, b.Recording, b.IMU, pre)
+		res, err := loc.Locate2DStreamed(ctx, ch, tr, pre)
 		if err != nil {
 			s.writePipelineError(w, r, err)
 			return
 		}
 		s.o.Inc(MReqCompleted)
 		setOutcome(r.Context(), outcomeCompleted)
-		s.writeJSON(w, http.StatusOK, locate2DResponse{
-			Mode: "2d", Pos: res.Pos, L: res.L,
-			Fixes: len(res.Fixes), Movements: len(res.Movements),
-			Beacons: len(res.ASP.Beacons), SFOPPM: res.ASP.SFOPPM,
-			Diagnostics: diagsJSON(res.Diagnostics),
-		})
+		s.writeJSON(w, http.StatusOK, response2D(res))
 	case "3d":
-		res, err := loc.Locate3DStreamed(ctx, b.Recording, b.IMU, pre)
+		res, err := loc.Locate3DStreamed(ctx, ch, tr, pre)
 		if err != nil {
 			s.writePipelineError(w, r, err)
 			return
@@ -578,6 +574,16 @@ func (s *Server) runLocate(w http.ResponseWriter, r *http.Request, b *sessionio.
 			Beacons:   len(res.ASP.Beacons), SFOPPM: res.ASP.SFOPPM,
 			Diagnostics: diagsJSON(res.Diagnostics),
 		})
+	}
+}
+
+// response2D is a 2D result's response body.
+func response2D(res *core.Result2D) locate2DResponse {
+	return locate2DResponse{
+		Mode: "2d", Pos: res.Pos, L: res.L,
+		Fixes: len(res.Fixes), Movements: len(res.Movements),
+		Beacons: len(res.ASP.Beacons), SFOPPM: res.ASP.SFOPPM,
+		Diagnostics: diagsJSON(res.Diagnostics),
 	}
 }
 
@@ -640,7 +646,7 @@ func (s *Server) handleLocate(w http.ResponseWriter, r *http.Request) {
 	// keeps nothing aliasing the recording, so the decoded sample buffers
 	// go back to the sessionio pool on the way out.
 	defer sessionio.RecycleBundle(b)
-	s.runLocate(w, r, b, mode, nil, [2]dsp.EnvelopePrefix{})
+	s.runLocate(w, r, mode, b.Recording.Channels(), b.IMU, b.Meta, nil, [2]dsp.EnvelopePrefix{})
 }
 
 // --- streaming session endpoints ---
@@ -793,9 +799,11 @@ func (s *Server) handleSessionIMU(w http.ResponseWriter, r *http.Request) {
 
 // handleSessionLocate runs the full pipeline over everything the session
 // has accumulated, through the same admission pool as the batch path, on
-// the Localizer the session resolved at create. The PCM is decoded
-// outside the session lock, and ASP runs only the matched-filter blocks
-// the session's feeds have not (DESIGN.md §8, "Streamed sessions").
+// the Localizer the session resolved at create. The PCM goes to ASP
+// undecoded, outside the session lock: once admitted, each channel's
+// goroutine decodes only the matched-filter blocks the session's feeds
+// have not run and the timing window of each beacon (DESIGN.md §8,
+// "Streamed sessions").
 func (s *Server) handleSessionLocate(w http.ResponseWriter, r *http.Request) {
 	mode, err := parseMode(r)
 	if err != nil {
@@ -815,10 +823,8 @@ func (s *Server) handleSessionLocate(w http.ResponseWriter, r *http.Request) {
 		s.reject(w, r, code, err.Error())
 		return
 	}
-	mic1, mic2 := sessionio.DecodeStereo16(pcm)
-	b := &sessionio.Bundle{Recording: &mic.Recording{Fs: sess.fs, Mic1: mic1, Mic2: mic2}, IMU: tr, Meta: sess.meta}
-	defer sessionio.RecycleBundle(b)
-	s.runLocate(w, r, b, mode, sess.loc, pre)
+	ch := [2]dsp.Samples{dsp.Stereo16Samples(pcm, 0), dsp.Stereo16Samples(pcm, 1)}
+	s.runLocate(w, r, mode, ch, tr, sess.meta, sess.loc, pre)
 }
 
 // handleSessionDelete evicts a session explicitly.

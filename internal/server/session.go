@@ -158,8 +158,9 @@ func (s *session) setIMU(tr *imu.Trace, raw []byte, now time.Time) error {
 // snapshotLocate returns what a locate reads, taken together under the
 // lock: the PCM so far, capped at its length so nothing can write
 // through it, each channel's envelope prefix over that PCM (zero when
-// the session streams without a Localizer), and the IMU trace. The caller
-// decodes the PCM outside the lock while more audio arrives.
+// the session streams without a Localizer), and the IMU trace. The
+// caller's locate reads the PCM outside the lock while more audio
+// arrives.
 func (s *session) snapshotLocate(now time.Time) (pcm []byte, pre [2]dsp.EnvelopePrefix, tr *imu.Trace, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -52,6 +52,46 @@ var testSession3D = sync.OnceValues(func() (*sim.Session, error) {
 	})
 })
 
+// testSessionInaudible lazily renders the shared session's scenario with
+// the 18-21.5 kHz beacon on the phone's 48 kHz capture mode: the beacon
+// whose timing scans the narrowband envelope lobes.
+var testSessionInaudible = sync.OnceValues(func() (*sim.Session, error) {
+	sc := testScenario()
+	sc.Phone = sc.Phone.HiResVariant()
+	sc.Source = chirp.Inaudible()
+	return sim.Run(sc)
+})
+
+// newInaudibleCase is the inaudible session as a stream case whose
+// bundle meta and create body both name its rate and beacon.
+func newInaudibleCase(t *testing.T) streamCase {
+	t.Helper()
+	s, err := testSessionInaudible()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newStreamCase(t, "2d", s)
+	src := s.Scenario.Source
+	meta := sessionio.Meta{
+		PhoneName:     s.Scenario.Phone.Name,
+		MicSeparation: s.Scenario.Phone.MicSeparation,
+		SampleRate:    s.Scenario.Phone.SampleRate,
+		ChirpLowHz:    src.Low,
+		ChirpHighHz:   src.High,
+		ChirpDurS:     src.Duration,
+		ChirpPeriodS:  src.Period,
+	}
+	if c.bundle, err = encodeBundleMeta(s, meta); err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.createBody = string(body)
+	return c
+}
+
 // streamCase is one simulated session in both wire forms: the batch
 // multipart bundle, and the interleaved stereo int16 PCM the WAV inside
 // it carries, which a streaming client sends chunk by chunk.
@@ -136,7 +176,9 @@ func (c streamCase) finish(t *testing.T, ts *httptest.Server, id string) []byte 
 	return body
 }
 
-// TestSessionLocateMatchesBatch: for a 2D and a 3D session, streamed in
+// TestSessionLocateMatchesBatch: for a 2D and a 3D session, and a 2D
+// session of the inaudible beacon at 48 kHz (whose narrowband timing
+// windows overlap), streamed in
 // 4096-frame chunks, 65536-frame chunks and chunks straddling the ASP's
 // 14320-sample block step, and once more with a restart over a FileStore
 // halfway through (recovery rebuilds the feeds' blocks from the
@@ -152,7 +194,7 @@ func TestSessionLocateMatchesBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, ts, _ := newTestServer(t, nil)
-	for _, c := range []streamCase{newStreamCase(t, "2d", s2), newStreamCase(t, "3d", s3)} {
+	for _, c := range []streamCase{newStreamCase(t, "2d", s2), newStreamCase(t, "3d", s3), newInaudibleCase(t)} {
 		want := c.batchLocate(t, ts)
 		for name, frames := range map[string][]int{
 			"4096":       {4096},

@@ -2,6 +2,7 @@ package sessionio
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -15,6 +16,9 @@ import (
 // imuHeader is the CSV column layout: one row per sample at the trace's
 // fixed rate. The first line is "# fs=<rate>" followed by this header.
 const imuHeader = "ax,ay,az,gx,gy,gz,gravx,gravy,gravz"
+
+// comma separates the CSV fields.
+var comma = []byte{','}
 
 // WriteIMU saves an IMU trace as CSV with a "# fs=<rate>" preamble —
 // trivially producible from an Android sensor log.
@@ -58,21 +62,26 @@ func ReadIMU(r io.Reader) (*imu.Trace, error) {
 	if got := strings.TrimSpace(sc.Text()); got != imuHeader {
 		return nil, fmt.Errorf("sessionio: unexpected header %q", got)
 	}
-	tr := &imu.Trace{Fs: fs}
+	// Rows are parsed in place from the scanner's buffer: the string
+	// conversion of a short field that does not escape allocates nothing,
+	// so a row costs no allocation. The three vectors of each row go to
+	// one growing slice, split into the trace's series at the end.
+	var rows []geom.Vec3
 	line := 2
 	for sc.Scan() {
 		line++
-		row := strings.TrimSpace(sc.Text())
-		if row == "" {
+		row := bytes.TrimSpace(sc.Bytes())
+		if len(row) == 0 {
 			continue
 		}
-		fields := strings.Split(row, ",")
-		if len(fields) != 9 {
-			return nil, fmt.Errorf("sessionio: line %d: %d fields (want 9)", line, len(fields))
+		if n := bytes.Count(row, comma) + 1; n != 9 {
+			return nil, fmt.Errorf("sessionio: line %d: %d fields (want 9)", line, n)
 		}
 		var vals [9]float64
-		for i, f := range fields {
-			v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
+		for i := range vals {
+			var f []byte
+			f, row, _ = bytes.Cut(row, comma)
+			v, err := strconv.ParseFloat(string(bytes.TrimSpace(f)), 64)
 			if err != nil {
 				return nil, fmt.Errorf("sessionio: line %d field %d: %w", line, i+1, err)
 			}
@@ -81,15 +90,21 @@ func ReadIMU(r io.Reader) (*imu.Trace, error) {
 			}
 			vals[i] = v
 		}
-		tr.Accel = append(tr.Accel, geom.Vec3{X: vals[0], Y: vals[1], Z: vals[2]})
-		tr.Gyro = append(tr.Gyro, geom.Vec3{X: vals[3], Y: vals[4], Z: vals[5]})
-		tr.Gravity = append(tr.Gravity, geom.Vec3{X: vals[6], Y: vals[7], Z: vals[8]})
+		rows = append(rows,
+			geom.Vec3{X: vals[0], Y: vals[1], Z: vals[2]},
+			geom.Vec3{X: vals[3], Y: vals[4], Z: vals[5]},
+			geom.Vec3{X: vals[6], Y: vals[7], Z: vals[8]})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("sessionio: read IMU csv: %w", err)
 	}
-	if tr.Len() == 0 {
+	n := len(rows) / 3
+	if n == 0 {
 		return nil, fmt.Errorf("sessionio: IMU csv has no samples")
+	}
+	tr := &imu.Trace{Fs: fs, Accel: make([]geom.Vec3, n), Gyro: make([]geom.Vec3, n), Gravity: make([]geom.Vec3, n)}
+	for i := range n {
+		tr.Accel[i], tr.Gyro[i], tr.Gravity[i] = rows[3*i], rows[3*i+1], rows[3*i+2]
 	}
 	return tr, nil
 }

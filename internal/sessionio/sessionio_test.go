@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"hyperear/internal/dsp"
 	"hyperear/internal/geom"
 	"hyperear/internal/imu"
 	"hyperear/internal/mic"
@@ -184,6 +185,52 @@ func TestIMUValidation(t *testing.T) {
 	for i, c := range cases {
 		if _, err := ReadIMU(strings.NewReader(c)); err == nil {
 			t.Errorf("case %d should error", i)
+		}
+	}
+}
+
+// TestReadIMURows pins the row rules: blank lines are skipped but
+// counted, fields and rows are trimmed of Unicode space (so CRLF line
+// ends parse), a field may be longer than 32 bytes, and errors name the
+// 1-based line and field.
+func TestReadIMURows(t *testing.T) {
+	hdr := "# fs=100\n" + imuHeader + "\n"
+	long := "1.000000000000000000000000000000000000000001"
+	for _, tc := range []struct {
+		name, csv string
+		want      []float64 // every row's 9 fields, in order
+		err       string
+	}{
+		{"crlf", "# fs=100\r\n" + imuHeader + "\r\n1,2,3,4,5,6,7,8,9\r\n", []float64{1, 2, 3, 4, 5, 6, 7, 8, 9}, ""},
+		{"padded", hdr + " 1 , 2,3\t,4,5,6,7,8, 9\u00a0\n\n  \n-1,-2,-3,-4,-5,-6,-7,-8,-9",
+			[]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, -1, -2, -3, -4, -5, -6, -7, -8, -9}, ""},
+		{"long field", hdr + long + ",2,3,4,5,6,7,8,9\n", []float64{1, 2, 3, 4, 5, 6, 7, 8, 9}, ""},
+		{"field count", hdr + "1,2,3,4,5,6,7,8,9\n\n1,2,3\n", nil, "sessionio: line 5: 3 fields (want 9)"},
+		{"trailing comma", hdr + "1,2,3,4,5,6,7,8,9,\n", nil, "sessionio: line 3: 10 fields (want 9)"},
+		{"bad field", hdr + "1,2,3,4,5, x ,7,8,9\n", nil, `sessionio: line 3 field 6: strconv.ParseFloat: parsing "x": invalid syntax`},
+		{"empty field", hdr + "1,2,3,4,5,6,7,,9\n", nil, `sessionio: line 3 field 8: strconv.ParseFloat: parsing "": invalid syntax`},
+		{"non-finite", hdr + "1,2,3,4,5,6,7,8,-Inf\n", nil, "sessionio: line 3 field 9: non-finite sample -Inf"},
+		{"no rows", hdr + "\r\n \n", nil, "sessionio: IMU csv has no samples"},
+	} {
+		tr, err := ReadIMU(strings.NewReader(tc.csv))
+		if tc.err != "" {
+			if err == nil || err.Error() != tc.err {
+				t.Errorf("%s: error %v, want %q", tc.name, err, tc.err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		var got []float64
+		for i := 0; i < tr.Len(); i++ {
+			for _, v := range [...]geom.Vec3{tr.Accel[i], tr.Gyro[i], tr.Gravity[i]} {
+				got = append(got, v.X, v.Y, v.Z)
+			}
+		}
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) || tr.Fs != 100 {
+			t.Errorf("%s: fs %v, fields %v, want 100, %v", tc.name, tr.Fs, got, tc.want)
 		}
 	}
 }
@@ -410,6 +457,40 @@ func TestDecodeStereo16MatchesGeneric(t *testing.T) {
 	}
 }
 
+// TestStereo16SamplesMatchDecode: the PCM windows a streamed session's
+// locate decodes (dsp.Stereo16Samples) hold DecodeStereo16's bits for
+// every int16 value on both channels, whole and clipped at either end of
+// the recording, and a partial frame is no sample on either path.
+func TestStereo16SamplesMatchDecode(t *testing.T) {
+	const n = 1 << 16
+	raw := make([]byte, 4*n, 4*n+3)
+	for i := 0; i < n; i++ {
+		binary.LittleEndian.PutUint16(raw[4*i:], uint16(i))
+		binary.LittleEndian.PutUint16(raw[4*i+2:], uint16(n-1-i))
+	}
+	raw = append(raw, 1, 2, 3)
+	c1, c2 := DecodeStereo16(raw)
+	var buf []float64
+	for ch, want := range [][]float64{c1, c2} {
+		x := dsp.Stereo16Samples(raw, ch)
+		if x.Len() != n {
+			t.Fatalf("channel %d: %d samples, want %d", ch, x.Len(), n)
+		}
+		for _, win := range [][2]int{{0, n}, {-2096, 2096}, {n - 2096, n + 2096}, {-1, n + 1}, {4096, 4096 + 2096}} {
+			w, from := x.Window(&buf, win[0], win[1])
+			lo, hi := max(win[0], 0), min(win[1], n)
+			if from != lo || len(w) != hi-lo {
+				t.Fatalf("channel %d window %v: %d samples from %d, want [%d, %d)", ch, win, len(w), from, lo, hi)
+			}
+			for i, v := range w {
+				if math.Float64bits(v) != math.Float64bits(want[lo+i]) {
+					t.Fatalf("channel %d sample %d: window %v, DecodeStereo16 %v", ch, lo+i, v, want[lo+i])
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkDecodeWAV is the WAV row of the stage ledger: a stereo
 // 44.1 kHz WAV as long as the server benchmarks' session (the 5.9 s
 // recording inside BenchmarkReadBundleMultipart's body) decoded from its
@@ -505,6 +586,9 @@ func FuzzReadIMU(f *testing.F) {
 	f.Add([]byte("# fs=NaN\n" + imuHeader + "\n1,2,3,4,5,6,7,8,9\n"))
 	f.Add([]byte(hdr + "1,2,3,4,5,6,7,8\n"))
 	f.Add([]byte(hdr + "1,2,3,4,5,6,7,8,+Inf\n"))
+	f.Add([]byte("# fs=100\r\n" + imuHeader + "\r\n1,2,3,4,5,6,7,8,9\r\n"))
+	f.Add([]byte(hdr + " 1 , 2,3\t,4,5,6,7,8, 9 \n"))
+	f.Add([]byte(hdr + "1.000000000000000000000000000000000000000001,2,3,4,5,6,7,8,9\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := ReadIMU(bytes.NewReader(data))
 		if err != nil {

@@ -11,6 +11,7 @@ import (
 	"io"
 	"math"
 
+	"hyperear/internal/dsp"
 	"hyperear/internal/mic"
 )
 
@@ -127,7 +128,7 @@ func ReadWAV(data []byte) (rate int, channels [][]float64, err error) {
 	case nCh == 1:
 		mono := BorrowSamples(len(pcm) / 2)
 		for i := range mono {
-			mono[i] = pcm16(pcm[2*i:])
+			mono[i] = dsp.PCM16(pcm[2*i:])
 		}
 		return rate, [][]float64{mono}, nil
 	}
@@ -138,9 +139,11 @@ func ReadWAV(data []byte) (rate int, channels [][]float64, err error) {
 // DecodeStereo16 decodes interleaved stereo int16 little-endian PCM into
 // two channels of len(raw)/4 frames borrowed from the sample pool (a
 // trailing partial frame is dropped); hand them back with
-// RecycleSamples. It is the one PCM decoder: a WAV upload's data chunk,
-// a streamed session's chunks, its locate and its recovery all decode
-// through it, so the same bytes decode to the same bits on every path.
+// RecycleSamples. A WAV upload's data chunk, a streamed session's chunks
+// and its recovery decode through it; a streamed session's locate reads
+// its PCM through dsp.Stereo16Samples instead. Both apply dsp.PCM16, the
+// one sample rule, so the same bytes decode to the same bits on every
+// path.
 //
 //hyperearvet:pooled
 func DecodeStereo16(raw []byte) (c1, c2 []float64) {
@@ -149,14 +152,9 @@ func DecodeStereo16(raw []byte) (c1, c2 []float64) {
 	raw, c2 = raw[:4*n], c2[:n]
 	for i := range c1 {
 		f := raw[4*i : 4*i+4]
-		c1[i], c2[i] = pcm16(f), pcm16(f[2:])
+		c1[i], c2[i] = dsp.PCM16(f), dsp.PCM16(f[2:])
 	}
 	return c1, c2
-}
-
-// pcm16 is the sample rule: a little-endian int16 scaled by 1/32767.
-func pcm16(b []byte) float64 {
-	return float64(int16(binary.LittleEndian.Uint16(b))) / 32767
 }
 
 // WriteRecording saves a stereo mic.Recording as WAV.
